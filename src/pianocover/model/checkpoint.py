@@ -26,6 +26,7 @@ import numpy as np
 
 from ..errors import FormatError
 from .config import ModelConfig
+from .network import param_shapes
 
 MAGIC = b"PNOCOVR\x01"
 VERSION = 1
@@ -73,7 +74,8 @@ class _Reader:
 
 
 def load_checkpoint(path):
-    """Returns (params, config). Raises FormatError on any corruption."""
+    """Returns (params, config). Raises FormatError on any corruption,
+    including tensors whose names or shapes do not match the config."""
     with open(path, "rb") as fh:
         reader = _Reader(fh.read())
     if reader.take(len(MAGIC)) != MAGIC:
@@ -90,7 +92,13 @@ def load_checkpoint(path):
     params = {}
     for _ in range(count):
         (name_len,) = reader.unpack("<H")
-        name = reader.take(name_len).decode()
+        start = reader.pos
+        try:
+            name = reader.take(name_len).decode()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"tensor name is not UTF-8: {exc}", offset=start) from exc
+        if name in params:
+            raise FormatError(f"duplicate tensor {name!r}")
         (rank,) = reader.unpack("<B")
         shape = reader.unpack(f"<{rank}Q") if rank else ()
         (code,) = reader.unpack("<B")
@@ -106,4 +114,16 @@ def load_checkpoint(path):
         params[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     if reader.pos != len(reader.data):
         raise FormatError("trailing bytes after last tensor", offset=reader.pos)
+    expected = param_shapes(config)
+    missing = [name for name in expected if name not in params]
+    if missing:
+        raise FormatError(f"checkpoint lacks tensors {', '.join(missing)}")
+    extra = [name for name in params if name not in expected]
+    if extra:
+        raise FormatError(f"checkpoint has unknown tensors {', '.join(extra)}")
+    for name, shape in expected.items():
+        if params[name].shape != shape:
+            raise FormatError(
+                f"tensor {name!r} has shape {params[name].shape}, config needs {shape}"
+            )
     return params, config

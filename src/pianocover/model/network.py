@@ -405,6 +405,92 @@ def decode_step(encoder_state, prefix, params, config: ModelConfig):
     return logits[-1]
 
 
+def _attend_one(q, kh, vh, wo, bias):
+    """One query row (1, d) against per-head keys and values (heads, n, dh).
+
+    bias, shaped (heads, n), marks self-attention: the full-sequence
+    path adds a float64 causal mask there, which promotes the logits, so
+    this path promotes them too and float32 parameters decode alike.
+    """
+    heads, _, dh = kh.shape
+    logits = np.einsum("hd,hmd->hm", q.reshape(heads, dh), kh) * dh**-0.5
+    if bias is not None:
+        logits = (logits + bias).astype(np.float64, copy=False)
+    att = _softmax(logits)
+    return np.einsum("hm,hmd->hd", att, vh).reshape(1, -1) @ wo
+
+
+class IncrementalDecoder:
+    """Decoder state for one encoder output, fed one token per step.
+
+    Equivalent to decoder_forward over the tokens fed so far, but each
+    step runs only the new position: cross-attention keys and values are
+    projected once, self-attention keys and values are appended to a
+    preallocated per-layer cache, and the causal relative bias depends
+    only on the query-key distance, so it is one row per distance.
+    """
+
+    def __init__(self, encoder_state, params, config: ModelConfig):
+        self.params = params
+        self.config = config
+        self.length = 0
+        n_m = len(encoder_state)
+        heads, dh = config.num_heads, config.d_head
+        distances = relative_position_bucket(
+            -np.arange(config.max_decode_len),
+            False,
+            config.relative_bias_buckets,
+            config.relative_bias_max_distance,
+        )
+        self.bias = params["dec_rel_bias"][distances]
+        self.cross = []
+        for i in range(config.num_decoder_layers):
+            p = f"dec{i}_"
+            kh, vh = (
+                (encoder_state @ params[p + w]).reshape(n_m, heads, dh).transpose(1, 0, 2)
+                for w in ("ck", "cv")
+            )
+            self.cross.append((kh, vh))
+        # Allocated on the first step, in the dtype the projections take.
+        self.self_kv = [None] * config.num_decoder_layers
+
+    def step(self, token) -> np.ndarray:
+        """Feed the next decoder input token; return the next-token logits."""
+        params, config = self.params, self.config
+        t = self.length
+        if t >= config.max_decode_len:
+            raise ParameterError(
+                f"prefix length {t} reached max_decode_len {config.max_decode_len}"
+            )
+        heads, dh = config.num_heads, config.d_head
+        x = params["token_emb"][[token]]
+        for i, (ckh, cvh) in enumerate(self.cross):
+            p = f"dec{i}_"
+            normed, _ = _norm_f(x, params[p + "ln1"])
+            k = (normed @ params[p + "sk"]).reshape(heads, dh)
+            v = (normed @ params[p + "sv"]).reshape(heads, dh)
+            if self.self_kv[i] is None:
+                self.self_kv[i] = np.empty((2, heads, config.max_decode_len, dh), k.dtype)
+            skh, svh = self.self_kv[i]
+            skh[:, t] = k
+            svh[:, t] = v
+            x = x + _attend_one(
+                normed @ params[p + "sq"],
+                skh[:, : t + 1],
+                svh[:, : t + 1],
+                params[p + "so"],
+                self.bias[t::-1].T,
+            )
+            normed, _ = _norm_f(x, params[p + "ln2"])
+            x = x + _attend_one(normed @ params[p + "cq"], ckh, cvh, params[p + "co"], None)
+            normed, _ = _norm_f(x, params[p + "ln3"])
+            ff, _ = _ffn_f(normed, params[p + "ff1"], params[p + "ff2"])
+            x = x + ff
+        self.length = t + 1
+        h, _ = _norm_f(x, params["dec_ln_final"])
+        return (h @ params["token_emb"].T)[0] * config.d_model**-0.5
+
+
 def greedy_generate(spectrogram, arranger_id, params, config: ModelConfig) -> TokenSeq:
     """Argmax decoding until EOS or the length cap.
 
@@ -412,16 +498,23 @@ def greedy_generate(spectrogram, arranger_id, params, config: ModelConfig) -> To
     the segment grammar, and pitches outside the piano range are
     dropped from the returned sequence.
     """
-    state = encode(spectrogram, arranger_id, params, config)
+    decoder = IncrementalDecoder(
+        encode(spectrogram, arranger_id, params, config), params, config
+    )
     raw = []
+    nxt = PAD
     for _ in range(config.max_decode_len):
-        logits, _ = decoder_forward([PAD] + raw, state, params, config)
-        nxt = int(np.argmax(logits[-1]))
+        nxt = int(np.argmax(decoder.step(nxt)))
         raw.append(nxt)
         if nxt == EOS:
             break
     if raw[-1] != EOS:
         log.warning("generation hit max_decode_len %d without EOS", config.max_decode_len)
+    return _usable_tokens(raw)
+
+
+def _usable_tokens(raw) -> TokenSeq:
+    """The segment made of generated ids, without the ones it cannot hold."""
     ids = []
     shift_total = 0
     dropped = 0

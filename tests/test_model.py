@@ -1,6 +1,8 @@
 """Tests for the numpy transformer: buckets, shapes, causality, gradients."""
 
+import json
 import math
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -266,6 +268,115 @@ class TestDecodeStep:
             assert not np.array_equal(got, base)
 
 
+def reference_greedy(frames, arranger_id, params, cfg):
+    """Raw argmax ids from a loop over the stateless decode_step."""
+    state = encode(frames, arranger_id, params, cfg)
+    raw = []
+    while len(raw) < cfg.max_decode_len:
+        raw.append(int(np.argmax(decode_step(state, raw, params, cfg))))
+        if raw[-1] == EOS:
+            break
+    return raw
+
+
+class TestIncrementalDecoder:
+    def _setup(self, cfg, seed, dtype=np.float64):
+        params = init_params(cfg, seed=seed, dtype=dtype)
+        rng = np.random.default_rng(seed)
+        params["dec_rel_bias"] = rng.normal(size=params["dec_rel_bias"].shape).astype(dtype)
+        # encode() returns float64; a float32 state leaves the causal
+        # mask as the only float64 operand of the float32 decoder.
+        state = encode(rng.normal(size=(5, cfg.n_mels)), 1, params, cfg).astype(dtype)
+        ids = [PAD] + [int(t) for t in rng.integers(0, 232, size=cfg.max_decode_len - 1)]
+        return params, state, ids
+
+    def _spy_raw(self, monkeypatch):
+        """Collects the raw ids greedy_generate hands to its token filter."""
+        seen = []
+        usable_tokens = network._usable_tokens
+        monkeypatch.setattr(
+            network, "_usable_tokens", lambda raw: seen.append(list(raw)) or usable_tokens(raw)
+        )
+        return seen
+
+    def _cached_rows(self, state, ids, params, cfg):
+        decoder = network.IncrementalDecoder(state, params, cfg)
+        return np.array([decoder.step(t) for t in ids])
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            pytest.param(dict(num_decoder_layers=1), id="one-layer"),
+            pytest.param(dict(num_decoder_layers=2), id="two-layers"),
+            # Distances up to 47 pass relative_bias_max_distance=20, so
+            # the far buckets saturate.
+            pytest.param(dict(num_decoder_layers=2, max_decode_len=48), id="saturated"),
+        ],
+    )
+    def test_cached_logits_match_full_forward(self, overrides):
+        cfg = tiny_config(**overrides)
+        for seed in (0, 1):
+            params, state, ids = self._setup(cfg, seed)
+            full, _ = network.decoder_forward(ids, state, params, cfg)
+            cached = self._cached_rows(state, ids, params, cfg)
+            assert cached.shape == full.shape
+            assert np.max(np.abs(cached - full)) < 1e-10
+
+    def test_float32_matches_full_forward_and_ids(self, monkeypatch):
+        cfg = tiny_config(num_decoder_layers=2, max_decode_len=32)
+        seen = self._spy_raw(monkeypatch)
+        for seed in (0, 1, 2):
+            params, state, ids = self._setup(cfg, seed, dtype=np.float32)
+            full, _ = network.decoder_forward(ids, state, params, cfg)
+            cached = self._cached_rows(state, ids, params, cfg)
+            assert cached.dtype == full.dtype
+            assert np.max(np.abs(cached - full)) < 1e-6
+            frames = np.random.default_rng(seed).normal(size=(4, cfg.n_mels))
+            expected = reference_greedy(frames, 0, params, cfg)
+            greedy_generate(frames, 0, params, cfg)
+            assert seen.pop() == expected
+
+    def test_greedy_never_recomputes_prefix(self, monkeypatch):
+        cfg = tiny_config(num_decoder_layers=2, max_decode_len=24)
+        cases = []
+        for seed in range(4):
+            params = init_params(cfg, seed=seed)
+            frames = np.random.default_rng(seed).normal(size=(4, cfg.n_mels))
+            cases.append((frames, seed % cfg.num_arrangers, params))
+        expected = [reference_greedy(*case, cfg) for case in cases]
+        # The untrained models never emit EOS.
+        assert all(len(raw) == cfg.max_decode_len and EOS not in raw for raw in expected)
+        # Giving EOS the output row of the token seed 3 settles on makes
+        # it win the tie there (lowest id), so this case stops mid-way.
+        frames, arranger_id, params = cases[3]
+        eager = dict(params, token_emb=params["token_emb"].copy())
+        eager["token_emb"][EOS] = eager["token_emb"][expected[3][-1]]
+        cases.append((frames, arranger_id, eager))
+        expected.append(reference_greedy(frames, arranger_id, eager, cfg))
+        assert expected[-1][-1] == EOS and 1 < len(expected[-1]) < cfg.max_decode_len
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("greedy_generate ran the full-sequence decoder")
+
+        usable_tokens = network._usable_tokens
+        seen = self._spy_raw(monkeypatch)
+        monkeypatch.setattr(network, "decoder_forward", forbidden)
+        for case, raw in zip(cases, expected):
+            seq = greedy_generate(*case, cfg)
+            assert seen.pop() == raw
+            assert seq.ids == usable_tokens(raw).ids
+
+    def test_step_past_max_decode_len_raises(self):
+        cfg = tiny_config()
+        params, state, ids = self._setup(cfg, 0)
+        decoder = network.IncrementalDecoder(state, params, cfg)
+        for t in ids:
+            decoder.step(t)
+        assert decoder.length == cfg.max_decode_len
+        with pytest.raises(ParameterError, match="max_decode_len"):
+            decoder.step(5)
+
+
 class TestGreedy:
     def test_zero_head_ties_break_low(self):
         cfg = tiny_config()
@@ -433,6 +544,56 @@ class TestCheckpoint:
         wrong.write_bytes(b"X" + blob[1:])
         with pytest.raises(FormatError):
             load_checkpoint(wrong)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            pytest.param(lambda p: p.pop("dec0_ff2"), "lacks tensors dec0_ff2", id="missing"),
+            pytest.param(
+                lambda p: p.update(dec0_sq=np.zeros((24, 12))), "'dec0_sq' has shape", id="shape"
+            ),
+            pytest.param(
+                lambda p: p.update(dec0_ln1=np.ones((24, 1))), "'dec0_ln1' has shape", id="rank"
+            ),
+            pytest.param(
+                lambda p: p.update(dec1_ff1=np.zeros((24, 32))), "unknown tensors dec1_ff1", id="extra"
+            ),
+        ],
+    )
+    def test_tensors_must_match_config(self, tmp_path, edit, message):
+        cfg = tiny_config()
+        params = init_params(cfg, seed=9)
+        edit(params)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, cfg)
+        with pytest.raises(FormatError, match=message):
+            load_checkpoint(path)
+
+    def test_duplicate_tensor(self, tmp_path):
+        cfg = tiny_config()
+        params = init_params(cfg, seed=9)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, cfg)
+        one = tmp_path / "one.ckpt"
+        save_checkpoint(one, {"dec0_sq": params["dec0_sq"]}, cfg)
+        # Header: magic, version, config length and bytes, tensor count.
+        header = len(b"PNOCOVR\x01") + 4 + 4 + len(json.dumps(cfg.to_dict(), sort_keys=True))
+        blob = bytearray(path.read_bytes())
+        blob[header : header + 4] = struct.pack("<I", len(params) + 1)
+        blob += one.read_bytes()[header + 4 :]
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="duplicate tensor 'dec0_sq'"):
+            load_checkpoint(path)
+
+    def test_name_not_utf8(self, tmp_path):
+        cfg = tiny_config()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(cfg, seed=9), cfg)
+        blob = bytearray(path.read_bytes())
+        blob[blob.index(b"input_proj")] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="not UTF-8"):
+            load_checkpoint(path)
 
 
 class TestTraining:

@@ -425,6 +425,31 @@ class TestCli:
         bad.write_text("nope,columns\n1,2\n")
         assert main(["build-dataset", str(bad), str(tmp_path / "ds")]) == 1
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda p: p.pop("dec1_ff2"), id="missing"),
+            pytest.param(lambda p: p.update(dec0_sq=np.zeros((64, 32))), id="shape"),
+        ],
+    )
+    def test_cover_rejects_mismatched_checkpoint(self, tmp_path, capsys, edit):
+        rng = np.random.default_rng(15)
+        record, _, _, _ = make_pair(tmp_path, rng, name="ck")
+        cfg = desk_config(max_decode_len=8)
+        params = init_params(cfg, seed=0)
+        edit(params)
+        ckpt = tmp_path / "bad.ckpt"
+        save_checkpoint(ckpt, params, cfg)
+        out = tmp_path / "cover.mid"
+        code = main(
+            ["cover", record.pop_audio, str(out), "--arranger", "0",
+             "--checkpoint", str(ckpt), "--beats", record.beats]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_full_chain(self, tmp_path):
         rng = np.random.default_rng(14)
         keep, _, _, _ = make_pair(tmp_path, rng, name="k0", arranger_id=1)
