@@ -141,11 +141,18 @@ def _parse_manifest(path):
                 f"{path}: manifest needs columns pop_path,cover_path,arranger_id"
             )
         for row in reader:
+            try:
+                arranger_id = int(row["arranger_id"])
+            except (TypeError, ValueError):  # TypeError: None in a short row
+                raise ValidationError(
+                    f"{path}:{reader.line_num}: arranger_id "
+                    f"{row['arranger_id']!r} is not an integer"
+                ) from None
             records.append(
                 PairRecord(
                     pop_audio=row["pop_path"],
                     cover_midi=row["cover_path"],
-                    arranger_id=int(row["arranger_id"]),
+                    arranger_id=arranger_id,
                     beats=row.get("beats_path") or None,
                     f0=row.get("f0_path") or None,
                 )
@@ -176,21 +183,28 @@ def _parse_config_file(path):
         if "=" not in line:
             raise ValidationError(f"{path}:{lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key in model_fields:
-            model_kwargs[key] = int(value)
-        elif key == "optimizer":
+        if key == "optimizer":
             try:
                 train_kwargs[key] = OptimizerKind[value.upper()]
             except KeyError:
                 raise ValidationError(
                     f"{path}:{lineno}: unknown optimizer {value!r}"
                 ) from None
+            continue
+        if key in model_fields:
+            kwargs, parse = model_kwargs, int
         elif key == "learning_rate":
-            train_kwargs[key] = float(value)
+            kwargs, parse = train_kwargs, float
         elif key in train_fields:
-            train_kwargs[key] = int(value)
+            kwargs, parse = train_kwargs, int
         else:
             raise ValidationError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            kwargs[key] = parse(value)
+        except ValueError:
+            raise ValidationError(
+                f"{path}:{lineno}: cannot read {key} = {value!r} as {parse.__name__}"
+            ) from None
     return desk_config(**model_kwargs), TrainConfig(**train_kwargs)
 
 

@@ -9,6 +9,7 @@ center padding) so frame k covers samples [k*hop, k*hop + window) exactly.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ import numpy as np
 import scipy.io.wavfile
 import scipy.signal
 
-from .errors import ParameterError
+from .errors import FormatError, ParameterError
 
 SAMPLE_RATE = 22050
 WINDOW = 4096
@@ -133,7 +134,10 @@ def resample(audio: np.ndarray, orig_rate: int, target_rate: int = SAMPLE_RATE):
 def load_wav(path, target_rate: int = SAMPLE_RATE) -> np.ndarray:
     """Read a 16-bit PCM WAV, downmix stereo by average, resample, and
     scale to [-1, 1]."""
-    rate, data = scipy.io.wavfile.read(path)
+    try:
+        rate, data = scipy.io.wavfile.read(path)
+    except (ValueError, struct.error) as exc:  # struct.error: truncated header
+        raise FormatError(f"{path}: not a readable WAV file: {exc}") from exc
     if data.dtype != np.int16:
         raise ParameterError(
             f"{path}: expected 16-bit PCM WAV, got dtype {data.dtype}"

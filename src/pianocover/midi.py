@@ -95,15 +95,6 @@ class NoteSequence:
     def __iter__(self):
         return iter(self.notes)
 
-    def shifted(self, delta):
-        """Same notes with all times moved by ``delta`` (may create negative
-        onsets; used for segment-relative views, so validation is skipped)."""
-        notes = tuple(
-            Note(n.onset + delta, n.pitch, n.offset + delta, n.velocity)
-            for n in self.notes
-        )
-        return NoteSequence(notes, self.time_unit, self.duration + delta)
-
 
 def note_density(seq: NoteSequence) -> float:
     """Note onsets per second. The sequence must be in seconds with a

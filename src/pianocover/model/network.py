@@ -8,8 +8,16 @@ a ReLU feed-forward, and a token embedding tied to the output head with
 a d_model**-0.5 logit scale. The encoder input is the arranger
 embedding row concatenated before the projected mel frames.
 
-Gradients are hand-derived. Batch members are accumulated in list
-order, so training is bit-reproducible for a fixed seed.
+Every layer takes leading batch dimensions. Training pads a batch to
+its longest example (zero frames, PAD decoder inputs and targets) and
+runs it as one tensor; a key mask hides padded frames from encoder
+self-attention and decoder cross-attention, and PAD targets carry no
+loss. encode and decoder_forward run the same code at batch size one.
+
+Gradients are hand-derived, and every reduction runs in a fixed order,
+so training is bit-reproducible run to run for a fixed seed. The sums
+are not ordered as they would be example by example, so results agree
+with single-example runs to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -122,8 +130,9 @@ def relative_position_bucket(relative_position, bidirectional, num_buckets, max_
     return out + np.where(is_small, rel, large)
 
 
-def _bias_matrix(table, n_queries, n_memory, bidirectional, config):
-    rel = np.arange(n_memory)[None, :] - np.arange(n_queries)[:, None]
+def _bias_matrix(table, n, bidirectional, config):
+    """Relative position bias (heads, n, n) and its bucket indices (n, n)."""
+    rel = np.arange(n)[None, :] - np.arange(n)[:, None]
     buckets = relative_position_bucket(
         rel,
         bidirectional,
@@ -133,28 +142,46 @@ def _bias_matrix(table, n_queries, n_memory, bidirectional, config):
     return table[buckets].transpose(2, 0, 1), buckets
 
 
-def _accumulate_bias(dtable, buckets, dbias):
-    heads = dbias.shape[0]
-    np.add.at(
-        dtable,
-        buckets.reshape(-1),
-        dbias.transpose(1, 2, 0).reshape(-1, heads),
-    )
+def _rows(x):
+    """x (..., width) as one (rows, width) matrix."""
+    return x.reshape(-1, x.shape[-1])
+
+
+def _scatter_rows(index, values, n_rows):
+    """Sums of the rows of values (..., width) grouped by index (...).
+
+    One bincount over (index, column) pairs, which sums in input order
+    and costs a fraction of an np.add.at scatter.
+    """
+    width = values.shape[-1]
+    flat = (index.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+    sums = np.bincount(flat, weights=values.reshape(-1), minlength=n_rows * width)
+    return sums.reshape(n_rows, width)
+
+
+def _key_mask(lengths, n):
+    """Additive (B, 1, 1, n) mask hiding keys at or past each example's
+    length from every query, or None when no example is padded."""
+    if np.all(lengths == n):
+        return None
+    return np.where(np.arange(n) < lengths[:, None], 0.0, _NEG_INF)[:, None, None, :]
 
 
 # ---------------------------------------------------------------------------
-# Layer primitives, each forward returning (out, cache)
+# Layer primitives over (..., n, d), each forward returning (out, cache)
 
 
 def _norm_f(x, g):
-    inv = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + _NORM_EPS)
+    # np.add.reduce skips np.mean's Python wrapper and gives the same bits.
+    ms = np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1]
+    inv = 1.0 / np.sqrt(ms + _NORM_EPS)
     return x * inv * g, (x, g, inv)
 
 
 def _norm_b(dout, cache):
     x, g, inv = cache
     d = x.shape[-1]
-    dg = np.sum(dout * x * inv, axis=0)
+    dg = _rows(dout * x * inv).sum(axis=0)
     dyg = dout * g
     dot = np.sum(dyg * x, axis=-1, keepdims=True)
     dx = dyg * inv - x * inv**3 * dot / d
@@ -166,51 +193,56 @@ def _softmax(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _split_heads(x, heads):
+    """(..., n, d) to (..., heads, n, d // heads)."""
+    return x.reshape(*x.shape[:-1], heads, -1).swapaxes(-2, -3)
+
+
+def _merge_heads(xh):
+    """(..., heads, n, dh) to (..., n, heads * dh)."""
+    xh = xh.swapaxes(-2, -3)
+    return xh.reshape(*xh.shape[:-2], -1)
+
+
 def _attn_f(y, wq, wk, wv, wo, bias, mask, heads, memory=None):
     src = y if memory is None else memory
-    n_q, d = y.shape
-    n_m = src.shape[0]
-    dh = d // heads
-    qh = (y @ wq).reshape(n_q, heads, dh).transpose(1, 0, 2)
-    kh = (src @ wk).reshape(n_m, heads, dh).transpose(1, 0, 2)
-    vh = (src @ wv).reshape(n_m, heads, dh).transpose(1, 0, 2)
-    scale = dh**-0.5
-    logits = np.einsum("hqd,hmd->hqm", qh, kh) * scale
+    qh = _split_heads(y @ wq, heads)
+    kh = _split_heads(src @ wk, heads)
+    vh = _split_heads(src @ wv, heads)
+    scale = qh.shape[-1] ** -0.5
+    logits = (qh @ kh.swapaxes(-1, -2)) * scale
     if bias is not None:
         logits = logits + bias
     if mask is not None:
         logits = logits + mask
     att = _softmax(logits)
-    merged = np.einsum("hqm,hmd->hqd", att, vh).transpose(1, 0, 2).reshape(n_q, d)
-    out = merged @ wo
+    merged = _merge_heads(att @ vh)
     cache = (y, src, memory is None, qh, kh, vh, att, merged, wq, wk, wv, wo, scale)
-    return out, cache
+    return merged @ wo, cache
 
 
 def _attn_b(dout, cache):
+    """Input gradients, weight gradients and the logit gradient, which is
+    the gradient of an additive bias broadcast to (..., heads, n, n)."""
     y, src, is_self, qh, kh, vh, att, merged, wq, wk, wv, wo, scale = cache
-    n_q, d = y.shape
-    n_m = src.shape[0]
-    heads = qh.shape[0]
-    dh = d // heads
-    dwo = merged.T @ dout
-    dz = (dout @ wo.T).reshape(n_q, heads, dh).transpose(1, 0, 2)
-    datt = np.einsum("hqd,hmd->hqm", dz, vh)
-    dvh = np.einsum("hqm,hqd->hmd", att, dz)
+    dz = _split_heads(dout @ wo.T, qh.shape[-3])
+    datt = dz @ vh.swapaxes(-1, -2)
+    dvh = att.swapaxes(-1, -2) @ dz
     dlogits = att * (datt - np.sum(datt * att, axis=-1, keepdims=True))
-    dqh = np.einsum("hqm,hmd->hqd", dlogits, kh) * scale
-    dkh = np.einsum("hqm,hqd->hmd", dlogits, qh) * scale
-    dq = dqh.transpose(1, 0, 2).reshape(n_q, d)
-    dk = dkh.transpose(1, 0, 2).reshape(n_m, d)
-    dv = dvh.transpose(1, 0, 2).reshape(n_m, d)
-    dwq = y.T @ dq
-    dwk = src.T @ dk
-    dwv = src.T @ dv
+    dq = _merge_heads(dlogits @ kh) * scale
+    dk = _merge_heads(dlogits.swapaxes(-1, -2) @ qh) * scale
+    dv = _merge_heads(dvh)
+    dw = (
+        _rows(y).T @ _rows(dq),
+        _rows(src).T @ _rows(dk),
+        _rows(src).T @ _rows(dv),
+        _rows(merged).T @ _rows(dout),
+    )
     dy = dq @ wq.T
     dsrc = dk @ wk.T + dv @ wv.T
     if is_self:
-        return dy + dsrc, None, (dwq, dwk, dwv, dwo), dlogits
-    return dy, dsrc, (dwq, dwk, dwv, dwo), dlogits
+        return dy + dsrc, None, dw, dlogits
+    return dy, dsrc, dw, dlogits
 
 
 def _ffn_f(y, w1, w2):
@@ -221,9 +253,9 @@ def _ffn_f(y, w1, w2):
 
 def _ffn_b(dout, cache):
     y, a, h, w1, w2 = cache
-    dw2 = h.T @ dout
+    dw2 = _rows(h).T @ _rows(dout)
     da = (dout @ w2.T) * (a > 0)
-    dw1 = y.T @ da
+    dw1 = _rows(y).T @ _rows(da)
     return da @ w1.T, dw1, dw2
 
 
@@ -235,21 +267,37 @@ def _frames_of(spectrogram):
     return np.asarray(getattr(spectrogram, "frames", spectrogram), dtype=float)
 
 
-def encoder_forward(frames, arranger_id, params, config):
-    if not 0 <= arranger_id < config.num_arrangers:
-        raise ParameterError(
-            f"arranger id {arranger_id} outside [0, {config.num_arrangers})"
-        )
-    if frames.ndim != 2 or frames.shape[1] != config.n_mels:
-        raise ParameterError(
-            f"expected frames shaped (t, {config.n_mels}), got {frames.shape}"
-        )
+def _pad_frames(frame_list, arranger_ids, config):
+    """Checked encoder inputs: frames padded with zeros to (B, F, n_mels),
+    each example's frame count, and the arranger ids."""
+    for frames, arranger_id in zip(frame_list, arranger_ids):
+        if not 0 <= arranger_id < config.num_arrangers:
+            raise ParameterError(
+                f"arranger id {arranger_id} outside [0, {config.num_arrangers})"
+            )
+        if frames.ndim != 2 or frames.shape[1] != config.n_mels:
+            raise ParameterError(
+                f"expected frames shaped (t, {config.n_mels}), got {frames.shape}"
+            )
+    lengths = np.array([len(frames) for frames in frame_list])
+    padded = np.zeros((len(frame_list), lengths.max(), config.n_mels))
+    for row, frames in zip(padded, frame_list):
+        row[: len(frames)] = frames
+    return padded, lengths, np.array(arranger_ids)
+
+
+def _encoder_batch(frames, lengths, arranger_ids, params, config):
+    """Encoder states (B, 1 + F, d) for frames padded to (B, F, n_mels).
+
+    Also returns the key mask that hides each example's padded rows, or
+    None, for the decoder's cross-attention."""
     x = np.concatenate(
-        [params["arranger_emb"][arranger_id][None, :], frames @ params["input_proj"]],
-        axis=0,
+        [params["arranger_emb"][arranger_ids][:, None, :], frames @ params["input_proj"]],
+        axis=1,
     )
-    n = len(x)
-    bias, buckets = _bias_matrix(params["enc_rel_bias"], n, n, True, config)
+    n = x.shape[1]
+    mask = _key_mask(lengths + 1, n)
+    bias, buckets = _bias_matrix(params["enc_rel_bias"], n, True, config)
     layer_caches = []
     for i in range(config.num_encoder_layers):
         p = f"enc{i}_"
@@ -261,7 +309,7 @@ def encoder_forward(frames, arranger_id, params, config):
             params[p + "v"],
             params[p + "o"],
             bias,
-            None,
+            mask,
             config.num_heads,
         )
         x = x + attn
@@ -270,13 +318,22 @@ def encoder_forward(frames, arranger_id, params, config):
         x = x + ff
         layer_caches.append((c_ln1, c_attn, c_ln2, c_ffn))
     state, c_final = _norm_f(x, params["enc_ln_final"])
-    return state, (frames, arranger_id, buckets, layer_caches, c_final)
+    return state, mask, (frames, arranger_ids, buckets, layer_caches, c_final)
+
+
+def encoder_forward(frames, arranger_id, params, config):
+    """Encoder states (1 + t, d) for frames (t, n_mels), and the cache."""
+    state, _, cache = _encoder_batch(
+        *_pad_frames([frames], [arranger_id], config), params, config
+    )
+    return state[0], cache
 
 
 def encoder_backward(dstate, cache, config, grads):
-    frames, arranger_id, buckets, layer_caches, c_final = cache
+    frames, arranger_ids, buckets, layer_caches, c_final = cache
     dx, dg = _norm_b(dstate, c_final)
     grads["enc_ln_final"] += dg
+    dbias = 0.0
     for i in reversed(range(config.num_encoder_layers)):
         p = f"enc{i}_"
         c_ln1, c_attn, c_ln2, c_ffn = layer_caches[i]
@@ -286,17 +343,20 @@ def encoder_backward(dstate, cache, config, grads):
         dnormed, dg = _norm_b(dff, c_ln2)
         grads[p + "ln2"] += dg
         dx = dx + dnormed
-        dattn_in, _, (dwq, dwk, dwv, dwo), dbias = _attn_b(dx, c_attn)
+        dattn_in, _, (dwq, dwk, dwv, dwo), dlogits = _attn_b(dx, c_attn)
         grads[p + "q"] += dwq
         grads[p + "k"] += dwk
         grads[p + "v"] += dwv
         grads[p + "o"] += dwo
-        _accumulate_bias(grads["enc_rel_bias"], buckets, dbias)
+        dbias = dbias + dlogits.sum(axis=0)
         dnormed, dg = _norm_b(dattn_in, c_ln1)
         grads[p + "ln1"] += dg
         dx = dx + dnormed
-    grads["arranger_emb"][arranger_id] += dx[0]
-    grads["input_proj"] += frames.T @ dx[1:]
+    grads["enc_rel_bias"] += _scatter_rows(
+        buckets, dbias.transpose(1, 2, 0), config.relative_bias_buckets
+    )
+    grads["arranger_emb"] += _scatter_rows(arranger_ids, dx[:, 0], config.num_arrangers)
+    grads["input_proj"] += _rows(frames).T @ _rows(dx[:, 1:])
 
 
 def encode(spectrogram, arranger_id, params, config: ModelConfig):
@@ -309,14 +369,12 @@ def encode(spectrogram, arranger_id, params, config: ModelConfig):
 # Decoder
 
 
-def decoder_forward(dec_ids, enc_state, params, config):
-    ids = np.asarray(dec_ids, dtype=int)
-    n = len(ids)
+def _decoder_batch(ids, enc_state, enc_mask, params, config):
+    """Next-token logits (B, n, vocab) for decoder inputs ids (B, n)."""
+    n = ids.shape[1]
     x = params["token_emb"][ids]
-    bias, buckets = _bias_matrix(params["dec_rel_bias"], n, n, False, config)
-    causal = np.where(
-        np.arange(n)[None, :] > np.arange(n)[:, None], _NEG_INF, 0.0
-    )[None]
+    bias, buckets = _bias_matrix(params["dec_rel_bias"], n, False, config)
+    causal = np.where(np.arange(n)[None, :] > np.arange(n)[:, None], _NEG_INF, 0.0)
     layer_caches = []
     for i in range(config.num_decoder_layers):
         p = f"dec{i}_"
@@ -340,7 +398,7 @@ def decoder_forward(dec_ids, enc_state, params, config):
             params[p + "cv"],
             params[p + "co"],
             None,
-            None,
+            enc_mask,
             config.num_heads,
             memory=enc_state,
         )
@@ -355,14 +413,22 @@ def decoder_forward(dec_ids, enc_state, params, config):
     return logits, (ids, enc_state, buckets, layer_caches, c_final, h, scale)
 
 
+def decoder_forward(dec_ids, enc_state, params, config):
+    """Next-token logits (n, vocab) for decoder inputs dec_ids (n,)."""
+    ids = np.asarray(dec_ids, dtype=int)
+    logits, cache = _decoder_batch(ids[None], enc_state[None], None, params, config)
+    return logits[0], cache
+
+
 def decoder_backward(dlogits, cache, params, config, grads):
     """Backward through the decoder; returns the encoder-state gradient."""
     ids, enc_state, buckets, layer_caches, c_final, h, scale = cache
-    grads["token_emb"] += (dlogits.T @ h) * scale
+    grads["token_emb"] += (_rows(dlogits).T @ _rows(h)) * scale
     dh = (dlogits @ params["token_emb"]) * scale
     dx, dg = _norm_b(dh, c_final)
     grads["dec_ln_final"] += dg
     denc = np.zeros_like(enc_state)
+    dbias = 0.0
     for i in reversed(range(config.num_decoder_layers)):
         p = f"dec{i}_"
         c_ln1, c_self, c_ln2, c_cross, c_ln3, c_ffn = layer_caches[i]
@@ -381,16 +447,19 @@ def decoder_backward(dlogits, cache, params, config, grads):
         dnormed, dg = _norm_b(dcross_in, c_ln2)
         grads[p + "ln2"] += dg
         dx = dx + dnormed
-        dself_in, _, (dwq, dwk, dwv, dwo), dbias = _attn_b(dx, c_self)
+        dself_in, _, (dwq, dwk, dwv, dwo), dlogits_self = _attn_b(dx, c_self)
         grads[p + "sq"] += dwq
         grads[p + "sk"] += dwk
         grads[p + "sv"] += dwv
         grads[p + "so"] += dwo
-        _accumulate_bias(grads["dec_rel_bias"], buckets, dbias)
+        dbias = dbias + dlogits_self.sum(axis=0)
         dnormed, dg = _norm_b(dself_in, c_ln1)
         grads[p + "ln1"] += dg
         dx = dx + dnormed
-    np.add.at(grads["token_emb"], ids, dx)
+    grads["dec_rel_bias"] += _scatter_rows(
+        buckets, dbias.transpose(1, 2, 0), config.relative_bias_buckets
+    )
+    grads["token_emb"] += _scatter_rows(ids, dx, config.vocab_size)
     return denc
 
 
@@ -413,11 +482,11 @@ def _attend_one(q, kh, vh, wo, bias):
     this path promotes them too and float32 parameters decode alike.
     """
     heads, _, dh = kh.shape
-    logits = np.einsum("hd,hmd->hm", q.reshape(heads, dh), kh) * dh**-0.5
+    logits = (q.reshape(heads, 1, dh) @ kh.swapaxes(-1, -2))[:, 0] * dh**-0.5
     if bias is not None:
         logits = (logits + bias).astype(np.float64, copy=False)
     att = _softmax(logits)
-    return np.einsum("hm,hmd->hd", att, vh).reshape(1, -1) @ wo
+    return (att[:, None] @ vh).reshape(1, -1) @ wo
 
 
 class IncrementalDecoder:
@@ -546,72 +615,65 @@ def _ce_rows(logits, targets):
     """Per-position cross entropy with PAD targets masked out.
 
     Returns (nll sum, masked count, dlogits before normalization)."""
+    flat = _rows(logits)
+    targets = targets.reshape(-1)
     mask = targets != PAD
-    m = logits.max(axis=-1, keepdims=True)
-    lse = m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
-    logp = logits - lse
+    m = flat.max(axis=-1, keepdims=True)
+    lse = m + np.log(np.exp(flat - m).sum(axis=-1, keepdims=True))
+    logp = flat - lse
     rows = np.flatnonzero(mask)
     nll = -logp[rows, targets[rows]].sum()
     dlogits = np.exp(logp)
     dlogits[~mask] = 0.0
     dlogits[rows, targets[rows]] -= 1.0
-    return nll, len(rows), dlogits
+    return nll, len(rows), dlogits.reshape(logits.shape)
 
 
-def _prepare(example, config):
-    frames, arranger_id, targets = example
-    targets = np.asarray(
-        targets.ids if isinstance(targets, TokenSeq) else tuple(targets), dtype=int
-    )
-    if len(targets) > config.max_decode_len:
+def _forward(examples, params, config):
+    """Teacher-forced forward over a batch padded to its longest example.
+
+    Returns (mean loss, non-PAD target count, dlogits before
+    normalization, encoder cache, decoder cache)."""
+    if not examples:
+        raise ParameterError("empty batch")
+    targets = [
+        np.asarray(t.ids if isinstance(t, TokenSeq) else tuple(t), dtype=int)
+        for _, _, t in examples
+    ]
+    longest = max(len(t) for t in targets)
+    if longest > config.max_decode_len:
         raise ParameterError(
-            f"target length {len(targets)} over max_decode_len {config.max_decode_len}"
+            f"target length {longest} over max_decode_len {config.max_decode_len}"
         )
-    dec_in = np.concatenate([[PAD], targets[:-1]])
-    return _frames_of(frames), arranger_id, dec_in, targets
+    padded = np.full((len(targets), longest), PAD)
+    for row, t in zip(padded, targets):
+        row[: len(t)] = t
+    if not np.any(padded != PAD):
+        raise ParameterError("batch contains no non-PAD targets")
+    dec_in = np.concatenate([np.full((len(targets), 1), PAD), padded[:, :-1]], axis=1)
+    frames = _pad_frames(
+        [_frames_of(f) for f, _, _ in examples], [a for _, a, _ in examples], config
+    )
+    state, mask, e_cache = _encoder_batch(*frames, params, config)
+    logits, d_cache = _decoder_batch(dec_in, state, mask, params, config)
+    nll, count, dlogits = _ce_rows(logits, padded)
+    return nll / count, count, dlogits, e_cache, d_cache
 
 
 def compute_loss(examples, params, config: ModelConfig) -> float:
     """Teacher-forced mean cross entropy over non-PAD target positions."""
-    if not examples:
-        raise ParameterError("empty batch")
-    total = 0.0
-    count = 0
-    for example in examples:
-        frames, arranger_id, dec_in, targets = _prepare(example, config)
-        state, _ = encoder_forward(frames, arranger_id, params, config)
-        logits, _ = decoder_forward(dec_in, state, params, config)
-        nll, n, _ = _ce_rows(logits, targets)
-        total += nll
-        count += n
-    if count == 0:
-        raise ParameterError("batch contains no non-PAD targets")
-    return total / count
+    return _forward(examples, params, config)[0]
 
 
 def loss_and_grads(examples, params, config: ModelConfig):
     """Batch loss and parameter gradients.
 
-    Examples are (frames, arranger_id, target ids) triples; gradients
-    accumulate in list order for bit-reproducibility.
+    Examples are (frames, arranger_id, target ids) triples. The batch
+    runs as one padded tensor through the same forward as compute_loss,
+    so the loss equals compute_loss exactly.
     """
-    if not examples:
-        raise ParameterError("empty batch")
-    states = []
-    total = 0.0
-    count = 0
-    for example in examples:
-        frames, arranger_id, dec_in, targets = _prepare(example, config)
-        state, e_cache = encoder_forward(frames, arranger_id, params, config)
-        logits, d_cache = decoder_forward(dec_in, state, params, config)
-        nll, n, dlogits = _ce_rows(logits, targets)
-        total += nll
-        count += n
-        states.append((e_cache, d_cache, dlogits))
-    if count == 0:
-        raise ParameterError("batch contains no non-PAD targets")
+    loss, count, dlogits, e_cache, d_cache = _forward(examples, params, config)
     grads = zero_grads(params)
-    for e_cache, d_cache, dlogits in states:
-        denc = decoder_backward(dlogits / count, d_cache, params, config, grads)
-        encoder_backward(denc, e_cache, config, grads)
-    return total / count, grads
+    denc = decoder_backward(dlogits / count, d_cache, params, config, grads)
+    encoder_backward(denc, e_cache, config, grads)
+    return loss, grads

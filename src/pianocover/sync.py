@@ -57,9 +57,6 @@ class Chromagram:
     def __len__(self):
         return len(self.frames)
 
-    def frame_time(self, index: int) -> float:
-        return (index + 0.5) / self.frame_rate
-
 
 @dataclass(frozen=True)
 class WarpPath:

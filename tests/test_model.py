@@ -34,8 +34,9 @@ from pianocover.model import (
     relative_position_bucket,
     save_checkpoint,
     train,
+    zero_grads,
 )
-from pianocover.model import network
+from pianocover.model import network, optim
 from pianocover.tokenizer import EOS, PAD, symbol
 
 
@@ -213,6 +214,16 @@ class TestEncode:
         b = encode(frames, 2, params, cfg)
         assert np.array_equal(a[1:], b[1:])
         assert not np.array_equal(a[0], b[0])
+
+    def test_every_frame_reaches_every_row(self):
+        cfg = tiny_config()
+        params = init_params(cfg, seed=0)
+        frames = np.random.default_rng(5).normal(size=(6, cfg.n_mels))
+        base = encode(frames, 0, params, cfg)
+        for j in (0, 5):
+            moved = frames.copy()
+            moved[j] += 1.0
+            assert np.all(np.any(encode(moved, 0, params, cfg) != base, axis=1))
 
     def test_bad_arguments(self):
         cfg = tiny_config()
@@ -466,6 +477,57 @@ class TestGradients:
         worst = gradient_check(tiny_config(), seed=seed, entries_per_tensor=8)
         bad = {k: v for k, v in worst.items() if v > 1e-3}
         assert not bad, f"gradient mismatches: {bad}"
+
+    def test_finite_differences_two_layers(self):
+        # The relative bias tables are shared by the layers of a stack, so
+        # their gradients sum over layers.
+        cfg = tiny_config(num_encoder_layers=2, num_decoder_layers=2)
+        worst = gradient_check(cfg, seed=2, entries_per_tensor=8)
+        bad = {k: v for k, v in worst.items() if v > 1e-3}
+        assert not bad, f"gradient mismatches: {bad}"
+
+    def test_ragged_batch_matches_single_examples(self):
+        # Frame counts and target lengths all differ, so every example but
+        # the longest is padded in both the encoder and the decoder.
+        cfg = tiny_config(num_encoder_layers=2, num_decoder_layers=2, max_decode_len=24)
+        rng = np.random.default_rng(21)
+        params = init_params(cfg, seed=21)
+        for name in ("enc_rel_bias", "dec_rel_bias"):
+            params[name] = rng.normal(size=params[name].shape)
+        batch = []
+        for i, (n_frames, n_targets) in enumerate([(3, 12), (9, 5), (6, 20), (1, 9)]):
+            ids = tuple(int(t) for t in rng.integers(2, cfg.vocab_size, size=n_targets - 1))
+            batch.append((rng.normal(size=(n_frames, cfg.n_mels)), i % 3, ids + (EOS,)))
+        batch[3] = batch[3][:2] + (batch[3][2] + (PAD, PAD),)
+        loss, grads = loss_and_grads(batch, params, cfg)
+        assert compute_loss(batch, params, cfg) == loss
+        # The batch mean weights each example's mean by its non-PAD targets.
+        counts = [sum(t != PAD for t in ids) for _, _, ids in batch]
+        want_loss = 0.0
+        want = zero_grads(params)
+        for example, count in zip(batch, counts):
+            single_loss, single = loss_and_grads([example], params, cfg)
+            want_loss += single_loss * count / sum(counts)
+            for name in want:
+                want[name] += single[name] * count / sum(counts)
+        assert abs(loss - want_loss) <= 1e-12 * want_loss
+        for name in params:
+            scale = np.max(np.abs(want[name]))
+            assert scale > 0, name
+            assert np.max(np.abs(grads[name] - want[name])) <= 1e-12 * scale, name
+
+
+class TestNorms:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bits_match_mean_formula(self, dtype):
+        rng = np.random.default_rng(0)
+        for shape in [(1, 64), (43, 64), (8, 43, 64)]:
+            x = rng.normal(size=shape).astype(dtype)
+            g = rng.normal(size=shape[-1]).astype(dtype)
+            inv = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + network._NORM_EPS)
+            got, _ = network._norm_f(x, g)
+            assert got.dtype == dtype and np.array_equal(got, x * inv * g)
+            assert optim._rms(x) == float(np.sqrt(np.mean(x * x)))
 
 
 class TestOptimizers:

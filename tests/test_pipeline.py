@@ -218,10 +218,14 @@ class TestBuildDataset:
         good, _, _, _ = make_pair(tmp_path, rng, name="good", arranger_id=1)
         bad, _, _, _ = make_pair(tmp_path, rng, name="bad", transpose=6)
         missing = PairRecord(str(tmp_path / "nope.wav"), good.cover_midi, 0)
-        examples, report = build_dataset([good, bad, missing])
-        assert (report.kept, report.discarded, report.failed) == (1, 1, 1)
+        not_wav = tmp_path / "not_wav.wav"
+        not_wav.write_bytes(b"ID3 this is not a RIFF file")
+        garbled = PairRecord(str(not_wav), good.cover_midi, 0)
+        examples, report = build_dataset([good, bad, missing, garbled])
+        assert (report.kept, report.discarded, report.failed) == (1, 1, 2)
         statuses = [e["status"] for e in report.entries]
-        assert statuses == ["kept", "discarded", "failed"]
+        assert statuses == ["kept", "discarded", "failed", "failed"]
+        assert "not a readable WAV file" in report.entries[3]["reason"]
         assert report.entries[0]["n_examples"] == len(examples) >= 1
         assert all(aid == 1 for _, aid, _ in examples)
 
@@ -424,6 +428,45 @@ class TestCli:
         bad = tmp_path / "bad.csv"
         bad.write_text("nope,columns\n1,2\n")
         assert main(["build-dataset", str(bad), str(tmp_path / "ds")]) == 1
+
+    @pytest.mark.parametrize(
+        "command,bad_file,content,message",
+        [
+            pytest.param("cover", "song.wav", b"ID3 not a RIFF file", "not a readable WAV",
+                         id="wav-not-riff"),
+            pytest.param("cover", "song.wav", b"RIFF", "not a readable WAV", id="wav-truncated"),
+            pytest.param("build-dataset", "manifest.csv",
+                         b"pop_path,cover_path,arranger_id\na.wav,a.mid,0\nb.wav,b.mid,two\n",
+                         "manifest.csv:3: arranger_id 'two' is not an integer",
+                         id="manifest-arranger"),
+            pytest.param("build-dataset", "manifest.csv",
+                         b"pop_path,cover_path,arranger_id\na.wav\n",
+                         "manifest.csv:2: arranger_id None is not an integer",
+                         id="manifest-short-row"),
+            pytest.param("train", "train.cfg", b"epochs = 2\nd_model = 3.5\n",
+                         "train.cfg:2: cannot read d_model = '3.5' as int", id="config-model"),
+            pytest.param("train", "train.cfg", b"learning_rate = fast\n",
+                         "train.cfg:1: cannot read learning_rate = 'fast' as float",
+                         id="config-learning-rate"),
+            pytest.param("train", "train.cfg", b"# run\nepochs = ten\n",
+                         "train.cfg:2: cannot read epochs = 'ten' as int", id="config-train"),
+        ],
+    )
+    def test_malformed_input_is_one_error_line(
+        self, tmp_path, capsys, command, bad_file, content, message
+    ):
+        bad = tmp_path / bad_file
+        bad.write_bytes(content)
+        argv = {
+            "cover": lambda: ["cover", str(bad), str(tmp_path / "o.mid"), "--arranger", "0",
+                              "--checkpoint", str(toy_checkpoint(tmp_path)[0])],
+            "build-dataset": lambda: ["build-dataset", str(bad), str(tmp_path / "ds")],
+            "train": lambda: ["train", str(tmp_path / "ds"), str(bad), str(tmp_path / "m.ckpt")],
+        }[command]()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
 
     @pytest.mark.parametrize(
         "edit",
