@@ -495,14 +495,14 @@ class TestGradients:
         for name in ("enc_rel_bias", "dec_rel_bias"):
             params[name] = rng.normal(size=params[name].shape)
         batch = []
-        for i, (n_frames, n_targets) in enumerate([(3, 12), (9, 5), (6, 20), (1, 9)]):
-            ids = tuple(int(t) for t in rng.integers(2, cfg.vocab_size, size=n_targets - 1))
-            batch.append((rng.normal(size=(n_frames, cfg.n_mels)), i % 3, ids + (EOS,)))
-        batch[3] = batch[3][:2] + (batch[3][2] + (PAD, PAD),)
+        counts = [12, 5, 20, 9]
+        for i, (n_frames, count, n_pad) in enumerate(zip([3, 9, 6, 1], counts, [0, 0, 0, 2])):
+            ids = tuple(int(t) for t in rng.integers(2, cfg.vocab_size, size=count - 1))
+            ids += (EOS,) + (PAD,) * n_pad
+            batch.append((rng.normal(size=(n_frames, cfg.n_mels)), i % 3, ids))
         loss, grads = loss_and_grads(batch, params, cfg)
         assert compute_loss(batch, params, cfg) == loss
         # The batch mean weights each example's mean by its non-PAD targets.
-        counts = [sum(t != PAD for t in ids) for _, _, ids in batch]
         want_loss = 0.0
         want = zero_grads(params)
         for example, count in zip(batch, counts):
