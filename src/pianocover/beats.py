@@ -14,6 +14,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import features
 from .errors import NoBeatsError, ParameterError, ValidationError
@@ -216,25 +217,31 @@ def estimate_tempo_period(env: np.ndarray, frame_rate: float) -> float:
 
 def _dp_beat_select(env: np.ndarray, period: float):
     """Ellis-style dynamic programming: maximize summed onset strength plus
-    a log-spacing regularity penalty around the estimated period."""
+    a log-spacing regularity penalty around the estimated period.
+
+    Frame i takes the best predecessor i - d for d in [lo, hi], so the
+    ``lo`` frames of a block depend only on frames before the block and are
+    scored together.  Candidates run from the earliest predecessor, so ties
+    go to it; predecessors before frame 0 read -inf and never win.
+    """
     n = len(env)
     scale = env.std()
     strength = env / scale if scale > 0 else env
-    score = strength.copy()
-    backlink = np.full(n, -1, dtype=np.int64)
     lo = max(1, int(round(period / 2)))
     hi = int(round(period * 2))
-    for i in range(lo, n):
-        j0 = max(0, i - hi)
-        j1 = i - lo + 1
-        if j1 <= j0:
-            continue
-        prev = np.arange(j0, j1)
-        penalty = _TIGHTNESS * np.log((i - prev) / period) ** 2
-        cand = score[j0:j1] - penalty
-        best = int(np.argmax(cand))
-        score[i] = strength[i] + cand[best]
-        backlink[i] = j0 + best
+    # padded[hi + j] is score[j]; row i of ``windows`` holds the scores of
+    # predecessors i - hi .. i - lo, matching ``penalty`` over d = hi .. lo.
+    padded = np.concatenate([np.full(hi, -np.inf), strength])
+    score = padded[hi:]
+    windows = sliding_window_view(padded, hi - lo + 1)
+    penalty = _TIGHTNESS * np.log(np.arange(hi, lo - 1, -1) / period) ** 2
+    backlink = np.full(n, -1, dtype=np.int64)
+    for start in range(lo, n, lo):
+        stop = min(start + lo, n)
+        cand = windows[start:stop] - penalty
+        best = np.argmax(cand, axis=1)
+        score[start:stop] = strength[start:stop] + cand[np.arange(stop - start), best]
+        backlink[start:stop] = np.arange(start - hi, stop - hi) + best
     tail = max(n - int(round(period)), 0)
     end = tail + int(np.argmax(score[tail:]))
     beats = [end]

@@ -148,6 +148,9 @@ def _parse_manifest(path):
                     f"{path}:{reader.line_num}: arranger_id "
                     f"{row['arranger_id']!r} is not an integer"
                 ) from None
+            for column in ("pop_path", "cover_path"):
+                if row[column] is None:
+                    raise ValidationError(f"{path}:{reader.line_num}: missing {column}")
             records.append(
                 PairRecord(
                     pop_audio=row["pop_path"],

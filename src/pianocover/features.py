@@ -12,8 +12,10 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 import scipy.io.wavfile
 import scipy.signal
 
@@ -52,10 +54,18 @@ def num_frames(num_samples: int, window: int = WINDOW, hop: int = HOP) -> int:
     return (num_samples - window) // hop + 1
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    # Cached arrays are shared by every caller; a write would corrupt them all.
+    array.setflags(write=False)
+    return array
+
+
+@lru_cache(maxsize=16)
 def hann(window: int) -> np.ndarray:
-    # Periodic Hann, matching the usual STFT analysis convention.
+    """Periodic Hann, matching the usual STFT analysis convention (cached,
+    read-only)."""
     n = np.arange(window)
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * n / window)
+    return _read_only(0.5 - 0.5 * np.cos(2.0 * np.pi * n / window))
 
 
 def stft_mag(audio: np.ndarray, window: int = WINDOW, hop: int = HOP) -> np.ndarray:
@@ -68,8 +78,7 @@ def stft_mag(audio: np.ndarray, window: int = WINDOW, hop: int = HOP) -> np.ndar
         raise ParameterError(
             f"audio of {len(audio)} samples is shorter than one {window}-sample window"
         )
-    idx = np.arange(window)[None, :] + hop * np.arange(frames)[:, None]
-    segs = audio[idx] * hann(window)[None, :]
+    segs = sliding_window_view(audio, window)[::hop] * hann(window)
     return np.abs(np.fft.rfft(segs, n=window, axis=1))
 
 
@@ -81,12 +90,14 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@lru_cache(maxsize=16)
 def mel_filterbank(sample_rate: int = SAMPLE_RATE, n_fft: int = WINDOW,
                    n_mels: int = N_MELS) -> np.ndarray:
     """Triangular HTK-mel filterbank, shape (n_mels, n_fft // 2 + 1).
 
     Triangles span [0, sample_rate / 2] and are normalized to unit area
-    (each row scaled by 2 / bandwidth).
+    (each row scaled by 2 / bandwidth).  Built once per argument tuple and
+    returned read-only.
     """
     if n_mels < 1:
         raise ParameterError(f"n_mels must be >= 1, got {n_mels}")
@@ -97,7 +108,7 @@ def mel_filterbank(sample_rate: int = SAMPLE_RATE, n_fft: int = WINDOW,
     falling = (hi - bins[None, :]) / (hi - ctr)
     fb = np.maximum(0.0, np.minimum(rising, falling))
     fb *= 2.0 / (hi - lo)
-    return fb
+    return _read_only(fb)
 
 
 def log_mel(mag: np.ndarray, sample_rate: int = SAMPLE_RATE,

@@ -93,6 +93,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.learning_rate <= 0:
             raise ValidationError("epochs, batch_size and learning_rate must be positive")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
 
 def count_params(config: ModelConfig) -> int:

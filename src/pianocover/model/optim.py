@@ -17,8 +17,12 @@ _EPS_FACTORED = 1e-30
 _CLIP_RMS = 1.0
 
 
-def _rms(x):
+def _mean(x, axis):
     # np.add.reduce skips np.mean's Python wrapper and gives the same bits.
+    return np.add.reduce(x, axis=axis) / x.shape[axis]
+
+
+def _rms(x):
     return float(np.sqrt(np.add.reduce(x * x, axis=None) / x.size))
 
 
@@ -44,9 +48,9 @@ class Adafactor:
             sq = g * g + _EPS_FACTORED
             state = self._state[name]
             if "row" in state:
-                state["row"] = beta2 * state["row"] + (1.0 - beta2) * sq.mean(axis=1)
-                state["col"] = beta2 * state["col"] + (1.0 - beta2) * sq.mean(axis=0)
-                r = state["row"] / state["row"].mean()
+                state["row"] = beta2 * state["row"] + (1.0 - beta2) * _mean(sq, 1)
+                state["col"] = beta2 * state["col"] + (1.0 - beta2) * _mean(sq, 0)
+                r = state["row"] / _mean(state["row"], 0)
                 update = g * (r**-0.5)[:, None] * (state["col"] ** -0.5)[None, :]
             else:
                 state["full"] = beta2 * state["full"] + (1.0 - beta2) * sq

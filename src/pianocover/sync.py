@@ -187,19 +187,24 @@ def _accumulate(cost):
     # Antidiagonal sweeps: every cell on diagonal i + j = k depends only
     # on diagonals k-1 and k-2, and each cell is one add plus a
     # three-way min, so the result is bit-identical to a scalar loop.
+    # The cost sits inside an (n+1, m+1) array whose first row and column
+    # are inf, so in its flat form a diagonal and its up, left and diagonal
+    # neighbours are all slices with step m, and no cell needs a mask.
     n, m = cost.shape
-    acc = np.full((n, m), np.inf)
-    acc[0, 0] = cost[0, 0]
+    width = m + 1
+    padded = np.full((n + 1, width), np.inf)
+    padded[1:, 1:] = cost
+    flat = padded.reshape(-1)
     for k in range(1, n + m - 1):
         lo = max(0, k - m + 1)
         hi = min(k, n - 1)
-        i = np.arange(lo, hi + 1)
-        j = k - i
-        diag = np.where((i > 0) & (j > 0), acc[np.maximum(i - 1, 0), np.maximum(j - 1, 0)], np.inf)
-        up = np.where(i > 0, acc[np.maximum(i - 1, 0), j], np.inf)
-        left = np.where(j > 0, acc[i, np.maximum(j - 1, 0)], np.inf)
-        acc[i, j] = cost[i, j] + np.minimum(diag, np.minimum(up, left))
-    return acc
+        start = width + k + 1 + lo * m  # flat index of cell (lo, k - lo)
+        cells = slice(start, start + (hi - lo) * m + 1, m)
+        up = slice(start - width, cells.stop - width, m)
+        left = slice(start - 1, cells.stop - 1, m)
+        diag = slice(start - width - 1, cells.stop - width - 1, m)
+        flat[cells] += np.minimum(flat[diag], np.minimum(flat[up], flat[left]))
+    return padded[1:, 1:]
 
 
 def _backtrace(acc):

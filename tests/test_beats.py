@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pianocover import beats
 from pianocover.beats import (
     BeatGrid,
     halfbeats_to_seconds,
@@ -177,3 +178,55 @@ class TestTracker:
         ibi2 = np.median(np.diff(g2.beats))
         assert abs(ibi1 - 0.5) <= 0.01
         assert abs(ibi2 - ibi1) <= 0.01
+
+
+def dp_beat_select_loop(env, period):
+    """Per-frame DP loop: the reference for the blocked _dp_beat_select."""
+    n = len(env)
+    scale = env.std()
+    strength = env / scale if scale > 0 else env
+    score = strength.copy()
+    backlink = np.full(n, -1, dtype=np.int64)
+    lo = max(1, int(round(period / 2)))
+    hi = int(round(period * 2))
+    for i in range(lo, n):
+        j0 = max(0, i - hi)
+        j1 = i - lo + 1
+        if j1 <= j0:
+            continue
+        prev = np.arange(j0, j1)
+        penalty = beats._TIGHTNESS * np.log((i - prev) / period) ** 2
+        cand = score[j0:j1] - penalty
+        best = int(np.argmax(cand))
+        score[i] = strength[i] + cand[best]
+        backlink[i] = j0 + best
+    tail = max(n - int(round(period)), 0)
+    end = tail + int(np.argmax(score[tail:]))
+    path = [end]
+    while backlink[path[-1]] >= 0:
+        path.append(backlink[path[-1]])
+    return np.array(path[::-1], dtype=np.int64)
+
+
+class TestDpBeatSelect:
+    @pytest.mark.parametrize("period", [28.0, 43.0, 86.1])
+    def test_matches_per_frame_loop(self, period):
+        rng = np.random.default_rng(int(period * 10))
+        for n in [3, int(period), int(2 * period) + 1, 1500]:
+            env = rng.exponential(size=n)
+            np.testing.assert_array_equal(
+                beats._dp_beat_select(env, period), dp_beat_select_loop(env, period)
+            )
+
+    @pytest.mark.parametrize("period", [28.0, 43.0, 86.1])
+    def test_plateaus_break_ties_like_the_loop(self, period):
+        # Flat runs make many predecessors score exactly alike, so any
+        # change in which one wins a tie changes the beat list.
+        rng = np.random.default_rng(7)
+        env = np.repeat(rng.integers(0, 3, size=120).astype(float), 9)
+        got = beats._dp_beat_select(env, period)
+        np.testing.assert_array_equal(got, dp_beat_select_loop(env, period))
+        flat = np.ones(1000)
+        np.testing.assert_array_equal(
+            beats._dp_beat_select(flat, period), dp_beat_select_loop(flat, period)
+        )

@@ -56,6 +56,18 @@ class TestStft:
         assert spectrum[k + 2] < spectrum[k] * 10 ** (-30 / 20)
         assert spectrum[k - 2] < spectrum[k] * 10 ** (-30 / 20)
 
+    @pytest.mark.parametrize("window,hop", [(1024, 256), (2048, 1024), (WINDOW, HOP)])
+    def test_bits_match_per_frame_rfft(self, window, hop):
+        rng = np.random.default_rng(window + hop)
+        for length in [window, window + hop - 1, window + hop, window + 9 * hop + 5]:
+            x = rng.normal(size=length)
+            taper = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
+            loop = np.array([
+                np.abs(np.fft.rfft(x[k * hop : k * hop + window] * taper))
+                for k in range(num_frames(length, window, hop))
+            ])
+            assert np.array_equal(stft_mag(x, window, hop), loop)
+
     def test_windowed_dft_closed_form(self):
         # compare a whole frame against a direct DFT of the windowed signal
         rng = np.random.default_rng(3)
@@ -88,6 +100,13 @@ class TestMel:
         bands = np.argmax(mel.frames, axis=1)
         assert np.all(np.abs(bands - expected_band) <= 1)
         assert np.median(bands) == expected_band
+
+    def test_cached_arrays_are_read_only(self):
+        assert mel_filterbank() is mel_filterbank()
+        with pytest.raises(ValueError):
+            mel_filterbank()[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            hann(WINDOW)[0] = 1.0
 
     def test_bad_n_mels(self):
         with pytest.raises(ParameterError):

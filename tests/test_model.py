@@ -531,6 +531,33 @@ class TestNorms:
 
 
 class TestOptimizers:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_adafactor_statistics_match_mean_formula(self, dtype):
+        # Reference step written with ndarray.mean; two steps so that
+        # beta2 is non-zero and the old statistics enter the new ones.
+        rng = np.random.default_rng(1)
+        for shape in [(1, 64), (43, 64), (64, 256), (232, 64)]:
+            w = rng.normal(size=shape).astype(dtype)
+            params = {"w": w.copy()}
+            opt = optim.Adafactor(params, learning_rate=0.01)
+            row = np.zeros(shape[0], dtype)
+            col = np.zeros(shape[1], dtype)
+            for step in (1, 2):
+                g = rng.normal(size=shape).astype(dtype)
+                opt.update(params, {"w": g})
+                beta2 = 1.0 - step**-0.8
+                sq = g * g + optim._EPS_FACTORED
+                row = beta2 * row + (1.0 - beta2) * sq.mean(axis=1)
+                col = beta2 * col + (1.0 - beta2) * sq.mean(axis=0)
+                r = row / row.mean()
+                update = g * (r**-0.5)[:, None] * (col**-0.5)[None, :]
+                update /= max(1.0, optim._rms(update) / optim._CLIP_RMS)
+                w -= 0.01 * update
+                state = opt._state["w"]
+                assert state["row"].dtype == dtype and np.array_equal(state["row"], row)
+                assert state["col"].dtype == dtype and np.array_equal(state["col"], col)
+                assert params["w"].dtype == dtype and np.array_equal(params["w"], w)
+
     def test_adafactor_state_is_factored(self):
         params = {"mat": np.zeros((6, 4)), "vec": np.zeros(5)}
         opt = make_optimizer(params, TrainConfig(optimizer=OptimizerKind.ADAFACTOR))

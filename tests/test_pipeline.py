@@ -443,6 +443,14 @@ class TestCli:
                          b"pop_path,cover_path,arranger_id\na.wav\n",
                          "manifest.csv:2: arranger_id None is not an integer",
                          id="manifest-short-row"),
+            pytest.param("build-dataset", "manifest.csv",
+                         b"pop_path,arranger_id,cover_path\nw.wav,0\n",
+                         "manifest.csv:2: missing cover_path", id="manifest-no-cover"),
+            pytest.param("build-dataset", "manifest.csv",
+                         b"arranger_id,cover_path,pop_path\n0,c.mid\n",
+                         "manifest.csv:2: missing pop_path", id="manifest-no-pop"),
+            pytest.param("train", "train.cfg", b"epochs = 2\nseed = -1\n",
+                         "seed must be non-negative, got -1", id="config-seed"),
             pytest.param("train", "train.cfg", b"epochs = 2\nd_model = 3.5\n",
                          "train.cfg:2: cannot read d_model = '3.5' as int", id="config-model"),
             pytest.param("train", "train.cfg", b"learning_rate = fast\n",

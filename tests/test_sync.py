@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pianocover import sync
 from pianocover.errors import AlignmentError, ParameterError, ValidationError
 from pianocover.midi import Note, NoteSequence, TimeUnit
 from pianocover.sync import (
@@ -45,6 +46,39 @@ def dp_oracle(cost):
                 acc[i - 1][j - 1], acc[i - 1][j], acc[i][j - 1]
             )
     return acc[n - 1][m - 1]
+
+
+def dp_oracle_path(cost):
+    """Scalar-loop accumulated cost matrix and its backtrace, with the
+    tie order of dtw: diagonal, then source advance, then target."""
+    n, m = cost.shape
+    acc = np.full((n, m), np.inf)
+    acc[0, 0] = cost[0, 0]
+    for i in range(n):
+        for j in range(m):
+            prev = []
+            if i > 0 and j > 0:
+                prev.append(acc[i - 1, j - 1])
+            if i > 0:
+                prev.append(acc[i - 1, j])
+            if j > 0:
+                prev.append(acc[i, j - 1])
+            if prev:
+                acc[i, j] = cost[i, j] + min(prev)
+    i, j = n - 1, m - 1
+    pairs = [(i, j)]
+    while i > 0 or j > 0:
+        steps = []
+        if i > 0 and j > 0:
+            steps.append((acc[i - 1, j - 1], i - 1, j - 1))
+        if i > 0:
+            steps.append((acc[i - 1, j], i - 1, j))
+        if j > 0:
+            steps.append((acc[i, j - 1], i, j - 1))
+        best = min(s[0] for s in steps)
+        _, i, j = next(s for s in steps if s[0] == best)
+        pairs.append((i, j))
+    return acc, np.array(pairs[::-1])
 
 
 class TestChromagram:
@@ -185,6 +219,24 @@ class TestDTW:
             path = dtw(a, b)
             assert path.total_cost == dp_oracle(chroma_cost(a, b))
             assert tuple(path.pairs[-1]) == (n - 1, m - 1)
+
+    def test_matrix_and_path_match_scalar_loop(self):
+        rng = np.random.default_rng(13)
+        shapes = [(1, 1), (1, 17), (23, 1), (2, 2), (1, 2), (2, 1)]
+        shapes += [tuple(rng.integers(1, 41, size=2)) for _ in range(60)]
+        for n, m in shapes:
+            a = random_chroma(rng, n, zero_frames=int(rng.integers(0, 3)))
+            b = random_chroma(rng, m, zero_frames=int(rng.integers(0, 3)))
+            cost = chroma_cost(a, b)
+            if rng.random() < 0.3:
+                cost = np.round(cost, 1)  # coarse costs force tied neighbours
+            acc, pairs = dp_oracle_path(cost)
+            got = sync._accumulate(cost)
+            assert np.array_equal(got, acc)
+            np.testing.assert_array_equal(sync._backtrace(got), pairs)
+        a, b = random_chroma(rng, 9), random_chroma(rng, 14)
+        _, pairs = dp_oracle_path(chroma_cost(a, b))
+        np.testing.assert_array_equal(dtw(a, b).pairs, pairs)
 
     def test_path_cost_sums_along_pairs(self):
         rng = np.random.default_rng(12)
