@@ -22,7 +22,7 @@ from pianocover.pipeline import render_sine_audio
 # One second of A4 (440 Hz).
 audio = render_sine_audio(NoteSequence.build([Note(0.0, 69, 1.0)], duration=1.0), SAMPLE_RATE)
 
-spec = melspectrogram(audio, SAMPLE_RATE)
+spec = melspectrogram(audio)
 frames = spec.frames
 rate = SAMPLE_RATE / HOP
 print(f"window {WINDOW}, hop {HOP} -> {frames.shape[0]} frames x {frames.shape[1]} mel bins")
@@ -38,6 +38,6 @@ print(f"strongest mel bin {hot}, centered near {peak_hz:.0f} Hz (note is 440 Hz)
 
 # Silence is not minus infinity: energies are floored before the log,
 # so an all-zero signal gives a flat, finite spectrogram.
-quiet = melspectrogram(np.zeros(SAMPLE_RATE // 2), SAMPLE_RATE)
+quiet = melspectrogram(np.zeros(SAMPLE_RATE // 2))
 print(f"silence maps to a constant {quiet.frames.min():.1f} everywhere: "
       f"{np.all(quiet.frames == quiet.frames.min())}")

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 
-from .beats import halfbeats_to_seconds, quantize, read_beat_file, track_beats, write_beat_file
+from .beats import halfbeats_to_seconds, write_beat_file
 from .errors import DivergenceError, ParameterError, ValidationError
 from .features import SAMPLE_RATE, load_wav, write_wav
 from .filtering import filter_pair, melody_chroma_accuracy, midi_topline, read_f0_csv
@@ -33,13 +33,14 @@ from .model import (
 from .pipeline import (
     CoverJob,
     PairRecord,
+    aligned_notes,
     build_dataset,
     eval_stats,
     generate_cover,
     load_dataset,
     render_sine_audio,
+    song_grid,
 )
-from .sync import align_to_audio
 from .tokenizer import encode_piece, read_token_file, stitch, write_token_file
 
 
@@ -55,12 +56,6 @@ def _load_midi(path) -> NoteSequence:
     return parse_smf(Path(path).read_bytes())
 
 
-def _grid_for(audio, sample_rate, beats_path):
-    if beats_path:
-        return read_beat_file(beats_path)
-    return track_beats(audio, sample_rate)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -68,10 +63,9 @@ def _grid_for(audio, sample_rate, beats_path):
 def cmd_sync(args) -> int:
     audio = load_wav(args.pop)
     cover = _load_midi(args.cover)
-    grid = _grid_for(audio, SAMPLE_RATE, args.beats)
-    aligned = align_to_audio(cover, audio, SAMPLE_RATE)
-    snapped = halfbeats_to_seconds(quantize(aligned, grid), grid)
-    Path(args.out).write_bytes(write_smf(snapped))
+    grid = song_grid(audio, args.beats)
+    _, quantized = aligned_notes(cover, audio, grid)
+    Path(args.out).write_bytes(write_smf(halfbeats_to_seconds(quantized, grid)))
     if args.save_beats:
         write_beat_file(args.save_beats, grid)
     return 0

@@ -5,6 +5,8 @@ sample rate, 4096-sample Hann window, 1024-sample hop, magnitude squared to
 power before mel pooling, HTK mel scale over [0, 11025] Hz with
 area-normalized triangles, log floor 1e-6.  Frames are fully interior (no
 center padding) so frame k covers samples [k*hop, k*hop + window) exactly.
+``load_wav`` resamples to SAMPLE_RATE, and everything after it runs at that
+rate.
 """
 
 from __future__ import annotations
@@ -31,21 +33,6 @@ LOG_FLOOR = 1e-6
 @dataclass(frozen=True)
 class MelSpectrogram:
     frames: np.ndarray  # (num_frames, n_mels) log mel power
-    sample_rate: int = SAMPLE_RATE
-    window: int = WINDOW
-    hop: int = HOP
-
-    @property
-    def n_mels(self):
-        return self.frames.shape[1]
-
-    @property
-    def num_frames(self):
-        return self.frames.shape[0]
-
-    def frame_time(self, index):
-        """Center time in seconds of frame ``index``."""
-        return (index * self.hop + self.window / 2) / self.sample_rate
 
 
 def num_frames(num_samples: int, window: int = WINDOW, hop: int = HOP) -> int:
@@ -111,21 +98,18 @@ def mel_filterbank(sample_rate: int = SAMPLE_RATE, n_fft: int = WINDOW,
     return _read_only(fb)
 
 
-def log_mel(mag: np.ndarray, sample_rate: int = SAMPLE_RATE,
-            n_mels: int = N_MELS, window: int = WINDOW,
-            hop: int = HOP) -> MelSpectrogram:
-    """Pool an stft_mag matrix into log mel power frames."""
+def log_mel(mag: np.ndarray, *, n_mels: int = N_MELS) -> MelSpectrogram:
+    """Pool an stft_mag matrix of SAMPLE_RATE audio into log mel power frames."""
     mag = np.asarray(mag, dtype=np.float64)
     n_fft = 2 * (mag.shape[1] - 1)
-    fb = mel_filterbank(sample_rate, n_fft, n_mels)
+    fb = mel_filterbank(SAMPLE_RATE, n_fft, n_mels)
     energy = (mag ** 2) @ fb.T
-    return MelSpectrogram(np.log(energy + LOG_FLOOR), sample_rate, window, hop)
+    return MelSpectrogram(np.log(energy + LOG_FLOOR))
 
 
-def melspectrogram(audio: np.ndarray, sample_rate: int = SAMPLE_RATE,
-                   n_mels: int = N_MELS, window: int = WINDOW,
-                   hop: int = HOP) -> MelSpectrogram:
-    return log_mel(stft_mag(audio, window, hop), sample_rate, n_mels, window, hop)
+def melspectrogram(audio: np.ndarray, *, n_mels: int = N_MELS) -> MelSpectrogram:
+    """Model-frontend log mel frames of SAMPLE_RATE audio (WINDOW/HOP STFT)."""
+    return log_mel(stft_mag(audio), n_mels=n_mels)
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +126,9 @@ def resample(audio: np.ndarray, orig_rate: int, target_rate: int = SAMPLE_RATE):
     )
 
 
-def load_wav(path, target_rate: int = SAMPLE_RATE) -> np.ndarray:
-    """Read a 16-bit PCM WAV, downmix stereo by average, resample, and
-    scale to [-1, 1]."""
+def load_wav(path) -> np.ndarray:
+    """Read a 16-bit PCM WAV, downmix stereo by average, resample to
+    SAMPLE_RATE, and scale to [-1, 1]."""
     try:
         rate, data = scipy.io.wavfile.read(path)
     except (ValueError, struct.error) as exc:  # struct.error: truncated header
@@ -156,7 +140,7 @@ def load_wav(path, target_rate: int = SAMPLE_RATE) -> np.ndarray:
     samples = data.astype(np.float64) / 32768.0
     if samples.ndim == 2:
         samples = samples.mean(axis=1)
-    return resample(samples, rate, target_rate)
+    return resample(samples, rate, SAMPLE_RATE)
 
 
 def write_wav(path, audio: np.ndarray, sample_rate: int = SAMPLE_RATE):

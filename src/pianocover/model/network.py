@@ -28,7 +28,7 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..midi import PIANO_PITCH_MAX, PIANO_PITCH_MIN
-from ..tokenizer import EOS, PAD, SEGMENT_HALFBEATS, TokenSeq, symbol
+from ..tokenizer import EOS, MAX_SHIFT, PAD, TokenSeq, symbol
 from .config import ModelConfig
 
 log = logging.getLogger(__name__)
@@ -593,8 +593,8 @@ def _usable_tokens(raw) -> TokenSeq:
             dropped += 1
             continue
         if sym[0] == "shift":
-            # TokenSeq caps cumulative shift at 100 half-beats.
-            if shift_total + sym[1] > 100:
+            # TokenSeq caps the cumulative shift.
+            if shift_total + sym[1] > MAX_SHIFT:
                 dropped += 1
                 continue
             shift_total += sym[1]
@@ -604,7 +604,7 @@ def _usable_tokens(raw) -> TokenSeq:
         ids.append(t)
     if dropped:
         log.warning("dropped %d unusable generated tokens", dropped)
-    return TokenSeq(tuple(ids), SEGMENT_HALFBEATS)
+    return TokenSeq(tuple(ids))
 
 
 # ---------------------------------------------------------------------------

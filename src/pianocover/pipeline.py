@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .beats import BeatGrid, halfbeats_to_seconds, quantize, read_beat_file, track_beats
-from .errors import ParameterError, PianoCoverError, ValidationError
-from .features import SAMPLE_RATE, WINDOW, load_wav, melspectrogram
+from .errors import FormatError, ParameterError, PianoCoverError, ValidationError
+from .features import N_MELS, SAMPLE_RATE, WINDOW, load_wav, melspectrogram
 from .filtering import (
     FilterReport,
     Verdict,
@@ -37,6 +37,7 @@ from .model import greedy_generate, load_checkpoint
 from .sync import align_to_audio
 from .tokenizer import (
     EOS,
+    SEGMENT_HALFBEATS,
     encode_segment,
     read_token_file,
     split_piece,
@@ -46,8 +47,8 @@ from .tokenizer import (
 
 log = logging.getLogger(__name__)
 
-WINDOW_BEATS = 4
-WINDOW_HALFBEATS = 2 * WINDOW_BEATS
+WINDOW_HALFBEATS = SEGMENT_HALFBEATS
+WINDOW_BEATS = WINDOW_HALFBEATS // 2
 
 
 @dataclass(frozen=True)
@@ -112,33 +113,44 @@ def _resolve_pitch_overlaps(seq: NoteSequence) -> NoteSequence:
     )
 
 
-def _window_spectrogram(audio, sample_rate, grid, window_index, n_mels=None):
+def song_grid(audio, beats_path) -> BeatGrid:
+    """The beat grid of a recording: read from beats_path when given,
+    otherwise tracked from the audio."""
+    if beats_path:
+        return read_beat_file(beats_path)
+    return track_beats(audio, SAMPLE_RATE)
+
+
+def aligned_notes(cover: NoteSequence, audio, grid: BeatGrid):
+    """A cover warped onto its recording's clock, in seconds, and the same
+    notes quantized to the grid's half-beats with one sounding note per
+    pitch, as the tokenizer needs them."""
+    aligned = align_to_audio(cover, audio, SAMPLE_RATE)
+    return aligned, _resolve_pitch_overlaps(quantize(aligned, grid))
+
+
+def _window_spectrogram(audio, grid, window_index, n_mels=N_MELS):
     t0 = grid.halfbeat_to_seconds(window_index * WINDOW_HALFBEATS)
     t1 = grid.halfbeat_to_seconds((window_index + 1) * WINDOW_HALFBEATS)
-    lo = max(0, int(round(t0 * sample_rate)))
-    hi = min(len(audio), int(round(t1 * sample_rate)))
+    lo = max(0, int(round(t0 * SAMPLE_RATE)))
+    hi = min(len(audio), int(round(t1 * SAMPLE_RATE)))
     clip = audio[lo:hi]
     if len(clip) < WINDOW:
         # Extrapolated window ends can overrun the recording; pad so the
         # clip still yields at least one analysis frame.
         clip = np.pad(clip, (0, WINDOW - len(clip)))
-    kwargs = {} if n_mels is None else {"n_mels": n_mels}
-    return melspectrogram(clip, sample_rate, **kwargs)
+    return melspectrogram(clip, n_mels=n_mels)
 
 
-def build_pair(record: PairRecord, sample_rate: int = SAMPLE_RATE) -> BuiltPair:
+def build_pair(record: PairRecord) -> BuiltPair:
     """Run one manifest record through the full preprocessing chain."""
     built = BuiltPair(record)
-    audio = load_wav(record.pop_audio, sample_rate)
+    audio = load_wav(record.pop_audio)
     cover = parse_smf(Path(record.cover_midi).read_bytes())
-    if record.beats:
-        grid = read_beat_file(record.beats)
-    else:
-        grid = track_beats(audio, sample_rate)
-    aligned = align_to_audio(cover, audio, sample_rate)
-    quantized = _resolve_pitch_overlaps(quantize(aligned, grid))
+    grid = song_grid(audio, record.beats)
+    aligned, quantized = aligned_notes(cover, audio, grid)
 
-    pop_len = len(audio) / sample_rate
+    pop_len = len(audio) / SAMPLE_RATE
     if record.f0:
         contour = read_f0_csv(record.f0)
         mca = melody_chroma_accuracy(contour, midi_topline(aligned, contour.times))
@@ -151,19 +163,19 @@ def build_pair(record: PairRecord, sample_rate: int = SAMPLE_RATE) -> BuiltPair:
     if built.report.verdict is not Verdict.KEEP:
         return built
 
-    for index, segment in enumerate(split_piece(quantized, WINDOW_HALFBEATS)):
+    for index, segment in enumerate(split_piece(quantized)):
         try:
-            tokens = encode_segment(segment, WINDOW_HALFBEATS)
+            tokens = encode_segment(segment)
         except ValidationError as exc:
             built.dropped_segments += 1
             log.warning("%s: segment %d dropped: %s", record.pop_audio, index, exc)
             continue
-        spec = _window_spectrogram(audio, sample_rate, grid, index)
+        spec = _window_spectrogram(audio, grid, index)
         built.examples.append((spec, record.arranger_id, tokens))
     return built
 
 
-def build_dataset(records, out_dir=None, sample_rate: int = SAMPLE_RATE):
+def build_dataset(records, out_dir=None):
     """Build training examples for every record; failures quarantine.
 
     Returns (examples, report) where examples is a flat list of
@@ -181,7 +193,7 @@ def build_dataset(records, out_dir=None, sample_rate: int = SAMPLE_RATE):
             "arranger_id": record.arranger_id,
         }
         try:
-            built = build_pair(record, sample_rate)
+            built = build_pair(record)
         except (PianoCoverError, OSError) as exc:
             failed += 1
             entry.update(status="failed", reason=str(exc))
@@ -238,17 +250,32 @@ def save_dataset(out_dir, examples, report: BuildReport) -> None:
 
 
 def load_dataset(in_dir):
-    """Returns (examples, report dict) from a save_dataset directory."""
+    """Returns (examples, report dict) from a save_dataset directory.
+
+    A malformed index or mel file raises FormatError naming the file.
+    """
     root = Path(in_dir)
-    payload = json.loads((root / "dataset.json").read_text())
+    index = root / "dataset.json"
+    try:
+        payload = json.loads(index.read_text())
+        report = payload["report"]
+        rows = [(root / e["mel"], root / e["tokens"], int(e["arranger_id"]))
+                for e in payload["examples"]]
+    except (ValueError, KeyError, TypeError) as exc:  # ValueError: bad JSON or id
+        raise FormatError(f"{index}: not a dataset index: {exc!r}") from None
     examples = []
-    for entry in payload["examples"]:
-        frames = np.load(root / entry["mel"])
-        segments = read_token_file(root / entry["tokens"], WINDOW_HALFBEATS)
+    for mel, tokens, arranger_id in rows:
+        try:
+            frames = np.load(mel)
+        except (ValueError, EOFError) as exc:  # not .npy, truncated, or pickled
+            raise FormatError(f"{mel}: not an .npy array: {exc}") from None
+        if not isinstance(frames, np.ndarray) or frames.ndim != 2:
+            raise FormatError(f"{mel}: not a 2-D .npy array")
+        segments = read_token_file(tokens)
         if len(segments) != 1:
-            raise ValidationError(f"{entry['tokens']}: expected one segment per file")
-        examples.append((frames, int(entry["arranger_id"]), segments[0]))
-    return examples, payload["report"]
+            raise ValidationError(f"{tokens}: expected one segment per file")
+        examples.append((frames, arranger_id, segments[0]))
+    return examples, report
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +328,7 @@ class CoverJob:
     checkpoint: str
     output: str
     beats: str | None = None
-    sample_rate: int = SAMPLE_RATE
     # Filled in by generate_cover:
-    grid: BeatGrid | None = None
     windows: int = 0
     truncated_segments: int = 0
 
@@ -311,9 +336,8 @@ class CoverJob:
 def generate_cover(job: CoverJob) -> NoteSequence:
     """Window the audio by 4 beats, decode each window, stitch, write MIDI."""
     params, config = load_checkpoint(job.checkpoint)
-    audio = load_wav(job.audio, job.sample_rate)
-    grid = read_beat_file(job.beats) if job.beats else track_beats(audio, job.sample_rate)
-    job.grid = grid
+    audio = load_wav(job.audio)
+    grid = song_grid(audio, job.beats)
     n_windows = len(grid.half_beats) // WINDOW_HALFBEATS
     if n_windows < 1:
         raise ParameterError(
@@ -328,7 +352,7 @@ def generate_cover(job: CoverJob) -> NoteSequence:
         )
     segments = []
     for w in range(n_windows):
-        spec = _window_spectrogram(audio, job.sample_rate, grid, w, config.n_mels)
+        spec = _window_spectrogram(audio, grid, w, config.n_mels)
         tokens = greedy_generate(spec, job.arranger_id, params, config)
         if not tokens.ids or tokens.ids[-1] != EOS:
             job.truncated_segments += 1
@@ -336,7 +360,7 @@ def generate_cover(job: CoverJob) -> NoteSequence:
     job.windows = n_windows
     # Decoded windows can open a pitch that is already sounding; SMF
     # cannot represent that on one channel, so resolve before writing.
-    piece = _resolve_pitch_overlaps(stitch(segments, WINDOW_HALFBEATS))
+    piece = _resolve_pitch_overlaps(stitch(segments))
     seconds = halfbeats_to_seconds(piece, grid)
     Path(job.output).write_bytes(write_smf(seconds))
     return seconds

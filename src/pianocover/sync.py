@@ -229,13 +229,13 @@ def _backtrace(acc):
 
 def _time_map(path: WarpPath, frame_rate: float):
     pairs = path.pairs
-    src_frames, starts = np.unique(pairs[:, 0], return_index=True)
+    src_frames, starts, counts = np.unique(
+        pairs[:, 0], return_index=True, return_counts=True
+    )
     if len(src_frames) < 2:
         raise AlignmentError("path is degenerate, nothing to interpolate")
-    bounds = np.append(starts, len(pairs))
-    tgt_mean = np.array(
-        [pairs[a:b, 1].mean() for a, b in zip(bounds[:-1], bounds[1:])]
-    )
+    # Integer sums are exact, so this is the float mean of each run.
+    tgt_mean = np.add.reduceat(pairs[:, 1], starts) / counts
     x = (src_frames + 0.5) / frame_rate
     y = (tgt_mean + 0.5) / frame_rate
     for k in range(1, len(y)):
@@ -265,12 +265,13 @@ def apply_warp(seq: NoteSequence, path: WarpPath, frame_rate: float = FRAME_RATE
     if seq.time_unit is not TimeUnit.SECONDS:
         raise ParameterError("apply_warp expects a sequence in seconds")
     x, y = _time_map(path, frame_rate)
-    notes = []
-    for note in seq:
-        onset, offset = _interp_extrapolate([note.onset, note.offset], x, y)
-        notes.append(Note(float(onset), note.pitch, float(offset), note.velocity))
-    duration = float(_interp_extrapolate([seq.duration], x, y)[0])
-    return NoteSequence.build(notes, TimeUnit.SECONDS, duration=duration)
+    times = [t for note in seq for t in (note.onset, note.offset)]
+    warped = _interp_extrapolate(times + [seq.duration], x, y).tolist()
+    notes = [
+        Note(onset, note.pitch, offset, note.velocity)
+        for note, onset, offset in zip(seq, warped[0:-1:2], warped[1:-1:2])
+    ]
+    return NoteSequence.build(notes, TimeUnit.SECONDS, duration=warped[-1])
 
 
 def align_to_audio(

@@ -38,16 +38,16 @@ VOCAB_SIZE = 232
 
 SEGMENT_HALFBEATS = 8
 MAX_TOKENS = 512
+MAX_SHIFT = 100  # cap on one segment's summed beat shifts, in half-beats
 
 _SHIFT_MIN_ID = 2
 _SHIFT_MAX_ID = 101
 _PITCH_BASE = 104
-_MAX_SHIFT = 100
 
 
 def beat_shift_id(k: int) -> int:
-    if not 1 <= k <= _MAX_SHIFT:
-        raise ValidationError(f"beat shift {k} outside [1, {_MAX_SHIFT}]")
+    if not 1 <= k <= MAX_SHIFT:
+        raise ValidationError(f"beat shift {k} outside [1, {MAX_SHIFT}]")
     return 1 + k
 
 
@@ -102,7 +102,6 @@ class TokenSeq:
     """
 
     ids: tuple
-    segment_halfbeats: int = SEGMENT_HALFBEATS
 
     def __post_init__(self):
         ids = tuple(int(i) for i in self.ids)
@@ -117,12 +116,10 @@ class TokenSeq:
                 seen_end = True
             if _SHIFT_MIN_ID <= i <= _SHIFT_MAX_ID:
                 shift_total += i - 1
-        if shift_total > _MAX_SHIFT:
+        if shift_total > MAX_SHIFT:
             raise ValidationError(
-                f"beat shifts sum to {shift_total}, over the {_MAX_SHIFT} cap"
+                f"beat shifts sum to {shift_total}, over the {MAX_SHIFT} cap"
             )
-        if self.segment_halfbeats < 1:
-            raise ValidationError("segment_halfbeats must be at least 1")
         object.__setattr__(self, "ids", ids)
 
     def __len__(self):
@@ -132,7 +129,7 @@ class TokenSeq:
         return iter(self.ids)
 
 
-def encode_segment(notes: NoteSequence, segment_halfbeats: int = SEGMENT_HALFBEATS) -> TokenSeq:
+def encode_segment(notes: NoteSequence) -> TokenSeq:
     """Tokens for one segment-relative view of a quantized piece.
 
     Carried-in notes (negative onset) contribute only their note-off;
@@ -140,10 +137,6 @@ def encode_segment(notes: NoteSequence, segment_halfbeats: int = SEGMENT_HALFBEA
     """
     if notes.time_unit is not TimeUnit.HALF_BEATS:
         raise ParameterError("encode_segment expects half-beat times")
-    if not 1 <= segment_halfbeats <= _MAX_SHIFT:
-        raise ParameterError(
-            f"segment_halfbeats {segment_halfbeats} outside [1, {_MAX_SHIFT}]"
-        )
     ons = {}
     offs = {}
     for n in notes:
@@ -155,13 +148,13 @@ def encode_segment(notes: NoteSequence, segment_halfbeats: int = SEGMENT_HALFBEA
         onset, offset = int(n.onset), int(n.offset)
         if onset != n.onset or offset != n.offset:
             raise ValidationError(f"non-integer half-beat times ({n.onset}, {n.offset})")
-        if onset >= segment_halfbeats:
+        if onset >= SEGMENT_HALFBEATS:
             raise ValidationError(f"onset {onset} beyond the segment end")
         if offset < 0:
             raise ValidationError(f"offset {offset} before the segment start")
         if onset >= 0:
             ons.setdefault(onset, []).append(n.pitch)
-        if offset < segment_halfbeats:
+        if offset < SEGMENT_HALFBEATS:
             offs.setdefault(offset, []).append(n.pitch)
     ids = []
     cursor = 0
@@ -180,7 +173,7 @@ def encode_segment(notes: NoteSequence, segment_halfbeats: int = SEGMENT_HALFBEA
         raise ValidationError(
             f"segment encodes to {len(ids)} tokens, over the {MAX_TOKENS} cap"
         )
-    return TokenSeq(tuple(ids), segment_halfbeats)
+    return TokenSeq(tuple(ids))
 
 
 def decode_segment(tokens, open_notes=None):
@@ -260,7 +253,7 @@ def stitch(segments, segment_halfbeats: int = SEGMENT_HALFBEATS) -> NoteSequence
     )
 
 
-def split_piece(seq: NoteSequence, segment_halfbeats: int = SEGMENT_HALFBEATS):
+def split_piece(seq: NoteSequence):
     """Segment-relative views of a quantized piece, ready to encode.
 
     A note appears in every segment it touches: with a negative onset
@@ -272,14 +265,14 @@ def split_piece(seq: NoteSequence, segment_halfbeats: int = SEGMENT_HALFBEATS):
         raise ParameterError("split_piece expects half-beat times")
     last = max((n.offset for n in seq), default=0)
     total = max(seq.duration, last)
-    n_segments = max(1, int(math.ceil(total / segment_halfbeats)))
+    n_segments = max(1, int(math.ceil(total / SEGMENT_HALFBEATS)))
     views = []
     for k in range(n_segments):
-        base = k * segment_halfbeats
+        base = k * SEGMENT_HALFBEATS
         kept = [
             Note(n.onset - base, n.pitch, n.offset - base, n.velocity)
             for n in seq
-            if n.onset < base + segment_halfbeats and n.offset >= base
+            if n.onset < base + SEGMENT_HALFBEATS and n.offset >= base
         ]
         views.append(
             NoteSequence.build(kept, TimeUnit.HALF_BEATS, validate=False)
@@ -287,15 +280,12 @@ def split_piece(seq: NoteSequence, segment_halfbeats: int = SEGMENT_HALFBEATS):
     return views
 
 
-def encode_piece(seq: NoteSequence, segment_halfbeats: int = SEGMENT_HALFBEATS):
+def encode_piece(seq: NoteSequence):
     """Encode a whole quantized piece as one TokenSeq per segment."""
-    return [
-        encode_segment(view, segment_halfbeats)
-        for view in split_piece(seq, segment_halfbeats)
-    ]
+    return [encode_segment(view) for view in split_piece(seq)]
 
 
-def read_token_file(path, segment_halfbeats: int = SEGMENT_HALFBEATS):
+def read_token_file(path):
     """Token segments from a text file, one line of space-separated ids
     per segment."""
     segments = []
@@ -310,7 +300,10 @@ def read_token_file(path, segment_halfbeats: int = SEGMENT_HALFBEATS):
                 raise ValidationError(
                     f"{path}:{lineno}: token ids must be integers"
                 ) from None
-            segments.append(TokenSeq(ids, segment_halfbeats))
+            try:
+                segments.append(TokenSeq(ids))
+            except ValidationError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from None
     return segments
 
 

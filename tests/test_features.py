@@ -135,11 +135,6 @@ class TestMel:
             (lb - la)[strong], np.log(4.0), rtol=0, atol=1e-9
         )
 
-    def test_frame_time(self):
-        mel = melspectrogram(np.zeros(WINDOW + 2 * HOP))
-        assert mel.frame_time(0) == WINDOW / 2 / SAMPLE_RATE
-        assert mel.frame_time(1) == (HOP + WINDOW / 2) / SAMPLE_RATE
-
 
 class TestWavIO:
     def test_round_trip_mono(self, tmp_path):

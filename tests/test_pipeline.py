@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from pianocover.beats import BeatGrid, halfbeats_to_seconds, write_beat_file
+from pianocover.beats import BeatGrid, halfbeats_to_seconds, read_beat_file, write_beat_file
 from pianocover.cli import main
 from pianocover.errors import ParameterError
 from pianocover.features import SAMPLE_RATE, load_wav, write_wav
@@ -21,6 +21,7 @@ from pianocover.filtering import (
 from pianocover.midi import Note, NoteSequence, TimeUnit, parse_smf, write_smf
 from pianocover.model import desk_config, init_params, save_checkpoint
 from pianocover.pipeline import (
+    BuildReport,
     CoverJob,
     PairRecord,
     build_dataset,
@@ -29,8 +30,9 @@ from pianocover.pipeline import (
     generate_cover,
     load_dataset,
     render_sine_audio,
+    save_dataset,
 )
-from pianocover.tokenizer import decode_segment
+from pianocover.tokenizer import EOS, TokenSeq, decode_segment, stitch
 
 # A palette spanning seven pitch classes; chroma alignment needs the
 # harmony to actually move.
@@ -406,6 +408,35 @@ class TestCli:
         assert report["verdict"] == "keep"
         assert report["mca"] == 1.0
 
+    def test_sync_keeps_one_note_per_pitch_like_build_dataset(self, tmp_path, caplog):
+        # Each restrike starts 10 ms after a 50 ms note of the same pitch;
+        # both snap to one half-beat onset, and only one of them can sound.
+        notes = []
+        for k in range(12):
+            t = 1.0 + 2.0 * k
+            pitch = PALETTE[3 * k % len(PALETTE)]
+            notes += [Note(t, pitch, t + 0.05), Note(t + 0.06, pitch, t + 0.5),
+                      Note(t + 0.5, PALETTE[(3 * k + 5) % len(PALETTE)], t + 1.5)]
+        cover = NoteSequence.build(notes, duration=26.0)
+        wav, mid, beats = (tmp_path / f"song.{ext}" for ext in ("wav", "mid", "beats"))
+        write_wav(wav, render_sine_audio(cover))
+        mid.write_bytes(write_smf(cover))
+        write_beat_file(beats, make_grid(52))
+        out = tmp_path / "synced.mid"
+        assert main(["sync", str(wav), str(mid), str(out), "--beats", str(beats)]) == 0
+        with caplog.at_level("WARNING", logger="pianocover.midi"):
+            synced = parse_smf(out.read_bytes())
+        assert not [r for r in caplog.records if "no matching note-on" in r.message]
+
+        built = build_pair(PairRecord(str(wav), str(mid), 0, beats=str(beats)))
+        assert built.kept and built.dropped_segments == 0
+        piece = stitch([tokens for _, _, tokens in built.examples])
+        expected = halfbeats_to_seconds(piece, read_beat_file(beats))
+        assert len(synced) == len(expected) == 24
+        for got, want in zip(synced, expected):
+            assert got.pitch == want.pitch
+            assert (got.onset, got.offset) == pytest.approx((want.onset, want.offset), abs=1e-3)
+
     def test_render_command(self, tmp_path):
         seq = NoteSequence.build([Note(0.0, 69, 0.5)], duration=0.5)
         mid = tmp_path / "tone.mid"
@@ -472,6 +503,40 @@ class TestCli:
             "train": lambda: ["train", str(tmp_path / "ds"), str(bad), str(tmp_path / "m.ckpt")],
         }[command]()
         assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "bad_file,content,message",
+        [
+            pytest.param("dataset.json", b"{not json", "dataset.json: not a dataset index",
+                         id="index-not-json"),
+            pytest.param("dataset.json", b'{"report": {}}',
+                         "dataset.json: not a dataset index: KeyError('examples')",
+                         id="index-no-examples"),
+            pytest.param("dataset.json",
+                         b'{"examples": [{"mel": "ex000000.mel.npy", "arranger_id": "x",'
+                         b' "tokens": "ex000000.tokens.txt"}], "report": {}}',
+                         "dataset.json: not a dataset index: ValueError(\"invalid literal",
+                         id="index-arranger"),
+            pytest.param("ex000000.mel.npy", b"not an array",
+                         "ex000000.mel.npy: not an .npy array", id="mel-not-npy"),
+            pytest.param("ex000000.tokens.txt", b"999 1\n",
+                         "ex000000.tokens.txt:1: id 999 outside the vocabulary",
+                         id="tokens-bad-id"),
+        ],
+    )
+    def test_malformed_dataset_is_one_error_line(
+        self, tmp_path, capsys, bad_file, content, message
+    ):
+        ds = tmp_path / "ds"
+        example = (np.zeros((4, 128)), 0, TokenSeq((EOS,)))
+        save_dataset(ds, [example], BuildReport(1, 1, 0, 0, []))
+        (ds / bad_file).write_bytes(content)
+        config = tmp_path / "train.cfg"
+        config.write_text("epochs = 1\n")
+        assert main(["train", str(ds), str(config), str(tmp_path / "m.ckpt")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert message in err

@@ -328,6 +328,55 @@ class TestApplyWarp:
             apply_warp(seq, flat, 10.0)
 
 
+def apply_warp_per_note(seq, path, frame_rate):
+    """apply_warp as one interpolation call per note, over a time map that
+    averages each source frame's targets with ndarray.mean."""
+    pairs = path.pairs
+    src_frames, starts = np.unique(pairs[:, 0], return_index=True)
+    if len(src_frames) < 2:
+        raise AlignmentError("path is degenerate, nothing to interpolate")
+    bounds = np.append(starts, len(pairs))
+    tgt_mean = np.array([pairs[a:b, 1].mean() for a, b in zip(bounds[:-1], bounds[1:])])
+    x = (src_frames + 0.5) / frame_rate
+    y = (tgt_mean + 0.5) / frame_rate
+    for k in range(1, len(y)):
+        y[k] = max(y[k], y[k - 1] + sync._STRICT_EPS)
+    notes = []
+    for note in seq:
+        onset, offset = sync._interp_extrapolate([note.onset, note.offset], x, y)
+        notes.append(Note(float(onset), note.pitch, float(offset), note.velocity))
+    duration = float(sync._interp_extrapolate([seq.duration], x, y)[0])
+    return NoteSequence.build(notes, TimeUnit.SECONDS, duration=duration)
+
+
+class TestApplyWarpBits:
+    def test_matches_per_note_loop(self):
+        rng = np.random.default_rng(22)
+        raised = 0
+        for trial in range(300):
+            n = int(rng.integers(1, 50))
+            path = random_path(rng, n, int(rng.integers(1, 90)))
+            notes = []
+            for _ in range(int(rng.integers(0, 30))):
+                # Onsets reach past both ends of the path, so extrapolation
+                # runs both ways and can warp an onset below zero.
+                onset = rng.uniform(0.0, n / 10.0 + 1.0)
+                velocity = int(rng.integers(1, 128))
+                notes.append(Note(onset, int(rng.integers(21, 109)),
+                                  onset + rng.uniform(0.001, 2.0), velocity))
+            seq = NoteSequence.build(notes, duration=n / 10.0 + 3.0)
+            outcomes = []
+            for warp in (apply_warp, apply_warp_per_note):
+                try:
+                    out = warp(seq, path, 10.0)
+                    outcomes.append((out.notes, out.duration))
+                except ValidationError as exc:
+                    outcomes.append((type(exc), str(exc)))
+            assert outcomes[0] == outcomes[1], trial
+            raised += isinstance(outcomes[0][0], type)
+        assert 0 < raised < 300
+
+
 def render_sines(seq, sr=SR):
     total = int((seq.duration + 0.2) * sr)
     out = np.zeros(total)
