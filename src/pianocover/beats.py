@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import features
-from .errors import NoBeatsError, ParameterError, ValidationError
+from .errors import NoBeatsError, ParameterError, ValidationError, read_text
 from .midi import Note, NoteSequence, TimeUnit
 
 log = logging.getLogger(__name__)
@@ -89,15 +89,14 @@ class BeatGrid:
 def read_beat_file(path) -> BeatGrid:
     """Parse the external beat format: one decimal beat time per line."""
     times = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                times.append(float(line))
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: not a beat time: {line!r}")
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            times.append(float(line))
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: not a beat time: {line!r}")
     return BeatGrid(np.array(times))
 
 

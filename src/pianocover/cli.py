@@ -11,14 +11,16 @@ a fixed-tempo convention: at the given --bpm, one half-beat lasts
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import sys
 from pathlib import Path
 
 
 from .beats import halfbeats_to_seconds, write_beat_file
-from .errors import DivergenceError, ParameterError, ValidationError
+from .errors import DivergenceError, ParameterError, ValidationError, read_text
 from .features import SAMPLE_RATE, load_wav, write_wav
 from .filtering import filter_pair, melody_chroma_accuracy, midi_topline, read_f0_csv
 from .midi import Note, NoteSequence, TimeUnit, parse_smf, write_smf
@@ -124,36 +126,33 @@ def cmd_detokenize(args) -> int:
 
 
 def _parse_manifest(path):
-    import csv
-
     records = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"pop_path", "cover_path", "arranger_id"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    required = {"pop_path", "cover_path", "arranger_id"}
+    if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        raise ValidationError(
+            f"{path}: manifest needs columns pop_path,cover_path,arranger_id"
+        )
+    for row in reader:
+        try:
+            arranger_id = int(row["arranger_id"])
+        except (TypeError, ValueError):  # TypeError: None in a short row
             raise ValidationError(
-                f"{path}: manifest needs columns pop_path,cover_path,arranger_id"
+                f"{path}:{reader.line_num}: arranger_id "
+                f"{row['arranger_id']!r} is not an integer"
+            ) from None
+        for column in ("pop_path", "cover_path"):
+            if row[column] is None:
+                raise ValidationError(f"{path}:{reader.line_num}: missing {column}")
+        records.append(
+            PairRecord(
+                pop_audio=row["pop_path"],
+                cover_midi=row["cover_path"],
+                arranger_id=arranger_id,
+                beats=row.get("beats_path") or None,
+                f0=row.get("f0_path") or None,
             )
-        for row in reader:
-            try:
-                arranger_id = int(row["arranger_id"])
-            except (TypeError, ValueError):  # TypeError: None in a short row
-                raise ValidationError(
-                    f"{path}:{reader.line_num}: arranger_id "
-                    f"{row['arranger_id']!r} is not an integer"
-                ) from None
-            for column in ("pop_path", "cover_path"):
-                if row[column] is None:
-                    raise ValidationError(f"{path}:{reader.line_num}: missing {column}")
-            records.append(
-                PairRecord(
-                    pop_audio=row["pop_path"],
-                    cover_midi=row["cover_path"],
-                    arranger_id=arranger_id,
-                    beats=row.get("beats_path") or None,
-                    f0=row.get("f0_path") or None,
-                )
-            )
+        )
     return records
 
 
@@ -173,7 +172,7 @@ def _parse_config_file(path):
     train_fields = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
     model_kwargs = {}
     train_kwargs = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

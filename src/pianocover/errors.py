@@ -1,8 +1,11 @@
-"""Exception hierarchy shared by all pianocover modules.
+"""Exception hierarchy shared by all pianocover modules, and the text
+reader that maps undecodable input onto it.
 
 The CLI maps these onto exit codes: validation errors exit 1, I/O errors
 (plain OSError) exit 2, numeric failures exit 3.
 """
+
+from pathlib import Path
 
 
 class PianoCoverError(Exception):
@@ -48,3 +51,16 @@ class DivergenceError(PianoCoverError):
     def __init__(self, message, step=None):
         super().__init__(message)
         self.step = step
+
+
+def read_text(path) -> str:
+    """The contents of a text input file, decoded as UTF-8.
+
+    Bytes that are not UTF-8 raise FormatError naming the file and the
+    offset, so such a file is one invalid input like any other.
+    """
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text", exc.start) from None

@@ -14,13 +14,14 @@ arrive through a small CSV format.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import ParameterError, UndefinedMetricError, ValidationError
+from .errors import ParameterError, UndefinedMetricError, ValidationError, read_text
 from .midi import NoteSequence, TimeUnit
 
 F0_HOP = 1024 / 44100
@@ -178,8 +179,7 @@ def filter_pair(mca: float, pop_len: float, cover_len: float) -> FilterReport:
 
 def read_f0_csv(path) -> F0Contour:
     """Load a contour from rows of `time,frequency` (0 = unvoiced)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(io.StringIO(read_text(path), newline="")))
     if not rows or [c.strip() for c in rows[0]] != ["time", "frequency"]:
         raise ValidationError(f"{path}: expected header 'time,frequency'")
     times, f0 = [], []

@@ -14,6 +14,7 @@ from .network import (
     decode_step,
     encode,
     greedy_generate,
+    greedy_generate_windows,
     init_params,
     loss_and_grads,
     param_shapes,
@@ -35,6 +36,7 @@ __all__ = [
     "desk_config",
     "encode",
     "greedy_generate",
+    "greedy_generate_windows",
     "init_params",
     "load_checkpoint",
     "loss_and_grads",

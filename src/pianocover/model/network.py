@@ -14,6 +14,13 @@ runs it as one tensor; a key mask hides padded frames from encoder
 self-attention and decoder cross-attention, and PAD targets carry no
 loss. encode and decoder_forward run the same code at batch size one.
 
+Greedy decoding has its own path, IncrementalDecoder, which caches keys
+and values so each step runs one new position per window, and steps a
+batch of windows (all 4-beat windows of a song, up to a bounded group
+size) together. greedy_generate_windows is the one decoding loop;
+decode_step and decoder_forward recompute the whole prefix and serve as
+its reference.
+
 Gradients are hand-derived, and every reduction runs in a fixed order,
 so training is bit-reproducible run to run for a fixed seed. The sums
 are not ordered as they would be example by example, so results agree
@@ -35,6 +42,9 @@ log = logging.getLogger(__name__)
 
 _NEG_INF = -1e30
 _NORM_EPS = 1e-6
+# Windows decoded as one batch. Larger groups decode no faster per token
+# at desk size, and the cross-attention K/V of a group scale with it.
+_LOCKSTEP_WINDOWS = 32
 
 
 # ---------------------------------------------------------------------------
@@ -474,57 +484,73 @@ def decode_step(encoder_state, prefix, params, config: ModelConfig):
     return logits[-1]
 
 
-def _attend_one(q, kh, vh, wo, bias):
-    """One query row (1, d) against per-head keys and values (heads, n, dh).
+def _attend_step(q, kh, vh, wo, bias=None, mask=None):
+    """One query row per window (W, d) against that window's per-head
+    keys and values (W, heads, n, dh).
 
-    bias, shaped (heads, n), marks self-attention: the full-sequence
+    bias, shaped (heads, 1, n), marks self-attention: the full-sequence
     path adds a float64 causal mask there, which promotes the logits, so
     this path promotes them too and float32 parameters decode alike.
+    mask, shaped (W, 1, 1, n) in the keys' dtype, hides padded keys.
     """
-    heads, _, dh = kh.shape
-    logits = (q.reshape(heads, 1, dh) @ kh.swapaxes(-1, -2))[:, 0] * dh**-0.5
+    w, heads, _, dh = kh.shape
+    logits = (q.reshape(w, heads, 1, dh) @ kh.swapaxes(-1, -2)) * dh**-0.5
     if bias is not None:
         logits = (logits + bias).astype(np.float64, copy=False)
-    att = _softmax(logits)
-    return (att[:, None] @ vh).reshape(1, -1) @ wo
+    if mask is not None:
+        logits = logits + mask
+    return (_softmax(logits) @ vh).reshape(w, -1) @ wo
 
 
 class IncrementalDecoder:
-    """Decoder state for one encoder output, fed one token per step.
+    """Decoder state for a batch of windows, fed one token per window
+    per step.
 
-    Equivalent to decoder_forward over the tokens fed so far, but each
-    step runs only the new position: cross-attention keys and values are
-    projected once, self-attention keys and values are appended to a
-    preallocated per-layer cache, and the causal relative bias depends
-    only on the query-key distance, so it is one row per distance.
+    Row i of each step's logits equals decoder_forward over the tokens
+    fed to window i so far, with encoder_states[i] as memory, up to
+    rounding: each step runs only the new position of every window,
+    each weight as one (W, d) matmul. Cross-attention keys and values
+    are projected once and zero-padded to the longest window, with a
+    key mask over the padding; self-attention keys and values are
+    appended to a preallocated (W, heads, max_decode_len, dh) cache per
+    layer; the causal relative bias depends only on the query-key
+    distance, so it is one row per distance, shared by all windows.
     """
 
-    def __init__(self, encoder_state, params, config: ModelConfig):
+    def __init__(self, encoder_states, params, config: ModelConfig):
         self.params = params
         self.config = config
         self.length = 0
-        n_m = len(encoder_state)
-        heads, dh = config.num_heads, config.d_head
+        lengths = np.array([len(state) for state in encoder_states])
+        memory = np.zeros(
+            (len(lengths), lengths.max(), config.d_model),
+            np.result_type(*encoder_states),
+        )
+        for row, state in zip(memory, encoder_states):
+            row[: len(state)] = state
         distances = relative_position_bucket(
             -np.arange(config.max_decode_len),
             False,
             config.relative_bias_buckets,
             config.relative_bias_max_distance,
         )
-        self.bias = params["dec_rel_bias"][distances]
-        self.cross = []
-        for i in range(config.num_decoder_layers):
-            p = f"dec{i}_"
-            kh, vh = (
-                (encoder_state @ params[p + w]).reshape(n_m, heads, dh).transpose(1, 0, 2)
+        self.bias = params["dec_rel_bias"][distances].T[:, None, :]
+        self.cross = [
+            tuple(
+                _split_heads(memory @ params[f"dec{i}_{w}"], config.num_heads)
                 for w in ("ck", "cv")
             )
-            self.cross.append((kh, vh))
+            for i in range(config.num_decoder_layers)
+        ]
+        self.mask = _key_mask(lengths, memory.shape[1])
+        if self.mask is not None:
+            self.mask = self.mask.astype(self.cross[0][0].dtype)
         # Allocated on the first step, in the dtype the projections take.
         self.self_kv = [None] * config.num_decoder_layers
 
-    def step(self, token) -> np.ndarray:
-        """Feed the next decoder input token; return the next-token logits."""
+    def step(self, tokens) -> np.ndarray:
+        """Feed each window its next decoder input token (W,); return the
+        next-token logits (W, vocab)."""
         params, config = self.params, self.config
         t = self.length
         if t >= config.max_decode_len:
@@ -532,54 +558,79 @@ class IncrementalDecoder:
                 f"prefix length {t} reached max_decode_len {config.max_decode_len}"
             )
         heads, dh = config.num_heads, config.d_head
-        x = params["token_emb"][[token]]
+        x = params["token_emb"][np.asarray(tokens)]
+        bias = self.bias[..., t::-1]
         for i, (ckh, cvh) in enumerate(self.cross):
             p = f"dec{i}_"
             normed, _ = _norm_f(x, params[p + "ln1"])
-            k = (normed @ params[p + "sk"]).reshape(heads, dh)
-            v = (normed @ params[p + "sv"]).reshape(heads, dh)
+            k = (normed @ params[p + "sk"]).reshape(len(x), heads, dh)
+            v = (normed @ params[p + "sv"]).reshape(len(x), heads, dh)
             if self.self_kv[i] is None:
-                self.self_kv[i] = np.empty((2, heads, config.max_decode_len, dh), k.dtype)
+                self.self_kv[i] = np.empty(
+                    (2, len(x), heads, config.max_decode_len, dh), k.dtype
+                )
             skh, svh = self.self_kv[i]
-            skh[:, t] = k
-            svh[:, t] = v
-            x = x + _attend_one(
+            skh[:, :, t] = k
+            svh[:, :, t] = v
+            x = x + _attend_step(
                 normed @ params[p + "sq"],
-                skh[:, : t + 1],
-                svh[:, : t + 1],
+                skh[:, :, : t + 1],
+                svh[:, :, : t + 1],
                 params[p + "so"],
-                self.bias[t::-1].T,
+                bias=bias,
             )
             normed, _ = _norm_f(x, params[p + "ln2"])
-            x = x + _attend_one(normed @ params[p + "cq"], ckh, cvh, params[p + "co"], None)
+            x = x + _attend_step(
+                normed @ params[p + "cq"], ckh, cvh, params[p + "co"], mask=self.mask
+            )
             normed, _ = _norm_f(x, params[p + "ln3"])
             ff, _ = _ffn_f(normed, params[p + "ff1"], params[p + "ff2"])
             x = x + ff
         self.length = t + 1
         h, _ = _norm_f(x, params["dec_ln_final"])
-        return (h @ params["token_emb"].T)[0] * config.d_model**-0.5
+        return (h @ params["token_emb"].T) * config.d_model**-0.5
+
+
+def greedy_generate_windows(
+    spectrograms, arranger_id, params, config: ModelConfig
+) -> list[TokenSeq]:
+    """Argmax decoding of every window until its EOS or the length cap.
+
+    Windows decode in lockstep, up to _LOCKSTEP_WINDOWS at a time, so
+    a group takes each decode step as one batch. A window that has
+    emitted EOS keeps stepping with the others until every window of
+    its group has stopped, but its later outputs are discarded, so each
+    window yields the ids it would decode alone. Ties go to the lowest
+    id. PAD tokens, beat shifts that would break the segment grammar,
+    and pitches outside the piano range are dropped from the returned
+    sequences.
+    """
+    raw = []
+    for start in range(0, len(spectrograms), _LOCKSTEP_WINDOWS):
+        group = spectrograms[start : start + _LOCKSTEP_WINDOWS]
+        decoder = IncrementalDecoder(
+            [encode(s, arranger_id, params, config) for s in group], params, config
+        )
+        ids = [[] for _ in group]
+        stopped = np.zeros(len(group), dtype=bool)
+        tokens = np.full(len(group), PAD)
+        while decoder.length < config.max_decode_len and not stopped.all():
+            tokens = np.argmax(decoder.step(tokens), axis=-1)
+            for window, token, done in zip(ids, tokens.tolist(), stopped):
+                if not done:
+                    window.append(token)
+            stopped |= tokens == EOS
+        raw.extend(ids)
+    for ids in raw:
+        if ids[-1] != EOS:
+            log.warning("generation hit max_decode_len %d without EOS", config.max_decode_len)
+    return [_usable_tokens(ids) for ids in raw]
 
 
 def greedy_generate(spectrogram, arranger_id, params, config: ModelConfig) -> TokenSeq:
-    """Argmax decoding until EOS or the length cap.
-
-    Ties go to the lowest id. PAD tokens, beat shifts that would break
-    the segment grammar, and pitches outside the piano range are
-    dropped from the returned sequence.
-    """
-    decoder = IncrementalDecoder(
-        encode(spectrogram, arranger_id, params, config), params, config
-    )
-    raw = []
-    nxt = PAD
-    for _ in range(config.max_decode_len):
-        nxt = int(np.argmax(decoder.step(nxt)))
-        raw.append(nxt)
-        if nxt == EOS:
-            break
-    if raw[-1] != EOS:
-        log.warning("generation hit max_decode_len %d without EOS", config.max_decode_len)
-    return _usable_tokens(raw)
+    """Argmax decoding of one window until EOS or the length cap; see
+    greedy_generate_windows."""
+    return greedy_generate_windows([spectrogram], arranger_id, params, config)[0]
 
 
 def _usable_tokens(raw) -> TokenSeq:

@@ -19,7 +19,7 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError, ValidationError
+from .errors import ParameterError, ValidationError, read_text
 from .midi import (
     PIANO_PITCH_MAX,
     PIANO_PITCH_MIN,
@@ -289,21 +289,20 @@ def read_token_file(path):
     """Token segments from a text file, one line of space-separated ids
     per segment."""
     segments = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                ids = tuple(int(tok) for tok in line.split())
-            except ValueError:
-                raise ValidationError(
-                    f"{path}:{lineno}: token ids must be integers"
-                ) from None
-            try:
-                segments.append(TokenSeq(ids))
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            ids = tuple(int(tok) for tok in line.split())
+        except ValueError:
+            raise ValidationError(
+                f"{path}:{lineno}: token ids must be integers"
+            ) from None
+        try:
+            segments.append(TokenSeq(ids))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from None
     return segments
 
 

@@ -25,6 +25,7 @@ from pianocover.model import (
     desk_config,
     encode,
     greedy_generate,
+    greedy_generate_windows,
     init_params,
     load_checkpoint,
     loss_and_grads,
@@ -279,6 +280,18 @@ class TestDecodeStep:
             assert not np.array_equal(got, base)
 
 
+DECODER_SHAPES = [
+    pytest.param(dict(num_decoder_layers=1), id="one-layer"),
+    pytest.param(dict(num_decoder_layers=2), id="two-layers"),
+    # Distances up to 47 pass relative_bias_max_distance=20, so the far
+    # buckets saturate.
+    pytest.param(dict(num_decoder_layers=2, max_decode_len=48), id="saturated"),
+]
+# Frame counts of windows stepped together, so every window but the
+# longest has padded cross-attention keys.
+RAGGED_FRAMES = (5, 9, 2, 7, 1)
+
+
 def reference_greedy(frames, arranger_id, params, cfg):
     """Raw argmax ids from a loop over the stateless decode_step."""
     state = encode(frames, arranger_id, params, cfg)
@@ -311,19 +324,28 @@ class TestIncrementalDecoder:
         return seen
 
     def _cached_rows(self, state, ids, params, cfg):
-        decoder = network.IncrementalDecoder(state, params, cfg)
-        return np.array([decoder.step(t) for t in ids])
+        decoder = network.IncrementalDecoder([state], params, cfg)
+        return np.array([decoder.step([t])[0] for t in ids])
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            pytest.param(dict(num_decoder_layers=1), id="one-layer"),
-            pytest.param(dict(num_decoder_layers=2), id="two-layers"),
-            # Distances up to 47 pass relative_bias_max_distance=20, so
-            # the far buckets saturate.
-            pytest.param(dict(num_decoder_layers=2, max_decode_len=48), id="saturated"),
-        ],
-    )
+    def _ragged(self, cfg, seed, dtype=np.float64):
+        """Encoder states of different frame counts and one id row each."""
+        params, _, _ = self._setup(cfg, seed, dtype)
+        rng = np.random.default_rng(seed + 100)
+        states = [
+            encode(rng.normal(size=(n, cfg.n_mels)), n % cfg.num_arrangers, params, cfg)
+            .astype(dtype)
+            for n in RAGGED_FRAMES
+        ]
+        ids = rng.integers(0, 232, size=(len(states), cfg.max_decode_len))
+        ids[:, 0] = PAD
+        return params, states, ids
+
+    def _lockstep_rows(self, states, ids, params, cfg):
+        """Logits (W, n, vocab) of all windows stepped together."""
+        decoder = network.IncrementalDecoder(states, params, cfg)
+        return np.stack([decoder.step(column) for column in ids.T], axis=1)
+
+    @pytest.mark.parametrize("overrides", DECODER_SHAPES)
     def test_cached_logits_match_full_forward(self, overrides):
         cfg = tiny_config(**overrides)
         for seed in (0, 1):
@@ -332,6 +354,27 @@ class TestIncrementalDecoder:
             cached = self._cached_rows(state, ids, params, cfg)
             assert cached.shape == full.shape
             assert np.max(np.abs(cached - full)) < 1e-10
+
+    @pytest.mark.parametrize("overrides", DECODER_SHAPES)
+    def test_lockstep_rows_match_each_window(self, overrides):
+        cfg = tiny_config(**overrides)
+        for seed in (0, 1):
+            params, states, ids = self._ragged(cfg, seed)
+            rows = self._lockstep_rows(states, ids, params, cfg)
+            for state, window_ids, got in zip(states, ids, rows):
+                full, _ = network.decoder_forward(window_ids, state, params, cfg)
+                assert got.shape == full.shape
+                assert np.max(np.abs(got - full)) < 1e-10
+
+    def test_lockstep_float32_matches_each_window(self):
+        cfg = tiny_config(num_decoder_layers=2, max_decode_len=32)
+        for seed in (0, 1, 2):
+            params, states, ids = self._ragged(cfg, seed, dtype=np.float32)
+            rows = self._lockstep_rows(states, ids, params, cfg)
+            for state, window_ids, got in zip(states, ids, rows):
+                full, _ = network.decoder_forward(window_ids, state, params, cfg)
+                assert got.dtype == full.dtype
+                assert np.max(np.abs(got - full)) < 1e-6
 
     def test_float32_matches_full_forward_and_ids(self, monkeypatch):
         cfg = tiny_config(num_decoder_layers=2, max_decode_len=32)
@@ -377,15 +420,59 @@ class TestIncrementalDecoder:
             assert seen.pop() == raw
             assert seq.ids == usable_tokens(raw).ids
 
+    def test_lockstep_greedy_matches_each_window(self, monkeypatch):
+        cfg = tiny_config(num_decoder_layers=2, max_decode_len=24)
+        params = init_params(cfg, seed=3)
+        rng = np.random.default_rng(3)
+        windows = [rng.normal(size=(n, cfg.n_mels)) for n in (4, 9, 2, 6, 1)]
+        alone = reference_greedy(windows[0], 0, params, cfg)
+        # The EOS trick of test_greedy_never_recomputes_prefix: with
+        # these frames, two windows stop at EOS (one mid-way, one after
+        # two tokens) and three never do.
+        eager = dict(params, token_emb=params["token_emb"].copy())
+        eager["token_emb"][EOS] = eager["token_emb"][alone[-1]]
+        expected = [reference_greedy(frames, 0, eager, cfg) for frames in windows]
+        assert [len(raw) for raw in expected] == [12, 24, 24, 2, 24]
+        assert [raw[-1] == EOS for raw in expected] == [True, False, False, True, False]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("greedy_generate_windows ran the full-sequence decoder")
+
+        usable_tokens = network._usable_tokens
+        seen = self._spy_raw(monkeypatch)
+        monkeypatch.setattr(network, "decoder_forward", forbidden)
+        seqs = greedy_generate_windows(windows, 0, eager, cfg)
+        assert seen == expected
+        assert [seq.ids for seq in seqs] == [usable_tokens(raw).ids for raw in expected]
+
+    def test_lockstep_groups_are_bounded(self, monkeypatch):
+        cfg = tiny_config(max_decode_len=6)
+        params = init_params(cfg, seed=5)
+        rng = np.random.default_rng(5)
+        count = network._LOCKSTEP_WINDOWS + 3
+        windows = [rng.normal(size=(1 + k % 7, cfg.n_mels)) for k in range(count)]
+        expected = [reference_greedy(frames, 2, params, cfg) for frames in windows]
+        groups = []
+        decoder = network.IncrementalDecoder
+        monkeypatch.setattr(
+            network,
+            "IncrementalDecoder",
+            lambda states, *rest: groups.append(len(states)) or decoder(states, *rest),
+        )
+        seen = self._spy_raw(monkeypatch)
+        greedy_generate_windows(windows, 2, params, cfg)
+        assert groups == [network._LOCKSTEP_WINDOWS, 3]
+        assert seen == expected
+
     def test_step_past_max_decode_len_raises(self):
         cfg = tiny_config()
         params, state, ids = self._setup(cfg, 0)
-        decoder = network.IncrementalDecoder(state, params, cfg)
+        decoder = network.IncrementalDecoder([state], params, cfg)
         for t in ids:
-            decoder.step(t)
+            decoder.step([t])
         assert decoder.length == cfg.max_decode_len
         with pytest.raises(ParameterError, match="max_decode_len"):
-            decoder.step(5)
+            decoder.step([5])
 
 
 class TestGreedy:

@@ -19,7 +19,13 @@ from pianocover.filtering import (
     write_f0_csv,
 )
 from pianocover.midi import Note, NoteSequence, TimeUnit, parse_smf, write_smf
-from pianocover.model import desk_config, init_params, save_checkpoint
+from pianocover.model import (
+    desk_config,
+    greedy_generate,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
 from pianocover.pipeline import (
     BuildReport,
     CoverJob,
@@ -30,6 +36,8 @@ from pianocover.pipeline import (
     generate_cover,
     load_dataset,
     render_sine_audio,
+    _resolve_pitch_overlaps,
+    _window_spectrogram,
     save_dataset,
 )
 from pianocover.tokenizer import EOS, TokenSeq, decode_segment, stitch
@@ -223,11 +231,15 @@ class TestBuildDataset:
         not_wav = tmp_path / "not_wav.wav"
         not_wav.write_bytes(b"ID3 this is not a RIFF file")
         garbled = PairRecord(str(not_wav), good.cover_midi, 0)
-        examples, report = build_dataset([good, bad, missing, garbled])
-        assert (report.kept, report.discarded, report.failed) == (1, 1, 2)
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes(b"time,frequency\n0.0,0.0\n# caf\xe9\n")
+        undecodable = PairRecord(good.pop_audio, good.cover_midi, 0, good.beats, str(latin1))
+        examples, report = build_dataset([good, bad, missing, garbled, undecodable])
+        assert (report.kept, report.discarded, report.failed) == (1, 1, 3)
         statuses = [e["status"] for e in report.entries]
-        assert statuses == ["kept", "discarded", "failed", "failed"]
+        assert statuses == ["kept", "discarded", "failed", "failed", "failed"]
         assert "not a readable WAV file" in report.entries[3]["reason"]
+        assert "latin1.csv: not UTF-8 text" in report.entries[4]["reason"]
         assert report.entries[0]["n_examples"] == len(examples) >= 1
         assert all(aid == 1 for _, aid, _ in examples)
 
@@ -298,6 +310,31 @@ class TestGenerateCover:
         )
         generate_cover(job2)
         assert (tmp_path / "cover.mid").read_bytes() == first
+
+    def test_lockstep_matches_window_by_window(self, tmp_path):
+        job, _, _ = self._job(tmp_path, np.random.default_rng(21))
+        # A tempo that changes every four beats gives every window its
+        # own frame count.
+        spacing = [0.5] * 4 + [0.35] * 4 + [0.6] * 4 + [0.45] * 3
+        write_beat_file(job.beats, BeatGrid(0.25 + np.cumsum([0.0] + spacing)))
+        params, config = load_checkpoint(job.checkpoint)
+        # EOS takes the output row of token 26, which some windows settle
+        # on, so those windows stop early and the others hit the cap.
+        params["token_emb"][EOS] = params["token_emb"][26]
+        save_checkpoint(job.checkpoint, params, config)
+        generate_cover(job)
+
+        audio = load_wav(job.audio)
+        grid = read_beat_file(job.beats)
+        specs = [_window_spectrogram(audio, grid, w, config.n_mels) for w in range(4)]
+        assert len({len(spec.frames) for spec in specs}) == 4
+        segments = [greedy_generate(spec, job.arranger_id, params, config) for spec in specs]
+        stopped = [tokens.ids[-1] == EOS for tokens in segments]
+        assert any(stopped) and not all(stopped)
+        piece = _resolve_pitch_overlaps(stitch(segments))
+        expected = write_smf(halfbeats_to_seconds(piece, grid))
+        assert (tmp_path / "cover.mid").read_bytes() == expected
+        assert (job.windows, job.truncated_segments) == (4, stopped.count(False))
 
     def test_exactly_four_beats_is_one_window(self, tmp_path):
         job, grid, _ = self._job(tmp_path, np.random.default_rng(8), n_beats=4)
@@ -489,6 +526,16 @@ class TestCli:
                          id="config-learning-rate"),
             pytest.param("train", "train.cfg", b"# run\nepochs = ten\n",
                          "train.cfg:2: cannot read epochs = 'ten' as int", id="config-train"),
+            pytest.param("detokenize", "piece.tokens", b"\xff5 1\n",
+                         "piece.tokens: not UTF-8 text (at byte offset 0)", id="tokens-not-utf8"),
+            pytest.param("cover-beats", "song.beats", b"0.25\n0.75\xff\n",
+                         "song.beats: not UTF-8 text (at byte offset 9)", id="beats-not-utf8"),
+            pytest.param("build-dataset", "manifest.csv",
+                         b"\xffpop_path,cover_path,arranger_id\n",
+                         "manifest.csv: not UTF-8 text (at byte offset 0)",
+                         id="manifest-not-utf8"),
+            pytest.param("train", "train.cfg", b"epochs = 2\n\xff\n",
+                         "train.cfg: not UTF-8 text (at byte offset 11)", id="config-not-utf8"),
         ],
     )
     def test_malformed_input_is_one_error_line(
@@ -499,6 +546,11 @@ class TestCli:
         argv = {
             "cover": lambda: ["cover", str(bad), str(tmp_path / "o.mid"), "--arranger", "0",
                               "--checkpoint", str(toy_checkpoint(tmp_path)[0])],
+            "cover-beats": lambda: ["cover", make_pair(tmp_path, np.random.default_rng(0))[0]
+                                    .pop_audio, str(tmp_path / "o.mid"), "--arranger", "0",
+                                    "--checkpoint", str(toy_checkpoint(tmp_path)[0]),
+                                    "--beats", str(bad)],
+            "detokenize": lambda: ["detokenize", str(bad), str(tmp_path / "o.mid")],
             "build-dataset": lambda: ["build-dataset", str(bad), str(tmp_path / "ds")],
             "train": lambda: ["train", str(tmp_path / "ds"), str(bad), str(tmp_path / "m.ckpt")],
         }[command]()
@@ -525,6 +577,9 @@ class TestCli:
             pytest.param("ex000000.tokens.txt", b"999 1\n",
                          "ex000000.tokens.txt:1: id 999 outside the vocabulary",
                          id="tokens-bad-id"),
+            pytest.param("ex000000.tokens.txt", b"\xff1\n",
+                         "ex000000.tokens.txt: not UTF-8 text (at byte offset 0)",
+                         id="tokens-not-utf8"),
         ],
     )
     def test_malformed_dataset_is_one_error_line(
