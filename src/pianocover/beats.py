@@ -39,7 +39,7 @@ _ONSET_FLOOR = 1e-2
 
 @dataclass(frozen=True)
 class BeatGrid:
-    """Strictly increasing quarter-note beat times plus the derived
+    """Finite, strictly increasing quarter-note beat times plus the derived
     half-beat grid (length exactly 2 * len(beats))."""
 
     beats: np.ndarray
@@ -49,6 +49,8 @@ class BeatGrid:
         beats = np.asarray(self.beats, dtype=np.float64)
         if beats.ndim != 1 or len(beats) < 2:
             raise ValidationError("a beat grid needs at least 2 beats")
+        if not np.isfinite(beats).all():
+            raise ValidationError("beat times must be finite")
         if not np.all(np.diff(beats) > 0):
             raise ValidationError("beat times must be strictly increasing")
         half = np.empty(2 * len(beats))
@@ -97,7 +99,10 @@ def read_beat_file(path) -> BeatGrid:
             times.append(float(line))
         except ValueError:
             raise ValidationError(f"{path}:{lineno}: not a beat time: {line!r}")
-    return BeatGrid(np.array(times))
+    try:
+        return BeatGrid(np.array(times))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def write_beat_file(path, grid: BeatGrid):

@@ -1,7 +1,9 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 validation error, 2 I/O error, 3 numeric or
-divergence error.
+Exit codes: 0 success; 1 invalid input, including usage errors and
+numeric options that are not finite or not above 0; 2 I/O error; 3
+numeric failure such as training divergence. Every failure prints one
+line on stderr.
 
 The tokenize/detokenize commands exchange quantized pieces as MIDI with
 a fixed-tempo convention: at the given --bpm, one half-beat lasts
@@ -15,12 +17,13 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
 
 from .beats import halfbeats_to_seconds, write_beat_file
-from .errors import DivergenceError, ParameterError, ValidationError, read_text
+from .errors import DivergenceError, FormatError, ValidationError, read_text
 from .features import SAMPLE_RATE, load_wav, write_wav
 from .filtering import filter_pair, melody_chroma_accuracy, midi_topline, read_f0_csv
 from .midi import Note, NoteSequence, TimeUnit, parse_smf, write_smf
@@ -55,7 +58,10 @@ def _print_json(payload, out_path):
 
 
 def _load_midi(path) -> NoteSequence:
-    return parse_smf(Path(path).read_bytes())
+    try:
+        return parse_smf(Path(path).read_bytes())
+    except FormatError as exc:
+        raise exc.in_file(path) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -86,15 +92,9 @@ def cmd_filter(args) -> int:
     return 0
 
 
-def _halfbeat_seconds(bpm: float) -> float:
-    if bpm <= 0:
-        raise ParameterError("bpm must be positive")
-    return 30.0 / bpm
-
-
 def cmd_tokenize(args) -> int:
     seq = _load_midi(args.midi)
-    step = _halfbeat_seconds(args.bpm)
+    step = 30.0 / args.bpm
     notes = []
     for note in seq:
         onset = note.onset / step
@@ -114,7 +114,7 @@ def cmd_tokenize(args) -> int:
 def cmd_detokenize(args) -> int:
     segments = read_token_file(args.tokens)
     piece = stitch(segments)
-    step = _halfbeat_seconds(args.bpm)
+    step = 30.0 / args.bpm
     notes = [
         Note(n.onset * step, n.pitch, n.offset * step, n.velocity) for n in piece
     ]
@@ -247,9 +247,28 @@ def cmd_render(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
+# Numeric options that are tempi, rates or lengths, as their args names.
+_POSITIVE_OPTIONS = ("bpm", "rate", "pop_seconds", "cover_seconds")
+
+
+def _check_positive_options(args):
+    """Each numeric option a subcommand was given must be finite and above 0."""
+    for name in _POSITIVE_OPTIONS:
+        value = getattr(args, name, None)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            option = "--" + name.replace("_", "-")
+            raise ValidationError(f"{option} must be a finite number above 0, got {value}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as invalid input: exit 1 with one line."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pianocover",
         description="Pop audio to piano-cover MIDI: preprocessing, training, generation.",
     )
@@ -309,8 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        _check_positive_options(args)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,12 @@
-"""Exception hierarchy shared by all pianocover modules, and the text
-reader that maps undecodable input onto it.
+"""Exception hierarchy shared by all pianocover modules, and the two
+readers of untrusted input that map malformed bytes onto it: a byte
+cursor for binary formats and a UTF-8 text reader.
 
 The CLI maps these onto exit codes: validation errors exit 1, I/O errors
 (plain OSError) exit 2, numeric failures exit 3.
 """
 
+import struct
 from pathlib import Path
 
 
@@ -27,10 +29,15 @@ class FormatError(ValidationError):
     """
 
     def __init__(self, message, offset=None):
+        self.reason = message
         if offset is not None:
             message = f"{message} (at byte offset {offset})"
         super().__init__(message)
         self.offset = offset
+
+    def in_file(self, path):
+        """The same error with the file it was read from in front of it."""
+        return FormatError(f"{path}: {self.reason}", self.offset)
 
 
 class NoBeatsError(ValidationError):
@@ -64,3 +71,27 @@ def read_text(path) -> str:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text", exc.start) from None
+
+
+class ByteCursor:
+    """Read position over untrusted binary data.
+
+    A read that runs past the end raises FormatError at the offset where
+    that read began, so a truncated file is one invalid input like any
+    other.
+    """
+
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def take(self, n: int) -> bytes:
+        start = self.pos
+        end = start + n
+        if end > len(self.data):
+            raise FormatError(f"unexpected end of data, wanted {n} more bytes", start)
+        self.pos = end
+        return self.data[start:end]
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))

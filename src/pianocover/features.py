@@ -12,6 +12,7 @@ rate.
 from __future__ import annotations
 
 import struct
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -20,6 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 import scipy.io.wavfile
 import scipy.signal
+from scipy.io.wavfile import WavFileWarning
 
 from .errors import FormatError, ParameterError
 
@@ -130,8 +132,12 @@ def load_wav(path) -> np.ndarray:
     """Read a 16-bit PCM WAV, downmix stereo by average, resample to
     SAMPLE_RATE, and scale to [-1, 1]."""
     try:
-        rate, data = scipy.io.wavfile.read(path)
-    except (ValueError, struct.error) as exc:  # struct.error: truncated header
+        with warnings.catch_warnings():
+            # A file shorter than its RIFF header promises is truncated.
+            warnings.filterwarnings("error", "Reached EOF prematurely", WavFileWarning)
+            rate, data = scipy.io.wavfile.read(path)
+    # struct.error: truncated header; WavFileWarning: truncated data
+    except (ValueError, struct.error, WavFileWarning) as exc:
         raise FormatError(f"{path}: not a readable WAV file: {exc}") from exc
     if data.dtype != np.int16:
         raise ParameterError(

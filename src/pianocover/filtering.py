@@ -58,6 +58,8 @@ class F0Contour:
             raise ValidationError("times and f0_hz must be equal-length vectors")
         if len(times) == 0:
             raise ValidationError("contour must be nonempty")
+        if not (np.isfinite(times).all() and np.isfinite(f0).all()):
+            raise ValidationError("times and f0 values must be finite")
         if len(times) > 1:
             steps = np.diff(times)
             if steps.min() <= 0:
@@ -191,7 +193,10 @@ def read_f0_csv(path) -> F0Contour:
             f0.append(float(row[1]))
         except ValueError:
             raise ValidationError(f"{path}:{k}: non-numeric value") from None
-    return F0Contour(np.array(times), np.array(f0))
+    try:
+        return F0Contour(np.array(times), np.array(f0))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def write_f0_csv(path, contour: F0Contour):

@@ -14,7 +14,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import FormatError, UndefinedMetricError, ValidationError
+from .errors import ByteCursor, FormatError, UndefinedMetricError, ValidationError
 
 log = logging.getLogger(__name__)
 
@@ -110,48 +110,20 @@ def note_density(seq: NoteSequence) -> float:
 # Parsing
 
 
-class _Reader:
-    """Byte cursor that raises FormatError with the current offset."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def need(self, n):
-        if self.pos + n > len(self.data):
-            raise FormatError(
-                f"unexpected end of data, wanted {n} more bytes", self.pos
-            )
-
-    def bytes(self, n):
-        self.need(n)
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self):
-        return self.bytes(1)[0]
-
-    def u16(self):
-        return struct.unpack(">H", self.bytes(2))[0]
-
-    def u32(self):
-        return struct.unpack(">I", self.bytes(4))[0]
-
-    def vlq(self):
-        value = 0
-        for _ in range(4):
-            b = self.u8()
-            value = (value << 7) | (b & 0x7F)
-            if not b & 0x80:
-                return value
-        raise FormatError("variable-length quantity longer than 4 bytes", self.pos)
+def _read_vlq(r: ByteCursor) -> int:
+    value = 0
+    for _ in range(4):
+        b = r.take(1)[0]
+        value = (value << 7) | (b & 0x7F)
+        if not b & 0x80:
+            return value
+    raise FormatError("variable-length quantity longer than 4 bytes", r.pos)
 
 
 _CHANNEL_DATA_LEN = {0x8: 2, 0x9: 2, 0xA: 2, 0xB: 2, 0xC: 1, 0xD: 1, 0xE: 2}
 
 
-def _parse_track(r: _Reader, length):
+def _parse_track(r: ByteCursor, length):
     """Return (note events, tempo events, end tick) for one MTrk body.
 
     Note events are (tick, order, kind, pitch, velocity) with kind 0 = off
@@ -164,8 +136,8 @@ def _parse_track(r: _Reader, length):
     notes = []
     tempos = []
     while r.pos < end:
-        tick += r.vlq()
-        status = r.u8()
+        tick += _read_vlq(r)
+        status = r.take(1)[0]
         if status < 0x80:
             if running is None:
                 raise FormatError("data byte with no running status", r.pos - 1)
@@ -173,9 +145,9 @@ def _parse_track(r: _Reader, length):
             status = running
         if status == 0xFF:
             running = None
-            meta = r.u8()
-            mlen = r.vlq()
-            body = r.bytes(mlen)
+            meta = r.take(1)[0]
+            mlen = _read_vlq(r)
+            body = r.take(mlen)
             if meta == _META_TEMPO:
                 if mlen != 3:
                     raise FormatError("tempo meta event must be 3 bytes", r.pos)
@@ -184,13 +156,13 @@ def _parse_track(r: _Reader, length):
                 break
         elif status in (0xF0, 0xF7):
             running = None
-            r.bytes(r.vlq())
+            r.take(_read_vlq(r))
         elif status >= 0xF0:
             raise FormatError(f"unsupported system message 0x{status:02x}", r.pos - 1)
         else:
             running = status
             kind = status >> 4
-            data = r.bytes(_CHANNEL_DATA_LEN[kind])
+            data = r.take(_CHANNEL_DATA_LEN[kind])
             if kind == 0x9:
                 pitch, vel = data
                 if pitch > 127 or vel > 127:
@@ -241,16 +213,14 @@ def parse_smf(data: bytes) -> NoteSequence:
     note at that instant and starts a new one.  Unmatched note-ons at end of
     file are closed at the final event time with a logged warning.
     """
-    r = _Reader(data)
-    if r.bytes(4) != b"MThd":
+    r = ByteCursor(data)
+    if r.take(4) != b"MThd":
         raise FormatError("missing MThd header", 0)
-    hlen = r.u32()
+    (hlen,) = r.unpack(">I")
     if hlen < 6:
         raise FormatError(f"header length {hlen} < 6", r.pos - 4)
-    fmt = r.u16()
-    ntracks = r.u16()
-    division = r.u16()
-    r.bytes(hlen - 6)
+    fmt, ntracks, division = r.unpack(">HHH")
+    r.take(hlen - 6)
     if fmt not in (0, 1):
         raise FormatError(f"unsupported SMF format {fmt}", 8)
     if division & 0x8000:
@@ -263,10 +233,10 @@ def parse_smf(data: bytes) -> NoteSequence:
     final_tick = 0
     parsed = 0
     while parsed < ntracks and r.pos < len(r.data):
-        chunk_type = r.bytes(4)
-        length = r.u32()
+        chunk_type = r.take(4)
+        (length,) = r.unpack(">I")
         if chunk_type != b"MTrk":
-            r.bytes(length)  # alien chunks are skipped per the SMF spec
+            r.take(length)  # alien chunks are skipped per the SMF spec
             continue
         notes, tempos, end_tick = _parse_track(r, length)
         all_notes.extend((t, parsed, o, k, p, v) for (t, o, k, p, v) in notes)

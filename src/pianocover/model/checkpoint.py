@@ -19,12 +19,14 @@ parameter declaration order exactly.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 
-from ..errors import FormatError
+from ..errors import ByteCursor, FormatError
 from .config import ModelConfig
 from .network import param_shapes
 
@@ -57,39 +59,32 @@ def save_checkpoint(path, params, config: ModelConfig) -> None:
         fh.write(blob)
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise FormatError("checkpoint truncated", offset=self.pos)
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
 def load_checkpoint(path):
-    """Returns (params, config). Raises FormatError on any corruption,
-    including tensors whose names or shapes do not match the config."""
-    with open(path, "rb") as fh:
-        reader = _Reader(fh.read())
+    """Returns (params, config). Raises FormatError naming the file on any
+    corruption, including tensors whose names or shapes do not match the
+    config."""
+    try:
+        return _decode(ByteCursor(Path(path).read_bytes()))
+    except FormatError as exc:
+        raise exc.in_file(path) from exc
+
+
+def _decode(reader: ByteCursor):
     if reader.take(len(MAGIC)) != MAGIC:
         raise FormatError("bad checkpoint magic", offset=0)
     (version,) = reader.unpack("<I")
     if version != VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
     (cfg_len,) = reader.unpack("<I")
+    cfg = reader.take(cfg_len)
     try:
-        config = ModelConfig.from_dict(json.loads(reader.take(cfg_len).decode()))
+        config = ModelConfig.from_dict(json.loads(cfg.decode()))
     except (ValueError, TypeError, KeyError) as exc:
         raise FormatError(f"bad checkpoint config: {exc}") from exc
+    expected = param_shapes(config)
     (count,) = reader.unpack("<I")
     params = {}
+    extra = []
     for _ in range(count):
         (name_len,) = reader.unpack("<H")
         start = reader.pos
@@ -97,33 +92,34 @@ def load_checkpoint(path):
             name = reader.take(name_len).decode()
         except UnicodeDecodeError as exc:
             raise FormatError(f"tensor name is not UTF-8: {exc}", offset=start) from exc
-        if name in params:
+        if name in params or name in extra:
             raise FormatError(f"duplicate tensor {name!r}")
         (rank,) = reader.unpack("<B")
-        shape = reader.unpack(f"<{rank}Q") if rank else ()
+        shape = reader.unpack(f"<{rank}Q")
         (code,) = reader.unpack("<B")
         if code not in _DTYPES:
             raise FormatError(f"tensor {name!r} has unknown dtype code {code}")
         dtype = _DTYPES[code]
         (crc,) = reader.unpack("<I")
-        n_bytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
         start = reader.pos
-        raw = reader.take(n_bytes)
+        raw = reader.take(math.prod(shape) * dtype.itemsize)
         if zlib.crc32(raw) & 0xFFFFFFFF != crc:
             raise FormatError(f"tensor {name!r} failed CRC check", offset=start)
-        params[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        # Only shapes the config names become arrays, so a corrupt header
+        # cannot ask numpy for an impossible one.
+        if name not in expected:
+            extra.append(name)
+        elif shape != expected[name]:
+            raise FormatError(
+                f"tensor {name!r} has shape {shape}, config needs {expected[name]}"
+            )
+        else:
+            params[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     if reader.pos != len(reader.data):
         raise FormatError("trailing bytes after last tensor", offset=reader.pos)
-    expected = param_shapes(config)
     missing = [name for name in expected if name not in params]
     if missing:
         raise FormatError(f"checkpoint lacks tensors {', '.join(missing)}")
-    extra = [name for name in params if name not in expected]
     if extra:
         raise FormatError(f"checkpoint has unknown tensors {', '.join(extra)}")
-    for name, shape in expected.items():
-        if params[name].shape != shape:
-            raise FormatError(
-                f"tensor {name!r} has shape {params[name].shape}, config needs {shape}"
-            )
     return params, config

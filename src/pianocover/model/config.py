@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 from enum import Enum
 
@@ -91,8 +92,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.learning_rate <= 0:
-            raise ValidationError("epochs, batch_size and learning_rate must be positive")
+        if self.epochs < 1 or self.batch_size < 1 or not 0 < self.learning_rate < math.inf:
+            raise ValidationError(
+                "epochs, batch_size and learning_rate must be positive and finite"
+            )
         if self.seed < 0:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
 

@@ -331,14 +331,6 @@ def _encoder_batch(frames, lengths, arranger_ids, params, config):
     return state, mask, (frames, arranger_ids, buckets, layer_caches, c_final)
 
 
-def encoder_forward(frames, arranger_id, params, config):
-    """Encoder states (1 + t, d) for frames (t, n_mels), and the cache."""
-    state, _, cache = _encoder_batch(
-        *_pad_frames([frames], [arranger_id], config), params, config
-    )
-    return state[0], cache
-
-
 def encoder_backward(dstate, cache, config, grads):
     frames, arranger_ids, buckets, layer_caches, c_final = cache
     dx, dg = _norm_b(dstate, c_final)
@@ -371,8 +363,10 @@ def encoder_backward(dstate, cache, config, grads):
 
 def encode(spectrogram, arranger_id, params, config: ModelConfig):
     """Encoder states for one segment: arranger row plus one row per frame."""
-    state, _ = encoder_forward(_frames_of(spectrogram), arranger_id, params, config)
-    return state
+    state, _, _ = _encoder_batch(
+        *_pad_frames([_frames_of(spectrogram)], [arranger_id], config), params, config
+    )
+    return state[0]
 
 
 # ---------------------------------------------------------------------------

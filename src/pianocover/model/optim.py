@@ -16,6 +16,10 @@ from .config import OptimizerKind, TrainConfig
 _EPS_FACTORED = 1e-30
 _CLIP_RMS = 1.0
 
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+
 
 def _mean(x, axis):
     # np.add.reduce skips np.mean's Python wrapper and gives the same bits.
@@ -60,27 +64,23 @@ class Adafactor:
 
 
 class Adam:
-    def __init__(self, params, learning_rate: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, learning_rate: float = 0.001):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step = 0
         self._m = {k: np.zeros_like(v) for k, v in params.items()}
         self._v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def update(self, params, grads) -> None:
         self.step += 1
-        b1c = 1.0 - self.beta1**self.step
-        b2c = 1.0 - self.beta2**self.step
+        b1c = 1.0 - _ADAM_BETA1**self.step
+        b2c = 1.0 - _ADAM_BETA2**self.step
         for name, w in params.items():
             g = grads[name]
             m = self._m[name]
             v = self._v[name]
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            w -= self.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m += (1.0 - _ADAM_BETA1) * (g - m)
+            v += (1.0 - _ADAM_BETA2) * (g * g - v)
+            w -= self.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + _ADAM_EPS)
 
 
 def make_optimizer(params, train_config: TrainConfig):

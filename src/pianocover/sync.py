@@ -2,9 +2,9 @@
 
 A cover performance rarely follows the original's clock. To pair the two
 for training, both are reduced to 12-dimensional pitch-class (chroma)
-features at a common frame rate, a dynamic-time-warping path is computed
-between them, and the cover's note timings are bent through the resulting
-piecewise-linear time map.
+features on one fixed clock of FRAME_RATE = 10 frames per second, a
+dynamic-time-warping path is computed between them, and the cover's note
+timings are bent through the resulting piecewise-linear time map.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .errors import AlignmentError, ParameterError, ValidationError
 from .features import stft_mag
 from .midi import Note, NoteSequence, TimeUnit
 
-FRAME_RATE = 10.0
+FRAME_RATE = 10.0  # chroma frames per second, for audio and MIDI alike
 # Shorter analysis window than the model frontend: alignment cares about
 # where the harmony changes, and 2048 samples halves the temporal smear.
 CHROMA_WINDOW = 2048
@@ -40,7 +40,6 @@ class Chromagram:
     """
 
     frames: np.ndarray
-    frame_rate: float
 
     def __post_init__(self):
         frames = np.asarray(self.frames, dtype=float)
@@ -50,8 +49,6 @@ class Chromagram:
             )
         if frames.size and frames.min() < 0:
             raise ValidationError("chroma energies must be nonnegative")
-        if self.frame_rate <= 0:
-            raise ValidationError("frame_rate must be positive")
         object.__setattr__(self, "frames", _normalize_rows(frames))
 
     def __len__(self):
@@ -92,20 +89,21 @@ def _normalize_rows(frames):
     return frames / safe
 
 
-def audio_chroma(audio, sample_rate: int, frame_rate: float = FRAME_RATE) -> Chromagram:
-    """Pitch-class energies of an audio signal at a coarse frame rate.
+def audio_chroma(audio, sample_rate: int) -> Chromagram:
+    """Pitch-class energies of an audio signal at FRAME_RATE.
 
     STFT bin powers are folded onto the 12 pitch classes (A440
     reference), then STFT frames are averaged into buckets of
-    1 / frame_rate seconds by their center times.
+    1 / FRAME_RATE seconds by their center times.
     """
     audio = np.asarray(audio, dtype=float)
     if audio.size == 0:
         raise ParameterError("audio must be nonempty")
     stft_rate = sample_rate / CHROMA_HOP
-    if frame_rate > stft_rate:
+    if FRAME_RATE > stft_rate:
         raise ParameterError(
-            f"frame_rate {frame_rate} exceeds STFT frame rate {stft_rate:.3f}"
+            f"sample rate {sample_rate} gives {stft_rate:.3f} STFT frames per "
+            f"second, fewer than the {FRAME_RATE:g} Hz chroma clock"
         )
 
     mag = stft_mag(audio, CHROMA_WINDOW, CHROMA_HOP)
@@ -124,28 +122,28 @@ def audio_chroma(audio, sample_rate: int, frame_rate: float = FRAME_RATE) -> Chr
             per_frame[:, c] = power[:, sel].sum(axis=1)
 
     centers = (np.arange(len(per_frame)) * CHROMA_HOP + CHROMA_WINDOW / 2) / sample_rate
-    buckets = np.floor(centers * frame_rate).astype(int)
+    buckets = np.floor(centers * FRAME_RATE).astype(int)
     out = np.zeros((buckets[-1] + 1, 12))
     counts = np.bincount(buckets, minlength=len(out))
     np.add.at(out, buckets, per_frame)
     out[counts > 0] /= counts[counts > 0, None]
-    return Chromagram(out, frame_rate)
+    return Chromagram(out)
 
 
-def midi_chroma(seq: NoteSequence, frame_rate: float = FRAME_RATE) -> Chromagram:
+def midi_chroma(seq: NoteSequence) -> Chromagram:
     """Pitch-class indicator counts of the active notes at each frame center."""
     if seq.time_unit is not TimeUnit.SECONDS:
         raise ParameterError("midi_chroma expects a sequence in seconds")
     if len(seq) == 0:
         raise ParameterError("sequence must be nonempty")
-    n = max(1, int(np.ceil(seq.duration * frame_rate - 1e-9)))
-    times = (np.arange(n) + 0.5) / frame_rate
+    n = max(1, int(np.ceil(seq.duration * FRAME_RATE - 1e-9)))
+    times = (np.arange(n) + 0.5) / FRAME_RATE
     frames = np.zeros((n, 12))
     for note in seq:
         i0 = np.searchsorted(times, note.onset, side="left")
         i1 = np.searchsorted(times, note.offset, side="left")
         frames[i0:i1, note.pitch % 12] += 1.0
-    return Chromagram(frames, frame_rate)
+    return Chromagram(frames)
 
 
 def chroma_cost(source: Chromagram, target: Chromagram) -> np.ndarray:
@@ -175,8 +173,6 @@ def dtw(source: Chromagram, target: Chromagram) -> WarpPath:
     """
     if len(source) == 0 or len(target) == 0:
         raise ParameterError("cannot align an empty chromagram")
-    if source.frame_rate != target.frame_rate:
-        raise ParameterError("chromagrams must share a frame rate")
     cost = chroma_cost(source, target)
     acc = _accumulate(cost)
     pairs = _backtrace(acc)
@@ -227,7 +223,7 @@ def _backtrace(acc):
     return np.array(pairs[::-1], dtype=int)
 
 
-def _time_map(path: WarpPath, frame_rate: float):
+def _time_map(path: WarpPath):
     pairs = path.pairs
     src_frames, starts, counts = np.unique(
         pairs[:, 0], return_index=True, return_counts=True
@@ -236,8 +232,8 @@ def _time_map(path: WarpPath, frame_rate: float):
         raise AlignmentError("path is degenerate, nothing to interpolate")
     # Integer sums are exact, so this is the float mean of each run.
     tgt_mean = np.add.reduceat(pairs[:, 1], starts) / counts
-    x = (src_frames + 0.5) / frame_rate
-    y = (tgt_mean + 0.5) / frame_rate
+    x = (src_frames + 0.5) / FRAME_RATE
+    y = (tgt_mean + 0.5) / FRAME_RATE
     for k in range(1, len(y)):
         y[k] = max(y[k], y[k - 1] + _STRICT_EPS)
     return x, y
@@ -255,7 +251,7 @@ def _interp_extrapolate(t, x, y):
     return out
 
 
-def apply_warp(seq: NoteSequence, path: WarpPath, frame_rate: float = FRAME_RATE) -> NoteSequence:
+def apply_warp(seq: NoteSequence, path: WarpPath) -> NoteSequence:
     """Remap note timings through the piecewise-linear map induced by a path.
 
     Each source frame anchors to the mean of its matched target frames;
@@ -264,7 +260,7 @@ def apply_warp(seq: NoteSequence, path: WarpPath, frame_rate: float = FRAME_RATE
     """
     if seq.time_unit is not TimeUnit.SECONDS:
         raise ParameterError("apply_warp expects a sequence in seconds")
-    x, y = _time_map(path, frame_rate)
+    x, y = _time_map(path)
     times = [t for note in seq for t in (note.onset, note.offset)]
     warped = _interp_extrapolate(times + [seq.duration], x, y).tolist()
     notes = [
@@ -274,14 +270,7 @@ def apply_warp(seq: NoteSequence, path: WarpPath, frame_rate: float = FRAME_RATE
     return NoteSequence.build(notes, TimeUnit.SECONDS, duration=warped[-1])
 
 
-def align_to_audio(
-    seq: NoteSequence,
-    audio,
-    sample_rate: int,
-    frame_rate: float = FRAME_RATE,
-) -> NoteSequence:
+def align_to_audio(seq: NoteSequence, audio, sample_rate: int) -> NoteSequence:
     """Warp a cover's note timings onto the timeline of a recording."""
-    source = midi_chroma(seq, frame_rate)
-    target = audio_chroma(audio, sample_rate, frame_rate)
-    path = dtw(source, target)
-    return apply_warp(seq, path, frame_rate)
+    path = dtw(midi_chroma(seq), audio_chroma(audio, sample_rate))
+    return apply_warp(seq, path)

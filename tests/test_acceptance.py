@@ -201,7 +201,7 @@ def test_dtw_cost_matches_bruteforce_dp(report):
             n = int(rng.integers(1, 51))
             f = rng.random((n, 12))
             f[rng.random(n) < 0.1] = 0.0
-            frames.append(Chromagram(f, 10.0))
+            frames.append(Chromagram(f))
         a, b = frames
         path = dtw(a, b)
         exact += path.total_cost == _dp_cost_oracle(chroma_cost(a, b))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import struct
 from types import SimpleNamespace
 
@@ -37,7 +38,9 @@ from pianocover.model import (
     train,
     zero_grads,
 )
+from pianocover.midi import Note, NoteSequence, parse_smf, write_smf
 from pianocover.model import network, optim
+from pianocover.model.checkpoint import MAGIC
 from pianocover.tokenizer import EOS, PAD, symbol
 
 
@@ -770,6 +773,66 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="not UTF-8"):
             load_checkpoint(path)
+
+
+    def test_byte_mutations_raise_only_format_error(self, tmp_path):
+        cfg = tiny_config(d_model=8, num_heads=2, d_ff=8, n_mels=4)
+        params = init_params(cfg, seed=9, dtype=np.float32)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, cfg)
+        blob = path.read_bytes()
+        # Offsets outside the tensor payloads: the header and each tensor's
+        # name, rank, dims, dtype and CRC. Half the edits land there.
+        structure = list(range(len(MAGIC) + 4 + 4 + len(json.dumps(cfg.to_dict(), sort_keys=True)) + 4))
+        pos = len(structure)
+        for name, value in params.items():
+            head = 2 + len(name) + 1 + 8 * value.ndim + 1 + 4
+            structure += range(pos, pos + head)
+            pos += head + value.nbytes
+        assert pos == len(blob)
+        rng = np.random.default_rng(31)
+        mutant = tmp_path / "mutant.ckpt"
+        for trial in range(3000):
+            data = bytearray(blob)
+            if rng.random() < 0.2:
+                del data[int(rng.integers(0, len(data))):]
+            else:
+                for _ in range(int(rng.integers(1, 4))):
+                    at = int(rng.choice(structure)) if rng.random() < 0.5 else int(
+                        rng.integers(0, len(data)))
+                    data[at] = int(rng.integers(0, 256))
+            mutant.write_bytes(bytes(data))
+            try:
+                load_checkpoint(mutant)
+            except FormatError:
+                pass
+
+    def test_truncation_reports_where_data_ran_out(self, tmp_path):
+        def ran_out_at(exc, cut):
+            # The read that failed began at the offset and wanted bytes past the cut.
+            wanted = int(re.search(r"wanted (\d+) more bytes", str(exc)).group(1))
+            return exc.offset <= cut < exc.offset + wanted
+
+        smf = write_smf(NoteSequence.build([Note(0.0, 60, 0.5), Note(0.5, 64, 1.0)]))
+        for cut, offset in ((3, 0), (13, 8), (len(smf) - 1, len(smf) - 1)):
+            with pytest.raises(FormatError) as exc:
+                parse_smf(smf[:cut])
+            assert exc.value.offset == offset and ran_out_at(exc.value, cut)
+            assert str(exc.value).endswith(f"(at byte offset {offset})")
+        cfg = tiny_config()
+        params = init_params(cfg, seed=9)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, cfg)
+        blob = path.read_bytes()
+        last_tensor = len(blob) - list(params.values())[-1].nbytes
+        short = tmp_path / "short.ckpt"
+        # Magic at 0, config bytes at 16, the last tensor's payload at the end.
+        for cut, offset in ((0, 0), (5, 0), (20, 16), (len(blob) - 1, last_tensor)):
+            short.write_bytes(blob[:cut])
+            with pytest.raises(FormatError) as exc:
+                load_checkpoint(short)
+            assert exc.value.offset == offset and ran_out_at(exc.value, cut)
+            assert str(exc.value).startswith(f"{short}: unexpected end of data")
 
 
 class TestTraining:

@@ -1,9 +1,12 @@
 """End-to-end tests: dataset builds, cover generation, stats, and the CLI."""
 
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io.wavfile
 
 from pianocover.beats import BeatGrid, halfbeats_to_seconds, read_beat_file, write_beat_file
 from pianocover.cli import main
@@ -243,6 +246,23 @@ class TestBuildDataset:
         assert report.entries[0]["n_examples"] == len(examples) >= 1
         assert all(aid == 1 for _, aid, _ in examples)
 
+    def test_non_finite_side_files_quarantine(self, tmp_path):
+        rng = np.random.default_rng(5)
+        record, _, _, _ = make_pair(tmp_path, rng, name="song")
+        beats = tmp_path / "inf.beats"
+        beats.write_bytes(Path(record.beats).read_bytes() + b"inf\n")
+        records = [PairRecord(record.pop_audio, record.cover_midi, 0, str(beats), record.f0)]
+        for value in (b"nan", b"inf"):
+            f0 = tmp_path / f"{value.decode()}.csv"
+            f0.write_bytes(_with_f0(value)({"f0": record.f0}))
+            records.append(PairRecord(record.pop_audio, record.cover_midi, 0, record.beats, str(f0)))
+        _, report = build_dataset(records)
+        assert (report.kept, report.discarded, report.failed) == (0, 0, 3)
+        reasons = [e["reason"] for e in report.entries]
+        assert "inf.beats: beat times must be finite" in reasons[0]
+        assert "nan.csv: times and f0 values must be finite" in reasons[1]
+        assert "inf.csv: times and f0 values must be finite" in reasons[2]
+
     def test_rebuild_is_byte_identical(self, tmp_path):
         rng = np.random.default_rng(4)
         record, _, _, _ = make_pair(tmp_path, rng, name="idem")
@@ -407,6 +427,192 @@ class TestEvalStats:
             eval_stats([(self._cover(2.0), 0)], [])
 
 
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """One valid file of each input kind, for rows that break another."""
+    root = tmp_path_factory.mktemp("cli_inputs")
+    record, _, _, _ = make_pair(root, np.random.default_rng(0), name="valid")
+    ds = root / "dataset"
+    save_dataset(ds, [(np.zeros((4, 128)), 0, TokenSeq((EOS,)))], BuildReport(1, 1, 0, 0, []))
+    config = root / "valid.cfg"
+    config.write_text("epochs = 1\n")
+    tokens = root / "valid.tokens"
+    tokens.write_text(f"{EOS}\n")
+    return {"wav": record.pop_audio, "mid": record.cover_midi, "beats": record.beats,
+            "f0": record.f0, "ckpt": str(toy_checkpoint(root)[0]), "tokens": str(tokens),
+            "ds": str(ds), "cfg": str(config)}
+
+
+def _first_half(kind):
+    """The valid file of this kind cut in the middle."""
+    def content(inputs):
+        data = Path(inputs[kind]).read_bytes()
+        return data[: len(data) // 2]
+    return content
+
+
+def _with_f0(value):
+    """The valid contour with one frequency replaced by value."""
+    def content(inputs):
+        rows = Path(inputs["f0"]).read_bytes().splitlines()
+        rows[5] = rows[5].split(b",")[0] + b"," + value
+        return b"\n".join(rows) + b"\n"
+    return content
+
+
+def _eight_bit_wav(inputs):
+    buffer = io.BytesIO()
+    scipy.io.wavfile.write(buffer, SAMPLE_RATE, np.full(SAMPLE_RATE, 128, dtype=np.uint8))
+    return buffer.getvalue()
+
+
+ERROR_PREFIX = {1: "error:", 2: "i/o error:", 3: "numeric error:"}
+COVER = "cover {wav} {out} --arranger 0 --checkpoint {ckpt}"
+
+
+def _row(id, argv, message, bad_file=None, content=b"", code=1):
+    return pytest.param(argv, bad_file, content, code, message, id=id)
+
+
+# The input contract, one row per subcommand, input kind and malformation:
+# each exits 1 (invalid input), 2 (I/O) or 3 (numeric) with one stderr
+# line. Placeholders name the valid files of cli_inputs, {bad} the file
+# the row writes, {out}/{out_dir} outputs and {tmp} the test directory.
+# An empty token file (an empty piece) and an empty config (all defaults)
+# are valid inputs, so they have no row.
+CONTRACT_ROWS = [
+    # WAV
+    _row("wav-not-riff", "cover {bad} {out} --arranger 0 --checkpoint {ckpt}",
+         "not a readable WAV", "song.wav", b"ID3 not a RIFF file"),
+    _row("wav-truncated", "cover {bad} {out} --arranger 0 --checkpoint {ckpt}",
+         "not a readable WAV", "song.wav", b"RIFF"),
+    _row("wav-cut-in-data", "cover {bad} {out} --arranger 0 --checkpoint {ckpt} --beats {beats}",
+         "song.wav: not a readable WAV file: Reached EOF prematurely", "song.wav",
+         _first_half("wav")),
+    _row("wav-empty", "sync {bad} {mid} {out} --beats {beats}",
+         "song.wav: not a readable WAV", "song.wav", b""),
+    _row("wav-8-bit", "sync {bad} {mid} {out} --beats {beats}",
+         "song.wav: expected 16-bit PCM WAV", "song.wav", _eight_bit_wav),
+    # MIDI: every error names the file
+    _row("mid-empty", "sync {wav} {bad} {out} --beats {beats}",
+         "song.mid: unexpected end of data", "song.mid", b""),
+    _row("mid-truncated", "filter {bad} {f0} --pop-seconds 8",
+         "song.mid: unexpected end of data", "song.mid", _first_half("mid")),
+    _row("mid-not-smf", "tokenize {bad} {out}",
+         "song.mid: missing MThd header", "song.mid", b"hello world"),
+    _row("mid-cut-in-header", "render {bad} {out}",
+         "song.mid: unexpected end of data", "song.mid", b"MThd\x00\x00\x00\x06\x00"),
+    _row("mid-format-2", "stats {bad}", "song.mid: unsupported SMF format 2", "song.mid",
+         b"MThd\x00\x00\x00\x06\x00\x02\x00\x01\x01\xe0"),
+    # checkpoint: every error names the file
+    _row("ckpt-empty", "cover {wav} {out} --arranger 0 --checkpoint {bad}",
+         "model.ckpt: unexpected end of data", "model.ckpt", b""),
+    _row("ckpt-truncated", "cover {wav} {out} --arranger 0 --checkpoint {bad}",
+         "model.ckpt: unexpected end of data", "model.ckpt", _first_half("ckpt")),
+    _row("ckpt-not-checkpoint", "cover {wav} {out} --arranger 0 --checkpoint {bad}",
+         "model.ckpt: bad checkpoint magic", "model.ckpt", b"PK\x03\x04 a zip archive"),
+    # tokens
+    _row("tokens-not-utf8", "detokenize {bad} {out}",
+         "piece.tokens: not UTF-8 text (at byte offset 0)", "piece.tokens", b"\xff5 1\n"),
+    _row("tokens-not-integers", "detokenize {bad} {out}",
+         "piece.tokens:1: token ids must be integers", "piece.tokens", b"5 x 1\n"),
+    _row("tokens-out-of-range", "detokenize {bad} {out}",
+         "piece.tokens:1: id 999 outside the vocabulary", "piece.tokens", b"999 1\n"),
+    # beats
+    _row("beats-not-utf8", COVER + " --beats {bad}",
+         "song.beats: not UTF-8 text (at byte offset 9)", "song.beats", b"0.25\n0.75\xff\n"),
+    _row("beats-infinite", COVER + " --beats {bad}",
+         "song.beats: beat times must be finite", "song.beats",
+         lambda inputs: Path(inputs["beats"]).read_bytes() + b"inf\n"),
+    _row("beats-infinite-sync", "sync {wav} {mid} {out} --beats {bad}",
+         "song.beats: beat times must be finite", "song.beats",
+         lambda inputs: Path(inputs["beats"]).read_bytes() + b"inf\n"),
+    _row("beats-empty", "sync {wav} {mid} {out} --beats {bad}",
+         "song.beats: a beat grid needs at least 2 beats", "song.beats", b""),
+    _row("beats-not-a-number", "sync {wav} {mid} {out} --beats {bad}",
+         "song.beats:2: not a beat time", "song.beats", b"0.5\nabc\n"),
+    _row("beats-decreasing", COVER + " --beats {bad}",
+         "song.beats: beat times must be strictly increasing", "song.beats", b"1.0\n0.5\n"),
+    # f0 CSV
+    _row("f0-infinite", "filter {mid} {bad} --pop-seconds 8",
+         "melody.csv: times and f0 values must be finite", "melody.csv", _with_f0(b"inf")),
+    _row("f0-nan", "stats {mid} --f0 {bad}",
+         "melody.csv: times and f0 values must be finite", "melody.csv", _with_f0(b"nan")),
+    _row("f0-empty", "filter {mid} {bad} --pop-seconds 8",
+         "melody.csv: expected header 'time,frequency'", "melody.csv", b""),
+    _row("f0-truncated", "filter {mid} {bad} --pop-seconds 8",
+         "melody.csv:3: expected two columns", "melody.csv",
+         b"time,frequency\n0.0,440.0\n0.02"),
+    _row("f0-not-utf8", "stats {mid} --f0 {bad}",
+         "melody.csv: not UTF-8 text (at byte offset 19)", "melody.csv",
+         b"time,frequency\n0.0,\xff\n"),
+    # manifest
+    _row("manifest-arranger", "build-dataset {bad} {out_dir}",
+         "manifest.csv:3: arranger_id 'two' is not an integer", "manifest.csv",
+         b"pop_path,cover_path,arranger_id\na.wav,a.mid,0\nb.wav,b.mid,two\n"),
+    _row("manifest-short-row", "build-dataset {bad} {out_dir}",
+         "manifest.csv:2: arranger_id None is not an integer", "manifest.csv",
+         b"pop_path,cover_path,arranger_id\na.wav\n"),
+    _row("manifest-no-cover", "build-dataset {bad} {out_dir}",
+         "manifest.csv:2: missing cover_path", "manifest.csv",
+         b"pop_path,arranger_id,cover_path\nw.wav,0\n"),
+    _row("manifest-no-pop", "build-dataset {bad} {out_dir}",
+         "manifest.csv:2: missing pop_path", "manifest.csv",
+         b"arranger_id,cover_path,pop_path\n0,c.mid\n"),
+    _row("manifest-not-utf8", "build-dataset {bad} {out_dir}",
+         "manifest.csv: not UTF-8 text (at byte offset 0)", "manifest.csv",
+         b"\xffpop_path,cover_path,arranger_id\n"),
+    _row("manifest-empty", "build-dataset {bad} {out_dir}",
+         "manifest.csv: manifest needs columns", "manifest.csv", b""),
+    # config
+    _row("config-seed", "train {ds} {bad} {out}",
+         "seed must be non-negative, got -1", "train.cfg", b"epochs = 2\nseed = -1\n"),
+    _row("config-model", "train {ds} {bad} {out}",
+         "train.cfg:2: cannot read d_model = '3.5' as int", "train.cfg",
+         b"epochs = 2\nd_model = 3.5\n"),
+    _row("config-learning-rate", "train {ds} {bad} {out}",
+         "train.cfg:1: cannot read learning_rate = 'fast' as float", "train.cfg",
+         b"learning_rate = fast\n"),
+    _row("config-train", "train {ds} {bad} {out}",
+         "train.cfg:2: cannot read epochs = 'ten' as int", "train.cfg", b"# run\nepochs = ten\n"),
+    _row("config-not-utf8", "train {ds} {bad} {out}",
+         "train.cfg: not UTF-8 text (at byte offset 11)", "train.cfg", b"epochs = 2\n\xff\n"),
+    _row("config-learning-rate-nan", "train {ds} {bad} {out}",
+         "learning_rate must be positive and finite", "train.cfg",
+         b"epochs = 1\nlearning_rate = nan\n"),
+    # dataset directory (its files have their own table below)
+    _row("dataset-missing", "train {tmp}/nowhere {cfg} {out}",
+         "nowhere/dataset.json", code=2),
+    # numeric options
+    _row("bpm-zero", "tokenize {mid} {out} --bpm 0", "--bpm must be a finite number above 0"),
+    _row("bpm-nan", "tokenize {mid} {out} --bpm nan", "--bpm must be a finite number above 0"),
+    _row("bpm-inf", "tokenize {mid} {out} --bpm inf", "--bpm must be a finite number above 0"),
+    _row("bpm-not-a-number", "tokenize {mid} {out} --bpm abc",
+         "argument --bpm: invalid float value: 'abc'"),
+    _row("detokenize-bpm-negative", "detokenize {tokens} {out} --bpm -5",
+         "--bpm must be a finite number above 0"),
+    _row("rate-zero", "render {mid} {out} --rate 0", "--rate must be a finite number above 0"),
+    _row("rate-negative", "render {mid} {out} --rate -5",
+         "--rate must be a finite number above 0"),
+    _row("rate-not-an-integer", "render {mid} {out} --rate 1.5",
+         "argument --rate: invalid int value: '1.5'"),
+    _row("pop-seconds-nan", "filter {mid} {f0} --pop-seconds nan",
+         "--pop-seconds must be a finite number above 0"),
+    _row("cover-seconds-nan", "filter {mid} {f0} --pop-seconds 8 --cover-seconds nan",
+         "--cover-seconds must be a finite number above 0"),
+    _row("cover-seconds-zero", "filter {mid} {f0} --pop-seconds 8 --cover-seconds 0",
+         "--cover-seconds must be a finite number above 0"),
+    _row("pop-seconds-missing", "filter {mid} {f0}",
+         "the following arguments are required: --pop-seconds"),
+    _row("arranger-out-of-range",
+         "cover {wav} {out} --arranger 99 --checkpoint {ckpt} --beats {beats}",
+         "arranger id 99 outside [0, 4)"),
+    _row("arranger-not-an-integer", "stats {mid} --arranger x",
+         "argument --arranger: invalid int value: 'x'"),
+    _row("unknown-command", "transcribe {wav}", "invalid choice: 'transcribe'"),
+]
+
+
 class TestCli:
     def test_tokenize_detokenize_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)
@@ -497,67 +703,28 @@ class TestCli:
         bad.write_text("nope,columns\n1,2\n")
         assert main(["build-dataset", str(bad), str(tmp_path / "ds")]) == 1
 
-    @pytest.mark.parametrize(
-        "command,bad_file,content,message",
-        [
-            pytest.param("cover", "song.wav", b"ID3 not a RIFF file", "not a readable WAV",
-                         id="wav-not-riff"),
-            pytest.param("cover", "song.wav", b"RIFF", "not a readable WAV", id="wav-truncated"),
-            pytest.param("build-dataset", "manifest.csv",
-                         b"pop_path,cover_path,arranger_id\na.wav,a.mid,0\nb.wav,b.mid,two\n",
-                         "manifest.csv:3: arranger_id 'two' is not an integer",
-                         id="manifest-arranger"),
-            pytest.param("build-dataset", "manifest.csv",
-                         b"pop_path,cover_path,arranger_id\na.wav\n",
-                         "manifest.csv:2: arranger_id None is not an integer",
-                         id="manifest-short-row"),
-            pytest.param("build-dataset", "manifest.csv",
-                         b"pop_path,arranger_id,cover_path\nw.wav,0\n",
-                         "manifest.csv:2: missing cover_path", id="manifest-no-cover"),
-            pytest.param("build-dataset", "manifest.csv",
-                         b"arranger_id,cover_path,pop_path\n0,c.mid\n",
-                         "manifest.csv:2: missing pop_path", id="manifest-no-pop"),
-            pytest.param("train", "train.cfg", b"epochs = 2\nseed = -1\n",
-                         "seed must be non-negative, got -1", id="config-seed"),
-            pytest.param("train", "train.cfg", b"epochs = 2\nd_model = 3.5\n",
-                         "train.cfg:2: cannot read d_model = '3.5' as int", id="config-model"),
-            pytest.param("train", "train.cfg", b"learning_rate = fast\n",
-                         "train.cfg:1: cannot read learning_rate = 'fast' as float",
-                         id="config-learning-rate"),
-            pytest.param("train", "train.cfg", b"# run\nepochs = ten\n",
-                         "train.cfg:2: cannot read epochs = 'ten' as int", id="config-train"),
-            pytest.param("detokenize", "piece.tokens", b"\xff5 1\n",
-                         "piece.tokens: not UTF-8 text (at byte offset 0)", id="tokens-not-utf8"),
-            pytest.param("cover-beats", "song.beats", b"0.25\n0.75\xff\n",
-                         "song.beats: not UTF-8 text (at byte offset 9)", id="beats-not-utf8"),
-            pytest.param("build-dataset", "manifest.csv",
-                         b"\xffpop_path,cover_path,arranger_id\n",
-                         "manifest.csv: not UTF-8 text (at byte offset 0)",
-                         id="manifest-not-utf8"),
-            pytest.param("train", "train.cfg", b"epochs = 2\n\xff\n",
-                         "train.cfg: not UTF-8 text (at byte offset 11)", id="config-not-utf8"),
-        ],
-    )
+    @pytest.mark.parametrize("argv,bad_file,content,code,message", CONTRACT_ROWS)
     def test_malformed_input_is_one_error_line(
-        self, tmp_path, capsys, command, bad_file, content, message
+        self, tmp_path, capsys, cli_inputs, argv, bad_file, content, code, message
     ):
-        bad = tmp_path / bad_file
-        bad.write_bytes(content)
-        argv = {
-            "cover": lambda: ["cover", str(bad), str(tmp_path / "o.mid"), "--arranger", "0",
-                              "--checkpoint", str(toy_checkpoint(tmp_path)[0])],
-            "cover-beats": lambda: ["cover", make_pair(tmp_path, np.random.default_rng(0))[0]
-                                    .pop_audio, str(tmp_path / "o.mid"), "--arranger", "0",
-                                    "--checkpoint", str(toy_checkpoint(tmp_path)[0]),
-                                    "--beats", str(bad)],
-            "detokenize": lambda: ["detokenize", str(bad), str(tmp_path / "o.mid")],
-            "build-dataset": lambda: ["build-dataset", str(bad), str(tmp_path / "ds")],
-            "train": lambda: ["train", str(tmp_path / "ds"), str(bad), str(tmp_path / "m.ckpt")],
-        }[command]()
-        assert main(argv) == 1
+        paths = dict(cli_inputs, out=str(tmp_path / "out"), out_dir=str(tmp_path / "ds"),
+                     tmp=str(tmp_path))
+        if bad_file:
+            bad = tmp_path / bad_file
+            bad.write_bytes(content(cli_inputs) if callable(content) else content)
+            paths["bad"] = str(bad)
+        assert main([arg.format(**paths) for arg in argv.split()]) == code
         err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert err.startswith(ERROR_PREFIX[code]) and err.count("\n") == 1
+        assert "Traceback" not in err
         assert message in err
+
+    def test_help_exits_zero(self, capsys):
+        for argv in (["--help"], ["render", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+        assert "usage: pianocover render" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "bad_file,content,message",
