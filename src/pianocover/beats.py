@@ -22,8 +22,6 @@ from .midi import Note, NoteSequence, TimeUnit
 
 log = logging.getLogger(__name__)
 
-HALF_BEATS_PER_BEAT = 2
-
 # Beat tracker knobs.  The onset frontend runs the same STFT/mel machinery
 # as the model input but at a sharper window so click-level timing survives;
 # the higher log floor keeps near-silence wiggle out of the flux.

@@ -3,7 +3,8 @@
 Exit codes: 0 success; 1 invalid input, including usage errors and
 numeric options that are not finite or not above 0; 2 I/O error; 3
 numeric failure such as training divergence. Every failure prints one
-line on stderr.
+line on stderr. Warnings the library logs while a command runs are
+held, and printed as "warning: ..." lines only if the command succeeds.
 
 The tokenize/detokenize commands exchange quantized pieces as MIDI with
 a fixed-tempo convention: at the given --bpm, one half-beat lasts
@@ -17,6 +18,7 @@ import csv
 import dataclasses
 import io
 import json
+import logging
 import math
 import sys
 from pathlib import Path
@@ -29,7 +31,6 @@ from .filtering import filter_pair, melody_chroma_accuracy, midi_topline, read_f
 from .midi import Note, NoteSequence, TimeUnit, parse_smf, write_smf
 from .model import (
     ModelConfig,
-    OptimizerKind,
     TrainConfig,
     desk_config,
     save_checkpoint,
@@ -141,6 +142,10 @@ def _parse_manifest(path):
                 f"{path}:{reader.line_num}: arranger_id "
                 f"{row['arranger_id']!r} is not an integer"
             ) from None
+        if arranger_id < 0:
+            raise ValidationError(
+                f"{path}:{reader.line_num}: arranger_id {arranger_id} is negative"
+            )
         for column in ("pop_path", "cover_path"):
             if row[column] is None:
                 raise ValidationError(f"{path}:{reader.line_num}: missing {column}")
@@ -179,14 +184,6 @@ def _parse_config_file(path):
         if "=" not in line:
             raise ValidationError(f"{path}:{lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key == "optimizer":
-            try:
-                train_kwargs[key] = OptimizerKind[value.upper()]
-            except KeyError:
-                raise ValidationError(
-                    f"{path}:{lineno}: unknown optimizer {value!r}"
-                ) from None
-            continue
         if key in model_fields:
             kwargs, parse = model_kwargs, int
         elif key == "learning_rate":
@@ -327,11 +324,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _HeldWarnings(logging.Handler):
+    """Keeps warning records until the command's outcome is known."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
 def main(argv=None) -> int:
+    held = _HeldWarnings()
+    logger = logging.getLogger("pianocover")
+    logger.addHandler(held)
     try:
         args = build_parser().parse_args(argv)
         _check_positive_options(args)
-        return args.func(args)
+        code = args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -341,6 +352,11 @@ def main(argv=None) -> int:
     except (DivergenceError, ArithmeticError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        logger.removeHandler(held)
+    for record in held.records:
+        print(f"warning: {record.getMessage()}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -3,7 +3,6 @@
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (
     ModelConfig,
-    OptimizerKind,
     TrainConfig,
     count_params,
     desk_config,
@@ -21,14 +20,12 @@ from .network import (
     relative_position_bucket,
     zero_grads,
 )
-from .optim import Adafactor, Adam, make_optimizer
+from .optim import Adafactor
 from .training import train
 
 __all__ = [
     "Adafactor",
-    "Adam",
     "ModelConfig",
-    "OptimizerKind",
     "TrainConfig",
     "compute_loss",
     "count_params",
@@ -40,7 +37,6 @@ __all__ = [
     "init_params",
     "load_checkpoint",
     "loss_and_grads",
-    "make_optimizer",
     "param_shapes",
     "paper_scale_config",
     "relative_position_bucket",

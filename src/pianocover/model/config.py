@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
-from enum import Enum
 
 from ..errors import ValidationError
-
-VOCAB_SIZE = 232
+from ..tokenizer import VOCAB_SIZE
 
 
 @dataclass(frozen=True)
@@ -78,17 +76,11 @@ def paper_scale_config() -> ModelConfig:
     )
 
 
-class OptimizerKind(Enum):
-    ADAFACTOR = "adafactor"
-    ADAM = "adam"
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 2000
     batch_size: int = 32
     learning_rate: float = 0.001
-    optimizer: OptimizerKind = OptimizerKind.ADAFACTOR
     seed: int = 0
 
     def __post_init__(self):

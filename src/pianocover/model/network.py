@@ -29,16 +29,11 @@ with single-example runs to rounding, not bit for bit.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from ..errors import ParameterError
-from ..midi import PIANO_PITCH_MAX, PIANO_PITCH_MIN
-from ..tokenizer import EOS, MAX_SHIFT, PAD, TokenSeq, symbol
+from ..tokenizer import EOS, PAD, TokenSeq, generated_segment
 from .config import ModelConfig
-
-log = logging.getLogger(__name__)
 
 _NEG_INF = -1e30
 _NORM_EPS = 1e-6
@@ -595,9 +590,8 @@ def greedy_generate_windows(
     emitted EOS keeps stepping with the others until every window of
     its group has stopped, but its later outputs are discarded, so each
     window yields the ids it would decode alone. Ties go to the lowest
-    id. PAD tokens, beat shifts that would break the segment grammar,
-    and pitches outside the piano range are dropped from the returned
-    sequences.
+    id. Each window's ids become a segment through
+    tokenizer.generated_segment.
     """
     raw = []
     for start in range(0, len(spectrograms), _LOCKSTEP_WINDOWS):
@@ -615,41 +609,13 @@ def greedy_generate_windows(
                     window.append(token)
             stopped |= tokens == EOS
         raw.extend(ids)
-    for ids in raw:
-        if ids[-1] != EOS:
-            log.warning("generation hit max_decode_len %d without EOS", config.max_decode_len)
-    return [_usable_tokens(ids) for ids in raw]
+    return [generated_segment(ids) for ids in raw]
 
 
 def greedy_generate(spectrogram, arranger_id, params, config: ModelConfig) -> TokenSeq:
     """Argmax decoding of one window until EOS or the length cap; see
     greedy_generate_windows."""
     return greedy_generate_windows([spectrogram], arranger_id, params, config)[0]
-
-
-def _usable_tokens(raw) -> TokenSeq:
-    """The segment made of generated ids, without the ones it cannot hold."""
-    ids = []
-    shift_total = 0
-    dropped = 0
-    for t in raw:
-        sym = symbol(t)
-        if sym[0] == "pad":
-            dropped += 1
-            continue
-        if sym[0] == "shift":
-            # TokenSeq caps the cumulative shift.
-            if shift_total + sym[1] > MAX_SHIFT:
-                dropped += 1
-                continue
-            shift_total += sym[1]
-        if sym[0] == "pitch" and not PIANO_PITCH_MIN <= sym[1] <= PIANO_PITCH_MAX:
-            dropped += 1
-            continue
-        ids.append(t)
-    if dropped:
-        log.warning("dropped %d unusable generated tokens", dropped)
-    return TokenSeq(tuple(ids))
 
 
 # ---------------------------------------------------------------------------

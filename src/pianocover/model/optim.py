@@ -1,6 +1,6 @@
-"""Optimizers for the numpy transformer: Adafactor and Adam.
+"""Adafactor, the one optimizer of the numpy transformer (the T5 recipe).
 
-Adafactor keeps factored second-moment statistics for matrices (one
+It keeps factored second-moment statistics for matrices (one
 row vector and one column vector instead of a full matrix), uses the
 step-dependent decay beta2(t) = 1 - t**-0.8, and clips each update to
 unit root-mean-square. Learning rates are fixed, not scheduled.
@@ -10,15 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ParameterError
-from .config import OptimizerKind, TrainConfig
-
 _EPS_FACTORED = 1e-30
 _CLIP_RMS = 1.0
-
-_ADAM_BETA1 = 0.9
-_ADAM_BETA2 = 0.999
-_ADAM_EPS = 1e-8
 
 
 def _mean(x, axis):
@@ -61,31 +54,3 @@ class Adafactor:
                 update = g / np.sqrt(state["full"])
             update /= max(1.0, _rms(update) / _CLIP_RMS)
             w -= self.learning_rate * update
-
-
-class Adam:
-    def __init__(self, params, learning_rate: float = 0.001):
-        self.learning_rate = learning_rate
-        self.step = 0
-        self._m = {k: np.zeros_like(v) for k, v in params.items()}
-        self._v = {k: np.zeros_like(v) for k, v in params.items()}
-
-    def update(self, params, grads) -> None:
-        self.step += 1
-        b1c = 1.0 - _ADAM_BETA1**self.step
-        b2c = 1.0 - _ADAM_BETA2**self.step
-        for name, w in params.items():
-            g = grads[name]
-            m = self._m[name]
-            v = self._v[name]
-            m += (1.0 - _ADAM_BETA1) * (g - m)
-            v += (1.0 - _ADAM_BETA2) * (g * g - v)
-            w -= self.learning_rate * (m / b1c) / (np.sqrt(v / b2c) + _ADAM_EPS)
-
-
-def make_optimizer(params, train_config: TrainConfig):
-    if train_config.optimizer is OptimizerKind.ADAFACTOR:
-        return Adafactor(params, train_config.learning_rate)
-    if train_config.optimizer is OptimizerKind.ADAM:
-        return Adam(params, train_config.learning_rate)
-    raise ParameterError(f"unknown optimizer {train_config.optimizer!r}")

@@ -15,7 +15,7 @@ import numpy as np
 from ..errors import DivergenceError, ParameterError
 from .config import ModelConfig, TrainConfig
 from .network import init_params, loss_and_grads
-from .optim import make_optimizer
+from .optim import Adafactor
 
 log = logging.getLogger(__name__)
 
@@ -33,7 +33,7 @@ def train(dataset, train_config: TrainConfig, config: ModelConfig, params=None):
     if params is None:
         params = init_params(config, seed=train_config.seed)
     rng = np.random.default_rng(train_config.seed)
-    optimizer = make_optimizer(params, train_config)
+    optimizer = Adafactor(params, train_config.learning_rate)
     batch = train_config.batch_size
     history = []
     step = 0

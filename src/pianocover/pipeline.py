@@ -70,7 +70,6 @@ class BuiltPair:
     report: FilterReport | None = None
     examples: list = field(default_factory=list)
     dropped_segments: int = 0
-    error: str | None = None
 
     @property
     def kept(self) -> bool:

@@ -221,6 +221,32 @@ def decode_segment(tokens, open_notes=None):
     return seq, open_map
 
 
+def generated_segment(ids) -> TokenSeq:
+    """The segment made of a model's generated ids, without the ones it
+    cannot hold: PAD, beat shifts past the MAX_SHIFT cap and pitches
+    outside the piano range are dropped with a warning."""
+    kept = []
+    shift_total = 0
+    dropped = 0
+    for t in ids:
+        sym = symbol(t)
+        if sym[0] == "pad":
+            dropped += 1
+            continue
+        if sym[0] == "shift":
+            if shift_total + sym[1] > MAX_SHIFT:
+                dropped += 1
+                continue
+            shift_total += sym[1]
+        if sym[0] == "pitch" and not PIANO_PITCH_MIN <= sym[1] <= PIANO_PITCH_MAX:
+            dropped += 1
+            continue
+        kept.append(t)
+    if dropped:
+        log.warning("dropped %d unusable generated tokens", dropped)
+    return TokenSeq(tuple(kept))
+
+
 def stitch(segments, segment_halfbeats: int = SEGMENT_HALFBEATS) -> NoteSequence:
     """Concatenate decoded segments into one piece in absolute half-beats.
 

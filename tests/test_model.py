@@ -1,9 +1,11 @@
 """Tests for the numpy transformer: buckets, shapes, causality, gradients."""
 
+import ast
 import json
 import math
 import re
 import struct
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +20,6 @@ from pianocover.errors import (
 )
 from pianocover.model import (
     ModelConfig,
-    OptimizerKind,
     TrainConfig,
     compute_loss,
     count_params,
@@ -30,7 +31,6 @@ from pianocover.model import (
     init_params,
     load_checkpoint,
     loss_and_grads,
-    make_optimizer,
     param_shapes,
     paper_scale_config,
     relative_position_bucket,
@@ -148,6 +148,29 @@ class TestConfig:
     def test_paper_scale_window(self):
         n = count_params(paper_scale_config())
         assert 50_000_000 <= n <= 70_000_000
+
+
+def _pianocover_imports(path):
+    """The top-level pianocover modules a source file imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level != 1:  # level 1: model/
+            root = "pianocover" if node.level == 2 else None
+            modules = [".".join(filter(None, [root, node.module, a.name])) for a in node.names]
+        else:
+            continue
+        found.update(m.split(".")[1] for m in modules if m.startswith("pianocover."))
+    return found
+
+
+def test_model_package_leaves_the_token_grammar_to_the_tokenizer():
+    model_dir = Path(network.__file__).parent
+    imports = {path.name: _pianocover_imports(path) for path in model_dir.glob("*.py")}
+    assert "tokenizer" in imports["network.py"]
+    for name, modules in imports.items():
+        assert not modules & {"midi", "features", "pipeline"}, name
 
 
 class TestInitParams:
@@ -320,9 +343,11 @@ class TestIncrementalDecoder:
     def _spy_raw(self, monkeypatch):
         """Collects the raw ids greedy_generate hands to its token filter."""
         seen = []
-        usable_tokens = network._usable_tokens
+        generated_segment = network.generated_segment
         monkeypatch.setattr(
-            network, "_usable_tokens", lambda raw: seen.append(list(raw)) or usable_tokens(raw)
+            network,
+            "generated_segment",
+            lambda raw: seen.append(list(raw)) or generated_segment(raw),
         )
         return seen
 
@@ -415,13 +440,13 @@ class TestIncrementalDecoder:
         def forbidden(*args, **kwargs):
             raise AssertionError("greedy_generate ran the full-sequence decoder")
 
-        usable_tokens = network._usable_tokens
+        generated_segment = network.generated_segment
         seen = self._spy_raw(monkeypatch)
         monkeypatch.setattr(network, "decoder_forward", forbidden)
         for case, raw in zip(cases, expected):
             seq = greedy_generate(*case, cfg)
             assert seen.pop() == raw
-            assert seq.ids == usable_tokens(raw).ids
+            assert seq.ids == generated_segment(raw).ids
 
     def test_lockstep_greedy_matches_each_window(self, monkeypatch):
         cfg = tiny_config(num_decoder_layers=2, max_decode_len=24)
@@ -441,12 +466,12 @@ class TestIncrementalDecoder:
         def forbidden(*args, **kwargs):
             raise AssertionError("greedy_generate_windows ran the full-sequence decoder")
 
-        usable_tokens = network._usable_tokens
+        generated_segment = network.generated_segment
         seen = self._spy_raw(monkeypatch)
         monkeypatch.setattr(network, "decoder_forward", forbidden)
         seqs = greedy_generate_windows(windows, 0, eager, cfg)
         assert seen == expected
-        assert [seq.ids for seq in seqs] == [usable_tokens(raw).ids for raw in expected]
+        assert [seq.ids for seq in seqs] == [generated_segment(raw).ids for raw in expected]
 
     def test_lockstep_groups_are_bounded(self, monkeypatch):
         cfg = tiny_config(max_decode_len=6)
@@ -650,29 +675,19 @@ class TestOptimizers:
 
     def test_adafactor_state_is_factored(self):
         params = {"mat": np.zeros((6, 4)), "vec": np.zeros(5)}
-        opt = make_optimizer(params, TrainConfig(optimizer=OptimizerKind.ADAFACTOR))
+        opt = optim.Adafactor(params)
         assert opt._state["mat"]["row"].shape == (6,)
         assert opt._state["mat"]["col"].shape == (4,)
         assert opt._state["vec"]["full"].shape == (5,)
 
-    @pytest.mark.parametrize("kind", [OptimizerKind.ADAFACTOR, OptimizerKind.ADAM])
-    def test_descends_quadratic(self, kind):
+    def test_descends_quadratic(self):
         rng = np.random.default_rng(0)
         params = {"w": rng.normal(size=(8, 8))}
-        opt = make_optimizer(params, TrainConfig(optimizer=kind, learning_rate=0.05))
+        opt = optim.Adafactor(params, learning_rate=0.05)
         start = float(np.sum(params["w"] ** 2))
         for _ in range(200):
             opt.update(params, {"w": 2.0 * params["w"]})
         assert float(np.sum(params["w"] ** 2)) < 0.05 * start
-
-    def test_adam_first_step_is_signlike(self):
-        params = {"w": np.zeros(4)}
-        opt = make_optimizer(
-            params, TrainConfig(optimizer=OptimizerKind.ADAM, learning_rate=0.1)
-        )
-        grads = {"w": np.array([3.0, -2.0, 0.5, -0.1])}
-        opt.update(params, grads)
-        assert np.allclose(params["w"], -0.1 * np.sign(grads["w"]), atol=1e-6)
 
 
 class TestCheckpoint:

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -550,6 +554,10 @@ CONTRACT_ROWS = [
     _row("manifest-arranger", "build-dataset {bad} {out_dir}",
          "manifest.csv:3: arranger_id 'two' is not an integer", "manifest.csv",
          b"pop_path,cover_path,arranger_id\na.wav,a.mid,0\nb.wav,b.mid,two\n"),
+    _row("manifest-arranger-negative", "build-dataset {bad} {out_dir}",
+         "manifest.csv:2: arranger_id -1 is negative", "manifest.csv",
+         lambda inputs: f"pop_path,cover_path,arranger_id\n{inputs['wav']},{inputs['mid']},-1\n"
+         .encode()),
     _row("manifest-short-row", "build-dataset {bad} {out_dir}",
          "manifest.csv:2: arranger_id None is not an integer", "manifest.csv",
          b"pop_path,cover_path,arranger_id\na.wav\n"),
@@ -575,6 +583,8 @@ CONTRACT_ROWS = [
          b"learning_rate = fast\n"),
     _row("config-train", "train {ds} {bad} {out}",
          "train.cfg:2: cannot read epochs = 'ten' as int", "train.cfg", b"# run\nepochs = ten\n"),
+    _row("config-optimizer", "train {ds} {bad} {out}",
+         "train.cfg:1: unknown key 'optimizer'", "train.cfg", b"optimizer = adafactor\n"),
     _row("config-not-utf8", "train {ds} {bad} {out}",
          "train.cfg: not UTF-8 text (at byte offset 11)", "train.cfg", b"epochs = 2\n\xff\n"),
     _row("config-learning-rate-nan", "train {ds} {bad} {out}",
@@ -719,6 +729,39 @@ class TestCli:
         assert "Traceback" not in err
         assert message in err
 
+    def test_warnings_print_only_on_success(self, tmp_path):
+        # Runs the entry point in its own process: pytest's log capture
+        # would hide warnings that reach stderr outside the CLI's output.
+        record, _, _, _ = make_pair(tmp_path, np.random.default_rng(0), name="song")
+        # One stray note-off, then one note.
+        track = bytes([0, 0x80, 60, 0, 0, 0x90, 64, 100, 96, 0x80, 64, 0, 0, 0xFF, 0x2F, 0])
+        stray = tmp_path / "stray.mid"
+        stray.write_bytes(b"MThd" + struct.pack(">IHHH", 6, 0, 1, 96)
+                          + b"MTrk" + struct.pack(">I", len(track)) + track)
+        one_beat = tmp_path / "one.beats"
+        one_beat.write_text("0.5\n")
+        short = tmp_path / "short.beats"
+        short.write_text("\n".join(Path(record.beats).read_text().split()[:8]) + "\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "pianocover.cli", *map(str, argv)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+
+        out = tmp_path / "out.mid"
+        failed = run("sync", record.pop_audio, stray, out, "--beats", one_beat)
+        assert failed.returncode == 1
+        assert failed.stderr.splitlines() == [
+            f"error: {one_beat}: a beat grid needs at least 2 beats"
+        ]
+        clamped = run("sync", record.pop_audio, record.cover_midi, out, "--beats", short)
+        assert clamped.returncode == 0
+        lines = clamped.stderr.splitlines()
+        assert lines and all(line.startswith("warning: ") for line in lines)
+        assert any("clamped to the beat grid" in line for line in lines)
+
     def test_help_exits_zero(self, capsys):
         for argv in (["--help"], ["render", "--help"]):
             with pytest.raises(SystemExit) as exc:
@@ -810,7 +853,7 @@ class TestCli:
             "num_encoder_layers = 1\nnum_decoder_layers = 1\n"
             "n_mels = 128\nnum_arrangers = 4\nmax_decode_len = 48\n"
             "epochs = 2\nbatch_size = 2\nlearning_rate = 0.001\n"
-            "optimizer = adam\nseed = 0\n"
+            "seed = 0\n"
         )
         ckpt = tmp_path / "model.ckpt"
         assert main(["train", str(ds), str(config), str(ckpt)]) == 0
