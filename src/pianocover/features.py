@@ -5,6 +5,9 @@ sample rate, 4096-sample Hann window, 1024-sample hop, magnitude squared to
 power before mel pooling, HTK mel scale over [0, 11025] Hz with
 area-normalized triangles, log floor 1e-6.  Frames are fully interior (no
 center padding) so frame k covers samples [k*hop, k*hop + window) exactly.
+Spectra are computed in bounded blocks of frames (``pooled_stft``), and
+each block is pooled to a few values per frame before the next is built,
+so no whole-song frame, spectrum or magnitude array exists at any time.
 ``load_wav`` resamples to SAMPLE_RATE, and everything after it runs at that
 rate.
 """
@@ -30,6 +33,10 @@ WINDOW = 4096
 HOP = 1024
 N_MELS = 128
 LOG_FLOOR = 1e-6
+# Samples of frame data per STFT block: 2048 frames at a 1024-sample
+# window, 512 at WINDOW.  A block's frame copy, spectrum and magnitude
+# together take about 50 MB, whatever the length of the song.
+_BLOCK_SAMPLES = 2**21
 
 
 @dataclass(frozen=True)
@@ -69,6 +76,25 @@ def stft_mag(audio: np.ndarray, window: int = WINDOW, hop: int = HOP) -> np.ndar
         )
     segs = sliding_window_view(audio, window)[::hop] * hann(window)
     return np.abs(np.fft.rfft(segs, n=window, axis=1))
+
+
+def pooled_stft(audio: np.ndarray, window: int, hop: int, pool) -> np.ndarray:
+    """``pool(stft_mag(audio, window, hop))``, built block by block.
+
+    ``pool`` maps a (frames, bins) magnitude block to one row per frame.
+    Blocks hold ``_BLOCK_SAMPLES // window`` frames and the last block
+    absorbs the remainder, so every block is at least that tall or is the
+    whole signal: a block of a few rows runs other BLAS and reduction
+    kernels, whose sums can round differently.  The rows are therefore
+    bit-identical to pooling one whole-signal STFT.
+    """
+    audio = np.asarray(audio, dtype=np.float64)
+    block = _BLOCK_SAMPLES // window
+    starts = range(0, max(num_frames(len(audio), window, hop) // block, 1) * block, block)
+    ends = [(s + block - 1) * hop + window for s in starts[:-1]] + [len(audio)]
+    return np.concatenate([
+        pool(stft_mag(audio[s * hop : end], window, hop)) for s, end in zip(starts, ends)
+    ])
 
 
 def hz_to_mel(hz):
@@ -111,7 +137,9 @@ def log_mel(mag: np.ndarray, *, n_mels: int = N_MELS) -> MelSpectrogram:
 
 def melspectrogram(audio: np.ndarray, *, n_mels: int = N_MELS) -> MelSpectrogram:
     """Model-frontend log mel frames of SAMPLE_RATE audio (WINDOW/HOP STFT)."""
-    return log_mel(stft_mag(audio), n_mels=n_mels)
+    return MelSpectrogram(
+        pooled_stft(audio, WINDOW, HOP, lambda mag: log_mel(mag, n_mels=n_mels).frames)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +156,8 @@ def resample(audio: np.ndarray, orig_rate: int, target_rate: int = SAMPLE_RATE):
     )
 
 
-def load_wav(path) -> np.ndarray:
-    """Read a 16-bit PCM WAV, downmix stereo by average, resample to
-    SAMPLE_RATE, and scale to [-1, 1]."""
+def _read_pcm16_mono(path):
+    """(rate, float64 mono samples in [-1, 1]) of a 16-bit PCM WAV."""
     try:
         with warnings.catch_warnings():
             # A file shorter than its RIFF header promises is truncated.
@@ -143,9 +170,19 @@ def load_wav(path) -> np.ndarray:
         raise ParameterError(
             f"{path}: expected 16-bit PCM WAV, got dtype {data.dtype}"
         )
-    samples = data.astype(np.float64) / 32768.0
-    if samples.ndim == 2:
-        samples = samples.mean(axis=1)
+    # One float64 pass: int16 sums and power-of-two scaling are exact, so
+    # this equals scaling each channel by 1/32768 and then averaging.
+    channels = data.shape[1] if data.ndim == 2 else 1
+    samples = data.reshape(len(data), channels).sum(axis=1, dtype=np.float64)
+    samples /= 32768.0 * channels
+    return rate, samples
+
+
+def load_wav(path) -> np.ndarray:
+    """Read a 16-bit PCM WAV, downmix stereo by average, resample to
+    SAMPLE_RATE, and scale to [-1, 1]."""
+    # The int16 data is freed before resampling allocates its output.
+    rate, samples = _read_pcm16_mono(path)
     return resample(samples, rate, SAMPLE_RATE)
 
 

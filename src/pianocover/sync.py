@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, ParameterError, ValidationError
-from .features import stft_mag
+from .features import pooled_stft
 from .midi import Note, NoteSequence, TimeUnit
 
 FRAME_RATE = 10.0  # chroma frames per second, for audio and MIDI alike
@@ -29,6 +29,11 @@ _COST_SNAP = 1e-12
 
 # Minimal spacing enforced on the warped time axis, in seconds.
 _STRICT_EPS = 1e-3
+
+# Largest source x target frame product dtw will align: 10 minutes against
+# 10 minutes at FRAME_RATE.  dtw holds about 17 bytes per cell (the cost and
+# accumulated matrices plus a boolean mask), so this caps it near 0.6 GB.
+MAX_DTW_CELLS = 36_000_000
 
 
 @dataclass(frozen=True)
@@ -89,6 +94,24 @@ def _normalize_rows(frames):
     return frames / safe
 
 
+def _fold_chroma(mag, sample_rate: int):
+    """Sum the bin powers of a CHROMA_WINDOW magnitude block per pitch class."""
+    n_bins = mag.shape[1]
+    freqs = np.arange(n_bins) * sample_rate / CHROMA_WINDOW
+    classes = np.full(n_bins, -1)
+    voiced = freqs > 0
+    pitch = 69.0 + 12.0 * np.log2(freqs[voiced] / 440.0)
+    classes[voiced] = np.round(pitch).astype(int) % 12
+
+    power = mag**2
+    per_frame = np.zeros((len(power), 12))
+    for c in range(12):
+        sel = classes == c
+        if sel.any():
+            per_frame[:, c] = power[:, sel].sum(axis=1)
+    return per_frame
+
+
 def audio_chroma(audio, sample_rate: int) -> Chromagram:
     """Pitch-class energies of an audio signal at FRAME_RATE.
 
@@ -106,21 +129,9 @@ def audio_chroma(audio, sample_rate: int) -> Chromagram:
             f"second, fewer than the {FRAME_RATE:g} Hz chroma clock"
         )
 
-    mag = stft_mag(audio, CHROMA_WINDOW, CHROMA_HOP)
-    power = mag**2
-    n_bins = power.shape[1]
-    freqs = np.arange(n_bins) * sample_rate / CHROMA_WINDOW
-    classes = np.full(n_bins, -1)
-    voiced = freqs > 0
-    pitch = 69.0 + 12.0 * np.log2(freqs[voiced] / 440.0)
-    classes[voiced] = np.round(pitch).astype(int) % 12
-
-    per_frame = np.zeros((len(power), 12))
-    for c in range(12):
-        sel = classes == c
-        if sel.any():
-            per_frame[:, c] = power[:, sel].sum(axis=1)
-
+    per_frame = pooled_stft(
+        audio, CHROMA_WINDOW, CHROMA_HOP, lambda mag: _fold_chroma(mag, sample_rate)
+    )
     centers = (np.arange(len(per_frame)) * CHROMA_HOP + CHROMA_WINDOW / 2) / sample_rate
     buckets = np.floor(centers * FRAME_RATE).astype(int)
     out = np.zeros((buckets[-1] + 1, 12))
@@ -169,10 +180,18 @@ def dtw(source: Chromagram, target: Chromagram) -> WarpPath:
     """Minimum-cost monotone alignment between two chromagrams.
 
     Steps are (1,0), (0,1) and (1,1) with uniform weights; ties in the
-    backtrace prefer the diagonal, then the source advance.
+    backtrace prefer the diagonal, then the source advance.  A pair of
+    more than MAX_DTW_CELLS frames raises AlignmentError before any
+    matrix is allocated.
     """
     if len(source) == 0 or len(target) == 0:
         raise ParameterError("cannot align an empty chromagram")
+    cells = len(source) * len(target)
+    if cells > MAX_DTW_CELLS:
+        raise AlignmentError(
+            f"aligning {len(source)} to {len(target)} chroma frames needs {cells} "
+            f"DTW cells, over the budget of {MAX_DTW_CELLS}"
+        )
     cost = chroma_cost(source, target)
     acc = _accumulate(cost)
     pairs = _backtrace(acc)

@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.io.wavfile
 
+from pianocover import beats, features, sync
 from pianocover.errors import ParameterError
 from pianocover.features import (
+    _BLOCK_SAMPLES,
     HOP,
     LOG_FLOOR,
     SAMPLE_RATE,
@@ -15,6 +20,7 @@ from pianocover.features import (
     hz_to_mel,
     melspectrogram,
     num_frames,
+    pooled_stft,
     resample,
     stft_mag,
     write_wav,
@@ -75,6 +81,166 @@ class TestStft:
         mag = stft_mag(x)
         direct = np.abs(np.fft.rfft(x[HOP : HOP + WINDOW] * hann(WINDOW)))
         np.testing.assert_allclose(mag[1], direct, rtol=1e-10, atol=1e-12)
+
+
+# The three pools the pipeline runs over blocked STFTs: window, hop, and
+# the pool that turns a magnitude block into one row per frame.
+POOLS = {
+    "onset-log-mel": (1024, 256, lambda mag: beats._onset_log_mel(mag, SAMPLE_RATE)),
+    "chroma-fold": (2048, 1024, lambda mag: sync._fold_chroma(mag, SAMPLE_RATE)),
+    "model-log-mel": (WINDOW, HOP, lambda mag: log_mel(mag).frames),
+}
+
+
+def boundary_frame_counts(window):
+    block = _BLOCK_SAMPLES // window
+    return [1, block - 1, block, block + 1, 2 * block - 1, 2 * block, 2 * block + 1,
+            3 * block + 5]
+
+
+def noise_with_frames(frames, window, hop):
+    """Seeded noise yielding exactly ``frames`` frames, plus a partial hop."""
+    rng = np.random.default_rng(frames)
+    return rng.normal(scale=0.1, size=(frames - 1) * hop + window + hop // 2)
+
+
+class TestPooledStft:
+    @pytest.mark.parametrize("pool_name", POOLS)
+    def test_blocks_match_one_whole_signal_stft(self, pool_name):
+        window, hop, pool = POOLS[pool_name]
+        for frames in boundary_frame_counts(window):
+            x = noise_with_frames(frames, window, hop)
+            whole = pool(stft_mag(x, window, hop))
+            assert len(whole) == frames
+            assert np.array_equal(pooled_stft(x, window, hop, pool), whole), frames
+
+    def test_onset_envelope_and_chroma_at_block_boundaries(self, monkeypatch):
+        def whole_signal(audio, window, hop, pool):
+            return pool(stft_mag(audio, window, hop))
+
+        for run, (window, hop, _), module in [
+            (beats.onset_envelope, POOLS["onset-log-mel"], features),
+            (lambda x, sr: sync.audio_chroma(x, sr).frames, POOLS["chroma-fold"], sync),
+        ]:
+            for frames in boundary_frame_counts(window)[1:]:
+                x = noise_with_frames(frames, window, hop)
+                blocked = run(x, SAMPLE_RATE)
+                with monkeypatch.context() as patch:
+                    patch.setattr(module, "pooled_stft", whole_signal)
+                    whole = run(x, SAMPLE_RATE)
+                assert np.array_equal(blocked, whole), (window, frames)
+
+    def test_too_short_is_error(self):
+        with pytest.raises(ParameterError):
+            stft_mag(np.zeros(WINDOW - 1))
+
+    def test_zeros_give_zero_magnitudes(self):
+        assert np.all(stft_mag(np.zeros(WINDOW + HOP)) == 0.0)
+
+    def test_dc_closed_form(self):
+        # DC of amplitude a -> bin 0 magnitude equals a * sum(window)
+        a = 0.37
+        mag = stft_mag(np.full(WINDOW, a))
+        expected = a * hann(WINDOW).sum()
+        assert mag[0, 0] == pytest.approx(expected, rel=1e-6)
+
+    def test_bin_center_sine_concentrates(self):
+        # sine exactly on a bin center: dominant bin, leakage < -30 dB two bins off
+        k = 100
+        freq = k * SAMPLE_RATE / WINDOW
+        mag = stft_mag(sine(freq, 0.5))
+        spectrum = mag[2]
+        assert np.argmax(spectrum) == k
+        assert spectrum[k + 2] < spectrum[k] * 10 ** (-30 / 20)
+        assert spectrum[k - 2] < spectrum[k] * 10 ** (-30 / 20)
+
+    @pytest.mark.parametrize("window,hop", [(1024, 256), (2048, 1024), (WINDOW, HOP)])
+    def test_bits_match_per_frame_rfft(self, window, hop):
+        rng = np.random.default_rng(window + hop)
+        for length in [window, window + hop - 1, window + hop, window + 9 * hop + 5]:
+            x = rng.normal(size=length)
+            taper = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
+            loop = np.array([
+                np.abs(np.fft.rfft(x[k * hop : k * hop + window] * taper))
+                for k in range(num_frames(length, window, hop))
+            ])
+            assert np.array_equal(stft_mag(x, window, hop), loop)
+
+    def test_windowed_dft_closed_form(self):
+        # compare a whole frame against a direct DFT of the windowed signal
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=WINDOW + HOP)
+        mag = stft_mag(x)
+        direct = np.abs(np.fft.rfft(x[HOP : HOP + WINDOW] * hann(WINDOW)))
+        np.testing.assert_allclose(mag[1], direct, rtol=1e-10, atol=1e-12)
+
+
+# The three pools the pipeline runs over blocked STFTs: window, hop, and
+# the pool that turns a magnitude block into one row per frame.
+POOLS = {
+    "onset-log-mel": (1024, 256, lambda mag: beats._onset_log_mel(mag, SAMPLE_RATE)),
+    "chroma-fold": (2048, 1024, lambda mag: sync._fold_chroma(mag, SAMPLE_RATE)),
+    "model-log-mel": (WINDOW, HOP, lambda mag: log_mel(mag).frames),
+}
+
+
+def boundary_frame_counts(window):
+    block = _BLOCK_SAMPLES // window
+    return [1, block - 1, block, block + 1, 2 * block - 1, 2 * block, 2 * block + 1,
+            3 * block + 5]
+
+
+def noise_with_frames(frames, window, hop):
+    """Seeded noise yielding exactly ``frames`` frames, plus a partial hop."""
+    rng = np.random.default_rng(frames)
+    return rng.normal(scale=0.1, size=(frames - 1) * hop + window + hop // 2)
+
+
+class TestPooledStft:
+    @pytest.mark.parametrize("pool_name", POOLS)
+    def test_blocks_match_one_whole_signal_stft(self, pool_name):
+        window, hop, pool = POOLS[pool_name]
+        for frames in boundary_frame_counts(window):
+            x = noise_with_frames(frames, window, hop)
+            whole = pool(stft_mag(x, window, hop))
+            assert len(whole) == frames
+            assert np.array_equal(pooled_stft(x, window, hop, pool), whole), frames
+
+    def test_onset_envelope_and_chroma_at_block_boundaries(self):
+        window, hop, pool = POOLS["onset-log-mel"]
+        for frames in boundary_frame_counts(window)[1:]:
+            x = noise_with_frames(frames, window, hop)
+            env, times = beats.onset_envelope(x, SAMPLE_RATE)
+            whole = pool(stft_mag(x, window, hop))
+            assert np.array_equal(env, np.maximum(np.diff(whole, axis=0), 0.0).sum(axis=1))
+            assert len(times) == frames - 1
+        window, hop, pool = POOLS["chroma-fold"]
+        for frames in boundary_frame_counts(window):
+            x = noise_with_frames(frames, window, hop)
+            chroma = sync.audio_chroma(x, SAMPLE_RATE).frames
+            per_frame = pool(stft_mag(x, window, hop))
+            # Frames centred in the first 1/FRAME_RATE s fill bucket 0.
+            first = int(np.sum((np.arange(frames) * hop + window / 2) / SAMPLE_RATE
+                               < 1.0 / sync.FRAME_RATE))
+            mean = per_frame[:first].mean(axis=0)
+            assert np.allclose(chroma[0], mean / mean.max(), rtol=1e-12, atol=0)
+
+    def test_too_short_is_error(self):
+        with pytest.raises(ParameterError, match="shorter than one 1024-sample window"):
+            pooled_stft(np.zeros(1023), 1024, 256, lambda mag: mag)
+
+    @pytest.mark.parametrize("run", [beats.onset_envelope, sync.audio_chroma],
+                             ids=lambda run: run.__name__)
+    def test_memory_does_not_grow_with_the_song(self, run):
+        # 240 s of audio: whole-song STFT arrays would take 200-400 MB here.
+        audio = np.random.default_rng(240).normal(scale=0.1, size=240 * SAMPLE_RATE)
+        tracemalloc.start()
+        try:
+            run(audio, SAMPLE_RATE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6, f"{run.__name__} peaked {peak / 1e6:.0f} MB above its input"
 
 
 class TestMel:
@@ -168,6 +334,24 @@ class TestWavIO:
         mag = stft_mag(y)
         peak_bin = np.argmax(mag[4])
         assert abs(peak_bin * SAMPLE_RATE / WINDOW - 440.0) < 6.0
+
+    @pytest.mark.parametrize("rate", [SAMPLE_RATE, 44100])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_scaling_and_downmix_bits_and_memory(self, tmp_path, rate, channels):
+        rng = np.random.default_rng(rate + channels)
+        data = rng.integers(-32768, 32768, size=(30 * rate, channels)).astype(np.int16)
+        p = tmp_path / "noise.wav"
+        scipy.io.wavfile.write(p, rate, data[:, 0] if channels == 1 else data)
+        tracemalloc.start()
+        try:
+            y = load_wav(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Per-channel scaling, then the average, as separate passes.
+        expected = resample((data.astype(np.float64) / 32768.0).mean(axis=1), rate)
+        assert np.array_equal(y, expected)
+        assert peak <= 4 * y.nbytes
 
     def test_rejects_float_wav(self, tmp_path):
         import scipy.io.wavfile

@@ -173,6 +173,21 @@ def test_model_package_leaves_the_token_grammar_to_the_tokenizer():
         assert not modules & {"midi", "features", "pipeline"}, name
 
 
+def test_features_module_is_the_only_spectral_path():
+    # The blocked STFT in features.py keeps memory bounded; a direct
+    # stft_mag or np.fft call elsewhere would bring back whole-song spectra.
+    src = Path(network.__file__).parent.parent
+    for path in sorted(src.rglob("*.py")):
+        if path.name == "features.py" and path.parent == src:
+            continue
+        tree = ast.parse(path.read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        assert not names & {"stft_mag", "fft", "numpy.fft", "rfft"}, path.name
+
+
 class TestInitParams:
     def test_shapes_and_order(self):
         cfg = tiny_config()

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.io.wavfile
 
+from pianocover import sync
 from pianocover.beats import BeatGrid, halfbeats_to_seconds, read_beat_file, write_beat_file
 from pianocover.cli import main
 from pianocover.errors import ParameterError
@@ -267,6 +268,14 @@ class TestBuildDataset:
         assert "nan.csv: times and f0 values must be finite" in reasons[1]
         assert "inf.csv: times and f0 values must be finite" in reasons[2]
 
+    def test_pair_over_the_dtw_budget_quarantines(self, tmp_path, monkeypatch):
+        record, _, _, _ = make_pair(tmp_path, np.random.default_rng(6), name="song")
+        monkeypatch.setattr(sync, "MAX_DTW_CELLS", 100)
+        examples, report = build_dataset([record])
+        assert (examples, report.failed) == ([], 1)
+        assert report.entries[0]["status"] == "failed"
+        assert "DTW cells, over the budget of 100" in report.entries[0]["reason"]
+
     def test_rebuild_is_byte_identical(self, tmp_path):
         rng = np.random.default_rng(4)
         record, _, _, _ = make_pair(tmp_path, rng, name="idem")
@@ -464,6 +473,14 @@ def _with_f0(value):
     return content
 
 
+def _cover_over_the_dtw_budget(inputs):
+    """One note held so long that aligning it to the valid song needs
+    just over the DTW cell budget."""
+    audio_frames = len(sync.audio_chroma(load_wav(inputs["wav"]), SAMPLE_RATE))
+    seconds = sync.MAX_DTW_CELLS / audio_frames / sync.FRAME_RATE + 1.0
+    return write_smf(NoteSequence.build([Note(0.0, 60, seconds)]))
+
+
 def _eight_bit_wav(inputs):
     buffer = io.BytesIO()
     scipy.io.wavfile.write(buffer, SAMPLE_RATE, np.full(SAMPLE_RATE, 128, dtype=np.uint8))
@@ -500,6 +517,8 @@ CONTRACT_ROWS = [
     # MIDI: every error names the file
     _row("mid-empty", "sync {wav} {bad} {out} --beats {beats}",
          "song.mid: unexpected end of data", "song.mid", b""),
+    _row("mid-over-dtw-budget", "sync {wav} {bad} {out} --beats {beats}",
+         "DTW cells, over the budget of 36000000", "song.mid", _cover_over_the_dtw_budget),
     _row("mid-truncated", "filter {bad} {f0} --pop-seconds 8",
          "song.mid: unexpected end of data", "song.mid", _first_half("mid")),
     _row("mid-not-smf", "tokenize {bad} {out}",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +257,19 @@ class TestDTW:
         c = random_chroma(np.random.default_rng(1), 5)
         with pytest.raises(ParameterError):
             dtw(Chromagram(np.zeros((0, 12))), c)
+
+    def test_cell_budget_is_checked_before_allocating(self):
+        source = Chromagram(np.ones((7000, 12)))
+        target = Chromagram(np.ones((6000, 12)))
+        assert len(source) * len(target) > sync.MAX_DTW_CELLS
+        tracemalloc.start()
+        try:
+            with pytest.raises(AlignmentError, match="aligning 7000 to 6000 chroma frames"):
+                dtw(source, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6  # the cost matrix alone would be 336 MB
 
 
 def diagonal_path(n):
