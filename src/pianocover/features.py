@@ -172,8 +172,12 @@ def _read_pcm16_mono(path):
         )
     # One float64 pass: int16 sums and power-of-two scaling are exact, so
     # this equals scaling each channel by 1/32768 and then averaging.
-    channels = data.shape[1] if data.ndim == 2 else 1
-    samples = data.reshape(len(data), channels).sum(axis=1, dtype=np.float64)
+    if data.ndim == 2:
+        channels = data.shape[1]
+        samples = data.sum(axis=1, dtype=np.float64)
+    else:
+        channels = 1
+        samples = data.astype(np.float64)
     samples /= 32768.0 * channels
     return rate, samples
 
