@@ -169,8 +169,7 @@ def halfbeats_to_seconds(seq: NoteSequence, grid: BeatGrid) -> NoteSequence:
 
 def _onset_log_mel(mag: np.ndarray, sample_rate: int) -> np.ndarray:
     """Log mel power of an onset-window magnitude block, one row per frame."""
-    fb = features.mel_filterbank(sample_rate, _ONSET_WINDOW, _ONSET_MELS)
-    return np.log((mag ** 2) @ fb.T + _ONSET_FLOOR)
+    return np.log(features.mel_power(mag ** 2, sample_rate, _ONSET_MELS) + _ONSET_FLOOR)
 
 
 def onset_envelope(audio: np.ndarray, sample_rate: int):
@@ -204,19 +203,23 @@ def estimate_tempo_period(env: np.ndarray, frame_rate: float) -> float:
     kernel = np.hanning(7)
     x = np.convolve(env, kernel / kernel.sum(), mode="same")
     x = x - x.mean()
-    acf = np.correlate(x, x, mode="full")[len(x) - 1 :]
     lag_min = max(2, int(np.floor(frame_rate * 60.0 / TEMPO_MAX_BPM)))
     lag_max = int(np.ceil(frame_rate * 60.0 / TEMPO_MIN_BPM))
-    if lag_max >= len(acf):
+    if lag_max >= len(x):
         raise NoBeatsError("audio too short to estimate a tempo")
+    # acf[i] is the autocorrelation at lag lag_min - 1 + i: the candidate
+    # lags plus one neighbour each side for the parabola.  Each is the dot
+    # product np.correlate(x, x, "full") runs for that lag, so the values
+    # are the same bits.  A lag of len(x) is an empty product, never read.
+    acf = np.array([np.dot(x[k:], x[: len(x) - k]) for k in range(lag_min - 1, lag_max + 2)])
     lags = np.arange(lag_min, lag_max + 1)
     bpm = 60.0 * frame_rate / lags
     prior = np.exp(-0.5 * np.log2(bpm / 120.0) ** 2)
-    window = acf[lag_min : lag_max + 1] * prior
-    k = lag_min + int(np.argmax(window))
+    best = int(np.argmax(acf[1:-1] * prior))
+    k = lag_min + best
     period = float(k)
-    if 1 <= k < len(acf) - 1:
-        a, b, c = acf[k - 1], acf[k], acf[k + 1]
+    if k < len(x) - 1:
+        a, b, c = acf[best : best + 3]
         denom = a - 2 * b + c
         if denom < 0:
             period = k + 0.5 * (a - c) / denom

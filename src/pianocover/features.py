@@ -8,6 +8,8 @@ center padding) so frame k covers samples [k*hop, k*hop + window) exactly.
 Spectra are computed in bounded blocks of frames (``pooled_stft``), and
 each block is pooled to a few values per frame before the next is built,
 so no whole-song frame, spectrum or magnitude array exists at any time.
+Mel filterbanks are applied over each filter's nonzero band only
+(``mel_power``): a filter spans at most a few percent of the bins.
 ``load_wav`` resamples to SAMPLE_RATE, and everything after it runs at that
 rate.
 """
@@ -37,6 +39,10 @@ LOG_FLOOR = 1e-6
 # window, 512 at WINDOW.  A block's frame copy, spectrum and magnitude
 # together take about 50 MB, whatever the length of the song.
 _BLOCK_SAMPLES = 2**21
+# Consecutive mel filters applied as one matmul over the union of their
+# nonzero bins.  Eight keeps the slabs about 7% (model) and 14% (onset)
+# of the dense filterbank while each matmul stays large enough for BLAS.
+_BAND_FILTERS = 8
 
 
 @dataclass(frozen=True)
@@ -126,12 +132,45 @@ def mel_filterbank(sample_rate: int = SAMPLE_RATE, n_fft: int = WINDOW,
     return _read_only(fb)
 
 
+@lru_cache(maxsize=16)
+def mel_bands(sample_rate: int, n_fft: int, n_mels: int) -> tuple:
+    """``mel_filterbank`` split into runs of ``_BAND_FILTERS`` filters.
+
+    Each band is ``(first_filter, first_bin, slab)``: ``slab`` holds the
+    band's weights transposed, shape (bins, filters), over the consecutive
+    bins from the band's first to its last nonzero weight.  Every weight
+    outside the slabs is zero.  Built once per argument tuple, read-only.
+    """
+    fb = mel_filterbank(sample_rate, n_fft, n_mels)
+    bands = []
+    for first in range(0, n_mels, _BAND_FILTERS):
+        rows = fb[first : first + _BAND_FILTERS]
+        used = np.flatnonzero(rows.any(axis=0))
+        lo, hi = (used[0], used[-1] + 1) if len(used) else (0, 0)
+        bands.append((first, int(lo), _read_only(rows[:, lo:hi].T.copy())))
+    return tuple(bands)
+
+
+def mel_power(power: np.ndarray, sample_rate: int, n_mels: int) -> np.ndarray:
+    """``power @ mel_filterbank(sample_rate, n_fft, n_mels).T`` for a
+    (frames, n_fft // 2 + 1) power block, one small matmul per band.
+
+    The sums skip the filters' zero weights, so they can differ from the
+    dense product in the last place; a row's bits do not depend on how
+    many rows the block has once it has a few hundred.
+    """
+    n_fft = 2 * (power.shape[1] - 1)
+    out = np.empty((len(power), n_mels))
+    for first, lo, slab in mel_bands(sample_rate, n_fft, n_mels):
+        np.matmul(power[:, lo : lo + len(slab)], slab,
+                  out=out[:, first : first + slab.shape[1]])
+    return out
+
+
 def log_mel(mag: np.ndarray, *, n_mels: int = N_MELS) -> MelSpectrogram:
     """Pool an stft_mag matrix of SAMPLE_RATE audio into log mel power frames."""
     mag = np.asarray(mag, dtype=np.float64)
-    n_fft = 2 * (mag.shape[1] - 1)
-    fb = mel_filterbank(SAMPLE_RATE, n_fft, n_mels)
-    energy = (mag ** 2) @ fb.T
+    energy = mel_power(mag ** 2, SAMPLE_RATE, n_mels)
     return MelSpectrogram(np.log(energy + LOG_FLOOR))
 
 

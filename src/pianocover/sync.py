@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, ParameterError, ValidationError
-from .features import pooled_stft
+from .features import num_frames, pooled_stft
 from .midi import Note, NoteSequence, TimeUnit
 
 FRAME_RATE = 10.0  # chroma frames per second, for audio and MIDI alike
@@ -31,8 +31,9 @@ _COST_SNAP = 1e-12
 _STRICT_EPS = 1e-3
 
 # Largest source x target frame product dtw will align: 10 minutes against
-# 10 minutes at FRAME_RATE.  dtw holds about 17 bytes per cell (the cost and
-# accumulated matrices plus a boolean mask), so this caps it near 0.6 GB.
+# 10 minutes at FRAME_RATE.  dtw holds about 10 bytes per cell (one float64
+# matrix, accumulated in place, plus two boolean masks while the cost is
+# built), so this caps it near 0.36 GB.
 MAX_DTW_CELLS = 36_000_000
 
 
@@ -132,13 +133,33 @@ def audio_chroma(audio, sample_rate: int) -> Chromagram:
     per_frame = pooled_stft(
         audio, CHROMA_WINDOW, CHROMA_HOP, lambda mag: _fold_chroma(mag, sample_rate)
     )
-    centers = (np.arange(len(per_frame)) * CHROMA_HOP + CHROMA_WINDOW / 2) / sample_rate
-    buckets = np.floor(centers * FRAME_RATE).astype(int)
+    buckets = _chroma_buckets(np.arange(len(per_frame)), sample_rate)
     out = np.zeros((buckets[-1] + 1, 12))
     counts = np.bincount(buckets, minlength=len(out))
     np.add.at(out, buckets, per_frame)
     out[counts > 0] /= counts[counts > 0, None]
     return Chromagram(out)
+
+
+def _chroma_buckets(stft_frames: np.ndarray, sample_rate: int) -> np.ndarray:
+    """The chroma frame of each chroma STFT frame index: the FRAME_RATE
+    bucket its center time falls in."""
+    centers = (stft_frames * CHROMA_HOP + CHROMA_WINDOW / 2) / sample_rate
+    return np.floor(centers * FRAME_RATE).astype(int)
+
+
+def _audio_chroma_frames(num_samples: int, sample_rate: int) -> int:
+    """len(audio_chroma(audio, sample_rate)) for audio of ``num_samples``
+    samples, or 0 when the audio holds no STFT frame."""
+    stft_frames = num_frames(num_samples, CHROMA_WINDOW, CHROMA_HOP)
+    if stft_frames == 0:
+        return 0
+    return int(_chroma_buckets(np.array([stft_frames - 1]), sample_rate)[0]) + 1
+
+
+def _midi_chroma_frames(duration: float) -> int:
+    """len(midi_chroma(seq)) for a sequence of ``duration`` seconds."""
+    return max(1, int(np.ceil(duration * FRAME_RATE - 1e-9)))
 
 
 def midi_chroma(seq: NoteSequence) -> Chromagram:
@@ -147,7 +168,7 @@ def midi_chroma(seq: NoteSequence) -> Chromagram:
         raise ParameterError("midi_chroma expects a sequence in seconds")
     if len(seq) == 0:
         raise ParameterError("sequence must be nonempty")
-    n = max(1, int(np.ceil(seq.duration * FRAME_RATE - 1e-9)))
+    n = _midi_chroma_frames(seq.duration)
     times = (np.arange(n) + 0.5) / FRAME_RATE
     frames = np.zeros((n, 12))
     for note in seq:
@@ -169,11 +190,22 @@ def chroma_cost(source: Chromagram, target: Chromagram) -> np.ndarray:
     t_norm = np.linalg.norm(t, axis=1)
     s_hat = s / np.where(s_norm > 0, s_norm, 1.0)[:, None]
     t_hat = t / np.where(t_norm > 0, t_norm, 1.0)[:, None]
-    cost = 1.0 - s_hat @ t_hat.T
-    both_zero = (s_norm == 0)[:, None] & (t_norm == 0)[None, :]
-    cost[both_zero] = 0.0
-    cost[np.abs(cost) < _COST_SNAP] = 0.0
+    cost = s_hat @ t_hat.T
+    np.subtract(1.0, cost, out=cost)
+    cost[np.ix_(s_norm == 0, t_norm == 0)] = 0.0
+    near_zero = cost < _COST_SNAP
+    near_zero &= cost > -_COST_SNAP
+    cost[near_zero] = 0.0
     return cost
+
+
+def _check_dtw_budget(source_frames: int, target_frames: int):
+    cells = source_frames * target_frames
+    if cells > MAX_DTW_CELLS:
+        raise AlignmentError(
+            f"aligning {source_frames} to {target_frames} chroma frames needs {cells} "
+            f"DTW cells, over the budget of {MAX_DTW_CELLS}"
+        )
 
 
 def dtw(source: Chromagram, target: Chromagram) -> WarpPath:
@@ -186,40 +218,39 @@ def dtw(source: Chromagram, target: Chromagram) -> WarpPath:
     """
     if len(source) == 0 or len(target) == 0:
         raise ParameterError("cannot align an empty chromagram")
-    cells = len(source) * len(target)
-    if cells > MAX_DTW_CELLS:
-        raise AlignmentError(
-            f"aligning {len(source)} to {len(target)} chroma frames needs {cells} "
-            f"DTW cells, over the budget of {MAX_DTW_CELLS}"
-        )
-    cost = chroma_cost(source, target)
-    acc = _accumulate(cost)
+    _check_dtw_budget(len(source), len(target))
+    acc = _accumulate(chroma_cost(source, target))
     pairs = _backtrace(acc)
     return WarpPath(pairs, float(acc[-1, -1]))
 
 
 def _accumulate(cost):
-    # Antidiagonal sweeps: every cell on diagonal i + j = k depends only
-    # on diagonals k-1 and k-2, and each cell is one add plus a
-    # three-way min, so the result is bit-identical to a scalar loop.
-    # The cost sits inside an (n+1, m+1) array whose first row and column
-    # are inf, so in its flat form a diagonal and its up, left and diagonal
-    # neighbours are all slices with step m, and no cell needs a mask.
+    """Accumulated DTW cost, computed in place in the C-contiguous ``cost``.
+
+    The first row and column are running sums (np.cumsum adds in order).
+    Then antidiagonal sweeps: every inner cell on diagonal i + j = k
+    depends only on diagonals k-1 and k-2, and each cell is one add plus a
+    three-way min, so the result is bit-identical to a scalar loop.  In
+    the flat array a diagonal and its up, left and diagonal neighbours
+    are all slices with step m - 1.
+    """
     n, m = cost.shape
-    width = m + 1
-    padded = np.full((n + 1, width), np.inf)
-    padded[1:, 1:] = cost
-    flat = padded.reshape(-1)
-    for k in range(1, n + m - 1):
-        lo = max(0, k - m + 1)
-        hi = min(k, n - 1)
-        start = width + k + 1 + lo * m  # flat index of cell (lo, k - lo)
-        cells = slice(start, start + (hi - lo) * m + 1, m)
-        up = slice(start - width, cells.stop - width, m)
-        left = slice(start - 1, cells.stop - 1, m)
-        diag = slice(start - width - 1, cells.stop - width - 1, m)
+    np.cumsum(cost[0], out=cost[0])
+    np.cumsum(cost[:, 0], out=cost[:, 0])
+    if n == 1 or m == 1:
+        return cost
+    flat = cost.reshape(-1)
+    step = m - 1
+    for k in range(2, n + m - 1):
+        lo = max(1, k - m + 1)
+        hi = min(k - 1, n - 1)
+        start = lo * m + k - lo  # flat index of cell (lo, k - lo)
+        cells = slice(start, start + (hi - lo) * step + 1, step)
+        up = slice(start - m, cells.stop - m, step)
+        left = slice(start - 1, cells.stop - 1, step)
+        diag = slice(start - m - 1, cells.stop - m - 1, step)
         flat[cells] += np.minimum(flat[diag], np.minimum(flat[up], flat[left]))
-    return padded[1:, 1:]
+    return cost
 
 
 def _backtrace(acc):
@@ -290,6 +321,12 @@ def apply_warp(seq: NoteSequence, path: WarpPath) -> NoteSequence:
 
 
 def align_to_audio(seq: NoteSequence, audio, sample_rate: int) -> NoteSequence:
-    """Warp a cover's note timings onto the timeline of a recording."""
+    """Warp a cover's note timings onto the timeline of a recording.
+
+    The DTW budget is checked from the song lengths before either
+    chromagram is built, so an over-long cover allocates nothing.
+    """
+    _check_dtw_budget(_midi_chroma_frames(seq.duration),
+                      _audio_chroma_frames(len(audio), sample_rate))
     path = dtw(midi_chroma(seq), audio_chroma(audio, sample_rate))
     return apply_warp(seq, path)

@@ -180,6 +180,73 @@ class TestTracker:
         assert abs(ibi2 - ibi1) <= 0.01
 
 
+def tempo_period_full_correlate(env, frame_rate):
+    """estimate_tempo_period over every lag of np.correlate: the reference
+    for the version that computes only the lags it reads."""
+    kernel = np.hanning(7)
+    x = np.convolve(env, kernel / kernel.sum(), mode="same")
+    x = x - x.mean()
+    acf = np.correlate(x, x, mode="full")[len(x) - 1 :]
+    lag_min = max(2, int(np.floor(frame_rate * 60.0 / beats.TEMPO_MAX_BPM)))
+    lag_max = int(np.ceil(frame_rate * 60.0 / beats.TEMPO_MIN_BPM))
+    if lag_max >= len(acf):
+        raise NoBeatsError("audio too short to estimate a tempo")
+    lags = np.arange(lag_min, lag_max + 1)
+    bpm = 60.0 * frame_rate / lags
+    prior = np.exp(-0.5 * np.log2(bpm / 120.0) ** 2)
+    window = acf[lag_min : lag_max + 1] * prior
+    k = lag_min + int(np.argmax(window))
+    period = float(k)
+    if 1 <= k < len(acf) - 1:
+        a, b, c = acf[k - 1], acf[k], acf[k + 1]
+        denom = a - 2 * b + c
+        if denom < 0:
+            period = k + 0.5 * (a - c) / denom
+    return float(np.clip(period, lag_min, lag_max))
+
+
+ONSET_FRAME_RATE = SR / beats._ONSET_HOP
+LAG_MAX = int(np.ceil(ONSET_FRAME_RATE))  # the 60 BPM lag
+
+
+class TestTempoPeriod:
+    def test_matches_full_correlate_on_seeded_envelopes(self):
+        rng = np.random.default_rng(60)
+        lengths = [LAG_MAX + 1, LAG_MAX + 2, 200, 1001, 5000, 20000]
+        for n in lengths:
+            for period in [28.4, 43.0, 61.7, 86.0]:
+                env = rng.exponential(size=n)
+                env[np.round(np.arange(0, n, period)).astype(int)] += 5.0
+                assert beats.estimate_tempo_period(env, ONSET_FRAME_RATE) == \
+                    tempo_period_full_correlate(env, ONSET_FRAME_RATE), (n, period)
+
+    @pytest.mark.parametrize("n", [LAG_MAX + 1, LAG_MAX + 2])
+    def test_matches_at_the_shortest_lengths(self, n):
+        # Three signed values at each end put the peak on the longest lag
+        # in about one envelope in ten; at LAG_MAX + 1 frames that lag has
+        # no right-hand neighbour for the parabola.
+        rng = np.random.default_rng(n)
+        for _ in range(200):
+            env = np.zeros(n)
+            env[:3], env[-3:] = rng.normal(size=(2, 3))
+            period = beats.estimate_tempo_period(env, ONSET_FRAME_RATE)
+            assert period == tempo_period_full_correlate(env, ONSET_FRAME_RATE)
+
+    def test_too_short_is_error_in_both(self):
+        env = np.ones(LAG_MAX)
+        with pytest.raises(NoBeatsError):
+            beats.estimate_tempo_period(env, ONSET_FRAME_RATE)
+        with pytest.raises(NoBeatsError):
+            tempo_period_full_correlate(env, ONSET_FRAME_RATE)
+
+    @pytest.mark.parametrize("seconds_per_beat", [0.4, 0.5, 0.6, 0.75])
+    def test_matches_full_correlate_on_click_tracks(self, seconds_per_beat):
+        env, _ = beats.onset_envelope(click_track(seconds_per_beat), SR)
+        period = beats.estimate_tempo_period(env, ONSET_FRAME_RATE)
+        assert period == tempo_period_full_correlate(env, ONSET_FRAME_RATE)
+        assert abs(period / ONSET_FRAME_RATE - seconds_per_beat) < 0.02
+
+
 def dp_beat_select_loop(env, period):
     """Per-frame DP loop: the reference for the blocked _dp_beat_select."""
     n = len(env)

@@ -10,12 +10,15 @@ from pianocover.features import (
     _BLOCK_SAMPLES,
     HOP,
     LOG_FLOOR,
+    N_MELS,
     SAMPLE_RATE,
     WINDOW,
     hann,
     load_wav,
     log_mel,
+    mel_bands,
     mel_filterbank,
+    mel_power,
     mel_to_hz,
     hz_to_mel,
     melspectrogram,
@@ -130,83 +133,7 @@ class TestPooledStft:
                     whole = run(x, SAMPLE_RATE)
                 assert np.array_equal(blocked, whole), (window, frames)
 
-    def test_too_short_is_error(self):
-        with pytest.raises(ParameterError):
-            stft_mag(np.zeros(WINDOW - 1))
-
-    def test_zeros_give_zero_magnitudes(self):
-        assert np.all(stft_mag(np.zeros(WINDOW + HOP)) == 0.0)
-
-    def test_dc_closed_form(self):
-        # DC of amplitude a -> bin 0 magnitude equals a * sum(window)
-        a = 0.37
-        mag = stft_mag(np.full(WINDOW, a))
-        expected = a * hann(WINDOW).sum()
-        assert mag[0, 0] == pytest.approx(expected, rel=1e-6)
-
-    def test_bin_center_sine_concentrates(self):
-        # sine exactly on a bin center: dominant bin, leakage < -30 dB two bins off
-        k = 100
-        freq = k * SAMPLE_RATE / WINDOW
-        mag = stft_mag(sine(freq, 0.5))
-        spectrum = mag[2]
-        assert np.argmax(spectrum) == k
-        assert spectrum[k + 2] < spectrum[k] * 10 ** (-30 / 20)
-        assert spectrum[k - 2] < spectrum[k] * 10 ** (-30 / 20)
-
-    @pytest.mark.parametrize("window,hop", [(1024, 256), (2048, 1024), (WINDOW, HOP)])
-    def test_bits_match_per_frame_rfft(self, window, hop):
-        rng = np.random.default_rng(window + hop)
-        for length in [window, window + hop - 1, window + hop, window + 9 * hop + 5]:
-            x = rng.normal(size=length)
-            taper = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
-            loop = np.array([
-                np.abs(np.fft.rfft(x[k * hop : k * hop + window] * taper))
-                for k in range(num_frames(length, window, hop))
-            ])
-            assert np.array_equal(stft_mag(x, window, hop), loop)
-
-    def test_windowed_dft_closed_form(self):
-        # compare a whole frame against a direct DFT of the windowed signal
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=WINDOW + HOP)
-        mag = stft_mag(x)
-        direct = np.abs(np.fft.rfft(x[HOP : HOP + WINDOW] * hann(WINDOW)))
-        np.testing.assert_allclose(mag[1], direct, rtol=1e-10, atol=1e-12)
-
-
-# The three pools the pipeline runs over blocked STFTs: window, hop, and
-# the pool that turns a magnitude block into one row per frame.
-POOLS = {
-    "onset-log-mel": (1024, 256, lambda mag: beats._onset_log_mel(mag, SAMPLE_RATE)),
-    "chroma-fold": (2048, 1024, lambda mag: sync._fold_chroma(mag, SAMPLE_RATE)),
-    "model-log-mel": (WINDOW, HOP, lambda mag: log_mel(mag).frames),
-}
-
-
-def boundary_frame_counts(window):
-    block = _BLOCK_SAMPLES // window
-    return [1, block - 1, block, block + 1, 2 * block - 1, 2 * block, 2 * block + 1,
-            3 * block + 5]
-
-
-def noise_with_frames(frames, window, hop):
-    """Seeded noise yielding exactly ``frames`` frames, plus a partial hop."""
-    rng = np.random.default_rng(frames)
-    return rng.normal(scale=0.1, size=(frames - 1) * hop + window + hop // 2)
-
-
-class TestPooledStft:
-    @pytest.mark.parametrize("pool_name", POOLS)
-    def test_blocks_match_one_whole_signal_stft(self, pool_name):
-        window, hop, pool = POOLS[pool_name]
-        for frames in boundary_frame_counts(window):
-            x = noise_with_frames(frames, window, hop)
-            whole = pool(stft_mag(x, window, hop))
-            assert len(whole) == frames
-            assert np.array_equal(pooled_stft(x, window, hop, pool), whole), frames
-
-    def test_onset_envelope_and_chroma_at_block_boundaries(self):
+    def test_envelope_and_first_chroma_bucket_by_hand(self):
         window, hop, pool = POOLS["onset-log-mel"]
         for frames in boundary_frame_counts(window)[1:]:
             x = noise_with_frames(frames, window, hop)
@@ -300,6 +227,45 @@ class TestMel:
         np.testing.assert_allclose(
             (lb - la)[strong], np.log(4.0), rtol=0, atol=1e-9
         )
+
+
+# The two filterbanks the pipeline applies, the model's and the onset's,
+# and one so fine at the bottom that its first band has no nonzero weight.
+FILTERBANKS = {
+    "model": (SAMPLE_RATE, WINDOW, N_MELS),
+    "onset": (SAMPLE_RATE, beats._ONSET_WINDOW, beats._ONSET_MELS),
+    "empty-band": (SAMPLE_RATE, 1024, 1024),
+}
+
+
+class TestMelBands:
+    @pytest.mark.parametrize("bank", FILTERBANKS)
+    def test_bands_reassemble_the_filterbank(self, bank):
+        fb = mel_filterbank(*FILTERBANKS[bank])
+        dense = np.zeros_like(fb)
+        for first, lo, slab in mel_bands(*FILTERBANKS[bank]):
+            bins, filters = slab.shape
+            assert not dense[first : first + filters].any()
+            dense[first : first + filters, lo : lo + bins] = slab.T
+        # Every nonzero weight sits in exactly one slab, in place.
+        assert np.array_equal(dense, fb)
+
+    @pytest.mark.parametrize("bank", FILTERBANKS)
+    def test_bands_are_cached_and_read_only(self, bank):
+        bands = mel_bands(*FILTERBANKS[bank])
+        assert bands is mel_bands(*FILTERBANKS[bank])
+        for _, _, slab in bands:
+            with pytest.raises(ValueError):
+                slab[0, 0] = 1.0
+
+    @pytest.mark.parametrize("bank", FILTERBANKS)
+    @pytest.mark.parametrize("rows", [1, 40, 512, 2048])
+    def test_band_products_match_the_dense_product(self, bank, rows):
+        sample_rate, n_fft, n_mels = FILTERBANKS[bank]
+        fb = mel_filterbank(sample_rate, n_fft, n_mels)
+        power = np.random.default_rng(rows).exponential(size=(rows, n_fft // 2 + 1)) ** 2
+        got = mel_power(power, sample_rate, n_mels)
+        np.testing.assert_allclose(got, power @ fb.T, rtol=1e-13, atol=0)
 
 
 class TestWavIO:

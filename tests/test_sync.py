@@ -271,6 +271,41 @@ class TestDTW:
             tracemalloc.stop()
         assert peak < 1e6  # the cost matrix alone would be 336 MB
 
+    def test_sweep_runs_in_one_cost_sized_buffer(self):
+        rng = np.random.default_rng(1500)
+        source, target = random_chroma(rng, 1500, 3), random_chroma(rng, 1500, 3)
+        tracemalloc.start()
+        try:
+            dtw(source, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One float64 matrix plus boolean masks while the cost is built.
+        assert peak <= 1.4 * 1500 * 1500 * 8, peak / (1500 * 1500 * 8)
+
+
+class TestAlignBudget:
+    def test_frame_counts_match_the_chromagrams(self):
+        for samples in [2048, 2049, 3071, 3072, 4096, 22050, 22050 + 1023, 10 * SR + 7]:
+            frames = len(audio_chroma(np.zeros(samples), SR))
+            assert sync._audio_chroma_frames(samples, SR) == frames, samples
+        assert sync._audio_chroma_frames(2047, SR) == 0
+        for duration in [0.01, 0.05, 0.1, 0.1 + 1e-12, 0.15, 1.0, 7.33, 60.0]:
+            seq = NoteSequence.build([Note(0.0, 60, 0.01)], TimeUnit.SECONDS, duration)
+            assert sync._midi_chroma_frames(seq.duration) == len(midi_chroma(seq)), duration
+
+    def test_over_long_cover_is_refused_before_any_chromagram(self):
+        audio = sine(440.0, 10.0)
+        cover = NoteSequence.build([Note(0.0, 60, 12 * 3600.0)], TimeUnit.SECONDS)
+        tracemalloc.start()
+        try:
+            with pytest.raises(AlignmentError, match=r"aligning 432000 to \d+ chroma frames"):
+                align_to_audio(cover, audio, SR)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6  # the cover's chromagram alone would be 41 MB
+
 
 def diagonal_path(n):
     pairs = np.stack([np.arange(n), np.arange(n)], axis=1)
