@@ -3,7 +3,8 @@
 Exit codes: 0 success; 1 invalid input, including usage errors and
 numeric options that are not finite or not above 0; 2 I/O error; 3
 numeric failure such as training divergence. Every failure prints one
-line on stderr. Warnings the library logs while a command runs are
+line on stderr. Warnings the library logs while a command runs, and
+Python warnings raised under it (such as scipy's WavFileWarning), are
 held, and printed as "warning: ..." lines only if the command succeeds.
 
 The tokenize/detokenize commands exchange quantized pieces as MIDI with
@@ -21,6 +22,7 @@ import json
 import logging
 import math
 import sys
+import warnings
 from pathlib import Path
 
 
@@ -325,37 +327,43 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 class _HeldWarnings(logging.Handler):
-    """Keeps warning records until the command's outcome is known."""
+    """Keeps warning records and Python warnings, in the order they came,
+    until the command's outcome is known."""
 
     def __init__(self):
         super().__init__(logging.WARNING)
-        self.records = []
+        self.messages = []
 
     def emit(self, record):
-        self.records.append(record)
+        self.messages.append(record.getMessage())
+
+    def showwarning(self, message, *rest):
+        self.messages.append(str(message))
 
 
 def main(argv=None) -> int:
     held = _HeldWarnings()
     logger = logging.getLogger("pianocover")
     logger.addHandler(held)
-    try:
-        args = build_parser().parse_args(argv)
-        _check_positive_options(args)
-        code = args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
-    except (DivergenceError, ArithmeticError) as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
-    finally:
-        logger.removeHandler(held)
-    for record in held.records:
-        print(f"warning: {record.getMessage()}", file=sys.stderr)
+    with warnings.catch_warnings():
+        warnings.showwarning = held.showwarning
+        try:
+            args = build_parser().parse_args(argv)
+            _check_positive_options(args)
+            code = args.func(args)
+        except ValidationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return 2
+        except (DivergenceError, ArithmeticError) as exc:
+            print(f"numeric error: {exc}", file=sys.stderr)
+            return 3
+        finally:
+            logger.removeHandler(held)
+    for message in held.messages:
+        print(f"warning: {message}", file=sys.stderr)
     return code
 
 

@@ -28,7 +28,7 @@ import scipy.io.wavfile
 import scipy.signal
 from scipy.io.wavfile import WavFileWarning
 
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, ValidationError
 
 SAMPLE_RATE = 22050
 WINDOW = 4096
@@ -130,6 +130,27 @@ def mel_filterbank(sample_rate: int = SAMPLE_RATE, n_fft: int = WINDOW,
     fb = np.maximum(0.0, np.minimum(rising, falling))
     fb *= 2.0 / (hi - lo)
     return _read_only(fb)
+
+
+def check_model_mels(n_mels: int) -> None:
+    """Refuse a model ``n_mels`` whose filterbank has a filter that is zero
+    at every bin.  Such a channel would read ``log(LOG_FLOOR)`` in every
+    frame.  The limit comes from the bank itself: at SAMPLE_RATE and
+    WINDOW the first dead filter appears at 735 mels."""
+    bins = WINDOW // 2 + 1
+    # A bin lies inside at most two filters, so with more than twice as
+    # many filters as bins some filter has none.  Refusing those sizes
+    # first keeps an absurd n_mels from building an (n_mels, bins) bank.
+    if n_mels > 2 * bins:
+        raise ValidationError(
+            f"n_mels {n_mels} is over twice the {bins} FFT bins; use fewer mels"
+        )
+    dead = np.flatnonzero(~mel_filterbank(SAMPLE_RATE, WINDOW, n_mels).any(axis=1))
+    if len(dead):
+        raise ValidationError(
+            f"n_mels {n_mels} leaves {len(dead)} mel filters with no FFT bin "
+            f"(first: filter {dead[0]}); use fewer mels"
+        )
 
 
 @lru_cache(maxsize=16)

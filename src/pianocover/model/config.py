@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, asdict
 
 from ..errors import ValidationError
-from ..tokenizer import VOCAB_SIZE
+from ..tokenizer import MAX_TOKENS, VOCAB_SIZE
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,23 @@ class ModelConfig:
         ):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be positive")
+        # The decoder sizes its caches from max_decode_len, and the token
+        # grammar refuses segments longer than MAX_TOKENS anyway.
+        if self.max_decode_len > MAX_TOKENS:
+            raise ValidationError(
+                f"max_decode_len must be at most {MAX_TOKENS}, got {self.max_decode_len}"
+            )
+        # With these, the T5 bucket formula has an exact range of at least
+        # one bucket and a positive log ratio in both directions.
+        if self.relative_bias_buckets < 4:
+            raise ValidationError(
+                f"relative_bias_buckets must be at least 4, got {self.relative_bias_buckets}"
+            )
+        if self.relative_bias_max_distance <= self.relative_bias_buckets // 2:
+            raise ValidationError(
+                "relative_bias_max_distance must exceed relative_bias_buckets // 2 = "
+                f"{self.relative_bias_buckets // 2}, got {self.relative_bias_max_distance}"
+            )
 
     @property
     def d_head(self) -> int:

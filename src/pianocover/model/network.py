@@ -17,9 +17,12 @@ loss. encode and decoder_forward run the same code at batch size one.
 Greedy decoding has its own path, IncrementalDecoder, which caches keys
 and values so each step runs one new position per window, and steps a
 batch of windows (all 4-beat windows of a song, up to a bounded group
-size) together. greedy_generate_windows is the one decoding loop;
-decode_step and decoder_forward recompute the whole prefix and serve as
-its reference.
+size) together. It prepares every step-invariant product once per
+group: norm gains and attention scales folded into the weights, one
+fused self-attention Q/K/V projection per layer, a token-id table for
+layer 0's Q/K/V, and a gain-folded tied head. greedy_generate_windows
+is the one decoding loop; decode_step and decoder_forward recompute the
+whole prefix and serve as its reference.
 
 Gradients are hand-derived, and every reduction runs in a fixed order,
 so training is bit-reproducible run to run for a fixed seed. The sums
@@ -176,10 +179,15 @@ def _key_mask(lengths, n):
 # Layer primitives over (..., n, d), each forward returning (out, cache)
 
 
-def _norm_f(x, g):
-    # np.add.reduce skips np.mean's Python wrapper and gives the same bits.
+def _inv_rms(x):
+    """1 / RMS of the rows of x (..., d), shape (..., 1). np.add.reduce
+    skips np.mean's Python wrapper and gives the same bits."""
     ms = np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1]
-    inv = 1.0 / np.sqrt(ms + _NORM_EPS)
+    return 1.0 / np.sqrt(ms + _NORM_EPS)
+
+
+def _norm_f(x, g):
+    inv = _inv_rms(x)
     return x * inv * g, (x, g, inv)
 
 
@@ -194,8 +202,10 @@ def _norm_b(dout, cache):
 
 
 def _softmax(x):
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    # The ufunc reductions behind ndarray.max and .sum, without their
+    # Python wrappers; the bits are the same.
+    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def _split_heads(x, heads):
@@ -473,24 +483,6 @@ def decode_step(encoder_state, prefix, params, config: ModelConfig):
     return logits[-1]
 
 
-def _attend_step(q, kh, vh, wo, bias=None, mask=None):
-    """One query row per window (W, d) against that window's per-head
-    keys and values (W, heads, n, dh).
-
-    bias, shaped (heads, 1, n), marks self-attention: the full-sequence
-    path adds a float64 causal mask there, which promotes the logits, so
-    this path promotes them too and float32 parameters decode alike.
-    mask, shaped (W, 1, 1, n) in the keys' dtype, hides padded keys.
-    """
-    w, heads, _, dh = kh.shape
-    logits = (q.reshape(w, heads, 1, dh) @ kh.swapaxes(-1, -2)) * dh**-0.5
-    if bias is not None:
-        logits = (logits + bias).astype(np.float64, copy=False)
-    if mask is not None:
-        logits = logits + mask
-    return (_softmax(logits) @ vh).reshape(w, -1) @ wo
-
-
 class IncrementalDecoder:
     """Decoder state for a batch of windows, fed one token per window
     per step.
@@ -498,18 +490,31 @@ class IncrementalDecoder:
     Row i of each step's logits equals decoder_forward over the tokens
     fed to window i so far, with encoder_states[i] as memory, up to
     rounding: each step runs only the new position of every window,
-    each weight as one (W, d) matmul. Cross-attention keys and values
-    are projected once and zero-padded to the longest window, with a
-    key mask over the padding; self-attention keys and values are
-    appended to a preallocated (W, heads, max_decode_len, dh) cache per
-    layer; the causal relative bias depends only on the query-key
-    distance, so it is one row per distance, shared by all windows.
+    each weight as one (W, d) matmul.
+
+    Everything that does not depend on the step is prepared once per
+    window group, in the parameters' dtype. Each RMSNorm gain is folded
+    into the rows of the weight its output feeds, and the dh**-0.5
+    attention scale into the query columns: self-attention runs one
+    fused (d, 3d) Q/K/V projection per layer, cross-attention one
+    query projection, and the tied head is (gain * token_emb.T) scaled
+    by d_model**-0.5. Layer 0's input is a token embedding, so its
+    Q/K/V rows are one (vocab, 3d) table gathered by token id.
+    Cross-attention keys (pre-transposed) and values are projected once
+    and zero-padded to the longest window, with a key mask over the
+    padding. Self-attention keys and values go, in one write per step,
+    into a preallocated (2, W, heads, max_decode_len, dh) cache per
+    layer. The causal relative bias depends only on the query-key
+    distance, so it is one float64 row per distance, shared by all
+    windows; like the full-sequence path's float64 causal mask, it
+    promotes the self-attention logits, so float32 parameters decode
+    alike.
     """
 
     def __init__(self, encoder_states, params, config: ModelConfig):
-        self.params = params
         self.config = config
         self.length = 0
+        heads, scale = config.num_heads, config.d_head**-0.5
         lengths = np.array([len(state) for state in encoder_states])
         memory = np.zeros(
             (len(lengths), lengths.max(), config.d_model),
@@ -523,61 +528,66 @@ class IncrementalDecoder:
             config.relative_bias_buckets,
             config.relative_bias_max_distance,
         )
-        self.bias = params["dec_rel_bias"][distances].T[:, None, :]
-        self.cross = [
-            tuple(
-                _split_heads(memory @ params[f"dec{i}_{w}"], config.num_heads)
-                for w in ("ck", "cv")
+        self.bias = params["dec_rel_bias"][distances].T[:, None, :].astype(np.float64)
+        self.layers = []
+        for i in range(config.num_decoder_layers):
+            p = f"dec{i}_"
+            qkv = np.concatenate(
+                [params[p + "sq"] * scale, params[p + "sk"], params[p + "sv"]], axis=1
             )
-            for i in range(config.num_decoder_layers)
-        ]
+            self.layers.append((
+                params[p + "ln1"][:, None] * qkv,
+                params[p + "so"],
+                params[p + "ln2"][:, None] * (params[p + "cq"] * scale),
+                _split_heads(memory @ params[p + "ck"], heads).swapaxes(-1, -2),
+                _split_heads(memory @ params[p + "cv"], heads),
+                params[p + "co"],
+                params[p + "ln3"][:, None] * params[p + "ff1"],
+                params[p + "ff2"],
+            ))
+        emb = params["token_emb"]
+        self.embedding = emb
+        self.table = (emb * _inv_rms(emb)) @ self.layers[0][0]
+        self.head = (params["dec_ln_final"][:, None] * emb.T) * config.d_model**-0.5
         self.mask = _key_mask(lengths, memory.shape[1])
         if self.mask is not None:
-            self.mask = self.mask.astype(self.cross[0][0].dtype)
+            self.mask = self.mask.astype(self.layers[0][4].dtype)
         # Allocated on the first step, in the dtype the projections take.
         self.self_kv = [None] * config.num_decoder_layers
 
     def step(self, tokens) -> np.ndarray:
         """Feed each window its next decoder input token (W,); return the
         next-token logits (W, vocab)."""
-        params, config = self.params, self.config
+        config = self.config
         t = self.length
         if t >= config.max_decode_len:
             raise ParameterError(
                 f"prefix length {t} reached max_decode_len {config.max_decode_len}"
             )
-        heads, dh = config.num_heads, config.d_head
-        x = params["token_emb"][np.asarray(tokens)]
+        tokens = np.asarray(tokens)
+        w, heads, dh = len(tokens), config.num_heads, config.d_head
+        x = self.embedding[tokens]
+        qkv = self.table[tokens]
         bias = self.bias[..., t::-1]
-        for i, (ckh, cvh) in enumerate(self.cross):
-            p = f"dec{i}_"
-            normed, _ = _norm_f(x, params[p + "ln1"])
-            k = (normed @ params[p + "sk"]).reshape(len(x), heads, dh)
-            v = (normed @ params[p + "sv"]).reshape(len(x), heads, dh)
-            if self.self_kv[i] is None:
-                self.self_kv[i] = np.empty(
-                    (2, len(x), heads, config.max_decode_len, dh), k.dtype
+        for i, (wqkv, wo, wq, ckt, cvh, wco, w1, w2) in enumerate(self.layers):
+            if i:
+                qkv = (x * _inv_rms(x)) @ wqkv
+            qkv = qkv.reshape(w, 3, heads, dh)
+            kv = self.self_kv[i]
+            if kv is None:
+                kv = self.self_kv[i] = np.empty(
+                    (2, w, heads, config.max_decode_len, dh), qkv.dtype
                 )
-            skh, svh = self.self_kv[i]
-            skh[:, :, t] = k
-            svh[:, :, t] = v
-            x = x + _attend_step(
-                normed @ params[p + "sq"],
-                skh[:, :, : t + 1],
-                svh[:, :, : t + 1],
-                params[p + "so"],
-                bias=bias,
-            )
-            normed, _ = _norm_f(x, params[p + "ln2"])
-            x = x + _attend_step(
-                normed @ params[p + "cq"], ckh, cvh, params[p + "co"], mask=self.mask
-            )
-            normed, _ = _norm_f(x, params[p + "ln3"])
-            ff, _ = _ffn_f(normed, params[p + "ff1"], params[p + "ff2"])
-            x = x + ff
+            kv[:, :, :, t] = qkv[:, 1:].swapaxes(0, 1)
+            logits = qkv[:, 0, :, None] @ kv[0, :, :, : t + 1].swapaxes(-1, -2) + bias
+            x = x + (_softmax(logits) @ kv[1, :, :, : t + 1]).reshape(w, -1) @ wo
+            logits = ((x * _inv_rms(x)) @ wq).reshape(w, heads, 1, dh) @ ckt
+            if self.mask is not None:
+                logits = logits + self.mask
+            x = x + (_softmax(logits) @ cvh).reshape(w, -1) @ wco
+            x = x + np.maximum((x * _inv_rms(x)) @ w1, 0.0) @ w2
         self.length = t + 1
-        h, _ = _norm_f(x, params["dec_ln_final"])
-        return (h @ params["token_emb"].T) * config.d_model**-0.5
+        return (x * _inv_rms(x)) @ self.head
 
 
 def greedy_generate_windows(
@@ -588,10 +598,14 @@ def greedy_generate_windows(
     Windows decode in lockstep, up to _LOCKSTEP_WINDOWS at a time, so
     a group takes each decode step as one batch. A window that has
     emitted EOS keeps stepping with the others until every window of
-    its group has stopped, but its later outputs are discarded, so each
-    window yields the ids it would decode alone. Ties go to the lowest
-    id. Each window's ids become a segment through
+    its group has stopped; each step's argmaxes go into one (W,
+    max_decode_len) array, and each row is cut after its first EOS, so
+    each window yields the ids it would decode alone. Ties go to the
+    lowest id. Each window's ids become a segment through
     tokenizer.generated_segment.
+
+    Encoding stays one encode call per window, so a tracer that wraps
+    encode still sees each window's encoder time.
     """
     raw = []
     for start in range(0, len(spectrograms), _LOCKSTEP_WINDOWS):
@@ -599,16 +613,15 @@ def greedy_generate_windows(
         decoder = IncrementalDecoder(
             [encode(s, arranger_id, params, config) for s in group], params, config
         )
-        ids = [[] for _ in group]
-        stopped = np.zeros(len(group), dtype=bool)
+        ids = np.empty((len(group), config.max_decode_len), dtype=int)
+        done = np.zeros(len(group), dtype=bool)
         tokens = np.full(len(group), PAD)
-        while decoder.length < config.max_decode_len and not stopped.all():
+        while decoder.length < config.max_decode_len and not done.all():
             tokens = np.argmax(decoder.step(tokens), axis=-1)
-            for window, token, done in zip(ids, tokens.tolist(), stopped):
-                if not done:
-                    window.append(token)
-            stopped |= tokens == EOS
-        raw.extend(ids)
+            ids[:, decoder.length - 1] = tokens
+            done |= tokens == EOS
+        for row in ids[:, : decoder.length].tolist():
+            raw.append(row[: row.index(EOS) + 1] if EOS in row else row)
     return [generated_segment(ids) for ids in raw]
 
 

@@ -23,7 +23,14 @@ import numpy as np
 
 from .beats import BeatGrid, halfbeats_to_seconds, quantize, read_beat_file, track_beats
 from .errors import FormatError, ParameterError, PianoCoverError, ValidationError, read_text
-from .features import N_MELS, SAMPLE_RATE, WINDOW, load_wav, melspectrogram
+from .features import (
+    N_MELS,
+    SAMPLE_RATE,
+    WINDOW,
+    check_model_mels,
+    load_wav,
+    melspectrogram,
+)
 from .filtering import (
     FilterReport,
     Verdict,
@@ -338,6 +345,7 @@ def generate_cover(job: CoverJob) -> NoteSequence:
     """Window the audio by 4 beats, decode the windows in lockstep, stitch,
     write MIDI."""
     params, config = load_checkpoint(job.checkpoint)
+    check_model_mels(config.n_mels)
     audio = load_wav(job.audio)
     grid = song_grid(audio, job.beats)
     n_windows = len(grid.half_beats) // WINDOW_HALFBEATS

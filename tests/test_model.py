@@ -118,6 +118,19 @@ class TestConfig:
         with pytest.raises(ValidationError):
             desk_config(d_ff=0)
 
+    def test_decoder_bounds(self):
+        # Each bound holds at its edge and fails one step past it.
+        desk_config(max_decode_len=512)
+        desk_config(relative_bias_buckets=4, relative_bias_max_distance=3)
+        for overrides, message in (
+            (dict(max_decode_len=513), "max_decode_len must be at most 512"),
+            (dict(relative_bias_buckets=3), "relative_bias_buckets must be at least 4"),
+            (dict(relative_bias_buckets=32, relative_bias_max_distance=16),
+             "relative_bias_max_distance must exceed"),
+        ):
+            with pytest.raises(ValidationError, match=message):
+                desk_config(**overrides)
+
     def test_count_params_closed_form(self):
         cfg = desk_config(
             d_model=8,
@@ -351,6 +364,11 @@ class TestIncrementalDecoder:
         params = init_params(cfg, seed=seed, dtype=dtype)
         rng = np.random.default_rng(seed)
         params["dec_rel_bias"] = rng.normal(size=params["dec_rel_bias"].shape).astype(dtype)
+        # init_params sets every norm gain to 1, which would hide a gain
+        # folded into the wrong weight, or not folded at all.
+        for name in params:
+            if name.startswith("dec") and name.endswith(("ln1", "ln2", "ln3", "ln_final")):
+                params[name] = rng.normal(1.0, 0.25, size=params[name].shape).astype(dtype)
         # encode() returns float64; a float32 state leaves the causal
         # mask as the only float64 operand of the float32 decoder.
         state = encode(rng.normal(size=(5, cfg.n_mels)), 1, params, cfg).astype(dtype)
@@ -508,6 +526,25 @@ class TestIncrementalDecoder:
         greedy_generate_windows(windows, 2, params, cfg)
         assert groups == [network._LOCKSTEP_WINDOWS, 3]
         assert seen == expected
+
+    @pytest.mark.parametrize("count", [5, network._LOCKSTEP_WINDOWS + 3])
+    def test_encodes_each_window_once(self, monkeypatch, count):
+        # A tracer times encoding by wrapping the module's encode, so
+        # each window must still go through it, once.
+        cfg = tiny_config(max_decode_len=2)
+        params = init_params(cfg, seed=6)
+        rng = np.random.default_rng(6)
+        windows = [rng.normal(size=(1 + k % 4, cfg.n_mels)) for k in range(count)]
+        seen = []
+        encode_one = network.encode
+        monkeypatch.setattr(
+            network,
+            "encode",
+            lambda frames, *rest: seen.append(frames) or encode_one(frames, *rest),
+        )
+        greedy_generate_windows(windows, 1, params, cfg)
+        assert len(seen) == count
+        assert all(got is frames for got, frames in zip(seen, windows))
 
     def test_step_past_max_decode_len_raises(self):
         cfg = tiny_config()

@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from pianocover.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from pianocover.model.checkpoint import MAGIC
 from pianocover.pipeline import (
     BuildReport,
     CoverJob,
@@ -487,6 +489,27 @@ def _eight_bit_wav(inputs):
     return buffer.getvalue()
 
 
+def _checkpoint_config(**fields):
+    """The valid checkpoint with its config JSON overriding fields."""
+    def content(inputs):
+        data = Path(inputs["ckpt"]).read_bytes()
+        start = len(MAGIC) + 4
+        (length,) = struct.unpack_from("<I", data, start)
+        config = json.loads(data[start + 4 : start + 4 + length])
+        edited = json.dumps(dict(config, **fields), sort_keys=True).encode()
+        return (data[:start] + struct.pack("<I", len(edited)) + edited
+                + data[start + 4 + length :])
+    return content
+
+
+def _checkpoint_with_mels(n_mels):
+    """A valid checkpoint of a model that reads n_mels mel channels."""
+    def content(inputs):
+        with tempfile.TemporaryDirectory() as tmp:
+            return toy_checkpoint(Path(tmp), n_mels=n_mels)[0].read_bytes()
+    return content
+
+
 ERROR_PREFIX = {1: "error:", 2: "i/o error:", 3: "numeric error:"}
 COVER = "cover {wav} {out} --arranger 0 --checkpoint {ckpt}"
 
@@ -534,6 +557,21 @@ CONTRACT_ROWS = [
          "model.ckpt: unexpected end of data", "model.ckpt", _first_half("ckpt")),
     _row("ckpt-not-checkpoint", "cover {wav} {out} --arranger 0 --checkpoint {bad}",
          "model.ckpt: bad checkpoint magic", "model.ckpt", b"PK\x03\x04 a zip archive"),
+    _row("ckpt-max-decode-len", "cover {wav} {out} --arranger 0 --checkpoint {bad}",
+         "model.ckpt: bad checkpoint config: "
+         "max_decode_len must be at most 512, got 513", "model.ckpt",
+         _checkpoint_config(max_decode_len=513)),
+    _row("ckpt-bias-buckets", "cover {wav} {out} --arranger 0 --checkpoint {bad}",
+         "model.ckpt: bad checkpoint config: "
+         "relative_bias_buckets must be at least 4, got 3", "model.ckpt",
+         _checkpoint_config(relative_bias_buckets=3)),
+    _row("ckpt-bias-distance", "cover {wav} {out} --arranger 0 --checkpoint {bad}",
+         "model.ckpt: bad checkpoint config: "
+         "relative_bias_max_distance must exceed relative_bias_buckets // 2 = 4, got 4",
+         "model.ckpt", _checkpoint_config(relative_bias_max_distance=4)),
+    _row("ckpt-dead-mel-channels", "cover {wav} {out} --arranger 0 --checkpoint {bad}",
+         "n_mels 800 leaves 2 mel filters with no FFT bin", "model.ckpt",
+         _checkpoint_with_mels(800)),
     # tokens
     _row("tokens-not-utf8", "detokenize {bad} {out}",
          "piece.tokens: not UTF-8 text (at byte offset 0)", "piece.tokens", b"\xff5 1\n"),
@@ -606,6 +644,15 @@ CONTRACT_ROWS = [
          "train.cfg:1: unknown key 'optimizer'", "train.cfg", b"optimizer = adafactor\n"),
     _row("config-not-utf8", "train {ds} {bad} {out}",
          "train.cfg: not UTF-8 text (at byte offset 11)", "train.cfg", b"epochs = 2\n\xff\n"),
+    _row("config-max-decode-len", "train {ds} {bad} {out}",
+         "max_decode_len must be at most 512, got 513", "train.cfg",
+         b"max_decode_len = 513\n"),
+    _row("config-bias-buckets", "train {ds} {bad} {out}",
+         "relative_bias_buckets must be at least 4, got 3", "train.cfg",
+         b"relative_bias_buckets = 3\n"),
+    _row("config-bias-distance", "train {ds} {bad} {out}",
+         "relative_bias_max_distance must exceed relative_bias_buckets // 2 = 16, got 16",
+         "train.cfg", b"relative_bias_max_distance = 16\n"),
     _row("config-learning-rate-nan", "train {ds} {bad} {out}",
          "learning_rate must be positive and finite", "train.cfg",
          b"epochs = 1\nlearning_rate = nan\n"),
@@ -780,6 +827,39 @@ class TestCli:
         lines = clamped.stderr.splitlines()
         assert lines and all(line.startswith("warning: ") for line in lines)
         assert any("clamped to the beat grid" in line for line in lines)
+
+    def test_python_warnings_are_held(self, tmp_path):
+        # scipy warns about the unknown chunk with Python's warnings
+        # module, not logging; its two-line report must not reach stderr.
+        record, _, _, _ = make_pair(tmp_path, np.random.default_rng(0), name="song")
+        data = Path(record.pop_audio).read_bytes()
+        chunk = b"abcd" + struct.pack("<I", 4) + bytes(4)
+        wav = tmp_path / "chunked.wav"
+        wav.write_bytes(data[:4] + struct.pack("<I", len(data) - 8 + len(chunk))
+                        + data[8:12] + chunk + data[12:])
+        one_beat = tmp_path / "one.beats"
+        one_beat.write_text("0.5\n")
+        checkpoint, _ = toy_checkpoint(tmp_path)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+
+        def run(beats):
+            argv = ["cover", wav, tmp_path / "out.mid", "--arranger", "0",
+                    "--checkpoint", checkpoint, "--beats", beats]
+            return subprocess.run(
+                [sys.executable, "-m", "pianocover.cli", *map(str, argv)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+
+        covered = run(record.beats)
+        assert covered.returncode == 0
+        lines = covered.stderr.splitlines()
+        assert lines and all(line.startswith(("warning: ", "error: ")) for line in lines)
+        assert "warning: Chunk (non-data) not understood, skipping it." in lines
+        failed = run(one_beat)
+        assert failed.returncode == 1
+        assert failed.stderr.splitlines() == [
+            f"error: {one_beat}: a beat grid needs at least 2 beats"
+        ]
 
     def test_help_exits_zero(self, capsys):
         for argv in (["--help"], ["render", "--help"]):
