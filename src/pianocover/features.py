@@ -8,6 +8,10 @@ center padding) so frame k covers samples [k*hop, k*hop + window) exactly.
 Spectra are computed in bounded blocks of frames (``pooled_stft``), and
 each block is pooled to a few values per frame before the next is built,
 so no whole-song frame, spectrum or magnitude array exists at any time.
+A block holds its magnitudes and its pool's arrays: ``stft_mag`` tapers
+and transforms one cache-sized chunk of frames at a time and writes the
+magnitudes into the block's output, so tapered frames and complex spectra
+exist one chunk at a time.
 Mel filterbanks are applied over each filter's nonzero band only
 (``mel_power``): a filter spans at most a few percent of the bins.
 ``load_wav`` resamples to SAMPLE_RATE, and everything after it runs at that
@@ -36,9 +40,13 @@ HOP = 1024
 N_MELS = 128
 LOG_FLOOR = 1e-6
 # Samples of frame data per STFT block: 2048 frames at a 1024-sample
-# window, 512 at WINDOW.  A block's frame copy, spectrum and magnitude
-# together take about 50 MB, whatever the length of the song.
+# window, 512 at WINDOW.  A block holds its magnitude (about 8 MB) and its
+# pool's arrays, whatever the length of the song.
 _BLOCK_SAMPLES = 2**21
+# Samples of frame data per chunk inside ``stft_mag``: 64 frames at a
+# 1024-sample window, 16 at WINDOW.  Tapered frames and complex spectra
+# exist for one chunk at a time: about 1 MB, the size of a typical L2.
+_CHUNK_SAMPLES = 2**16
 # Consecutive mel filters applied as one matmul over the union of their
 # nonzero bins.  Eight keeps the slabs about 7% (model) and 14% (onset)
 # of the dense filterbank while each matmul stays large enough for BLAS.
@@ -80,8 +88,15 @@ def stft_mag(audio: np.ndarray, window: int = WINDOW, hop: int = HOP) -> np.ndar
         raise ParameterError(
             f"audio of {len(audio)} samples is shorter than one {window}-sample window"
         )
-    segs = sliding_window_view(audio, window)[::hop] * hann(window)
-    return np.abs(np.fft.rfft(segs, n=window, axis=1))
+    segs = sliding_window_view(audio, window)[::hop]
+    taper = hann(window)
+    mag = np.empty((frames, window // 2 + 1))
+    # rfft and abs work row by row, so chunked rows keep every bit.
+    chunk = max(_CHUNK_SAMPLES // window, 1)
+    for start in range(0, frames, chunk):
+        rows = slice(start, start + chunk)
+        np.abs(np.fft.rfft(segs[rows] * taper, n=window, axis=1), out=mag[rows])
+    return mag
 
 
 def pooled_stft(audio: np.ndarray, window: int, hop: int, pool) -> np.ndarray:
@@ -226,6 +241,14 @@ def _read_pcm16_mono(path):
     # struct.error: truncated header; WavFileWarning: truncated data
     except (ValueError, struct.error, WavFileWarning) as exc:
         raise FormatError(f"{path}: not a readable WAV file: {exc}") from exc
+    # scipy's reader leaves a name unbound when the file has no fmt or data
+    # chunk, and divides by zero on a fmt chunk of 0-byte samples.
+    except UnboundLocalError as exc:
+        raise FormatError(f"{path}: not a readable WAV file: no fmt or data chunk") from exc
+    except ZeroDivisionError as exc:
+        raise FormatError(
+            f"{path}: not a readable WAV file: fmt chunk has 0-byte samples or 0 channels"
+        ) from exc
     if data.dtype != np.int16:
         raise ParameterError(
             f"{path}: expected 16-bit PCM WAV, got dtype {data.dtype}"

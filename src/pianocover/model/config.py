@@ -8,6 +8,11 @@ from dataclasses import dataclass, asdict
 from ..errors import ValidationError
 from ..tokenizer import MAX_TOKENS, VOCAB_SIZE
 
+# Parameters a model may have: about twice the published architecture
+# (``paper_scale_config``, 59M), and 1 GB of float64 weights.  A larger
+# config is refused before ``init_params`` tries to allocate it.
+MAX_PARAMS = 2**27
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -60,6 +65,11 @@ class ModelConfig:
             raise ValidationError(
                 "relative_bias_max_distance must exceed relative_bias_buckets // 2 = "
                 f"{self.relative_bias_buckets // 2}, got {self.relative_bias_max_distance}"
+            )
+        params = count_params(self)
+        if params > MAX_PARAMS:
+            raise ValidationError(
+                f"model has {params} parameters, over the budget of {MAX_PARAMS}"
             )
 
     @property

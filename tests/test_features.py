@@ -1,13 +1,15 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.io.wavfile
 
 from pianocover import beats, features, sync
-from pianocover.errors import ParameterError, ValidationError
+from pianocover.errors import FormatError, ParameterError, ValidationError
 from pianocover.features import (
     _BLOCK_SAMPLES,
+    _CHUNK_SAMPLES,
     HOP,
     LOG_FLOOR,
     N_MELS,
@@ -69,7 +71,12 @@ class TestStft:
     @pytest.mark.parametrize("window,hop", [(1024, 256), (2048, 1024), (WINDOW, HOP)])
     def test_bits_match_per_frame_rfft(self, window, hop):
         rng = np.random.default_rng(window + hop)
-        for length in [window, window + hop - 1, window + hop, window + 9 * hop + 5]:
+        chunk = _CHUNK_SAMPLES // window
+        # Frame counts on both sides of the first and second chunk boundaries.
+        at_chunks = [(frames - 1) * hop + window + hop // 2
+                     for frames in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1)]
+        for length in [window, window + hop - 1, window + hop, window + 9 * hop + 5,
+                       *at_chunks]:
             x = rng.normal(size=length)
             taper = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
             loop = np.array([
@@ -77,6 +84,17 @@ class TestStft:
                 for k in range(num_frames(length, window, hop))
             ])
             assert np.array_equal(stft_mag(x, window, hop), loop)
+
+    def test_memory_is_the_output_plus_one_chunk(self):
+        x = np.random.default_rng(1024).normal(size=1023 * 256 + 1024)
+        tracemalloc.start()
+        try:
+            mag = stft_mag(x, 1024, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mag.shape == (1024, 513)
+        assert peak <= 1.3 * mag.nbytes, f"peak {peak / mag.nbytes:.2f}x the output"
 
     def test_windowed_dft_closed_form(self):
         # compare a whole frame against a direct DFT of the windowed signal
@@ -340,6 +358,28 @@ class TestWavIO:
         expected = resample((data.astype(np.float64) / 32768.0).mean(axis=1), rate)
         assert np.array_equal(y, expected)
         assert peak <= 4 * y.nbytes
+
+    def test_byte_mutations_raise_only_package_errors(self, tmp_path):
+        path = tmp_path / "tone.wav"
+        write_wav(path, sine(440.0, 0.2))
+        blob = path.read_bytes()
+        rng = np.random.default_rng(0)
+        mutant = tmp_path / "mutant.wav"
+        for trial in range(3000):
+            data = bytearray(blob)
+            # Most edits land in the RIFF, fmt and data headers.
+            for _ in range(int(rng.integers(1, 4))):
+                at = rng.integers(0, 64) if rng.random() < 0.8 else rng.integers(0, len(data))
+                data[int(at)] = int(rng.integers(0, 256))
+            if rng.random() < 0.2:
+                del data[int(rng.integers(0, len(data))):]
+            mutant.write_bytes(bytes(data))
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # e.g. a chunk scipy skips
+                    load_wav(mutant)
+            except (FormatError, ParameterError):
+                pass
 
     def test_rejects_float_wav(self, tmp_path):
         import scipy.io.wavfile

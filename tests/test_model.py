@@ -38,6 +38,7 @@ from pianocover.model import (
     train,
     zero_grads,
 )
+from pianocover.model.config import MAX_PARAMS
 from pianocover.midi import Note, NoteSequence, parse_smf, write_smf
 from pianocover.model import network, optim
 from pianocover.model.checkpoint import MAGIC
@@ -130,6 +131,17 @@ class TestConfig:
         ):
             with pytest.raises(ValidationError, match=message):
                 desk_config(**overrides)
+
+    def test_param_budget(self):
+        # The budget holds at its edge: encoder layers add a fixed count each.
+        one = count_params(desk_config(num_encoder_layers=1))
+        per_layer = count_params(desk_config(num_encoder_layers=2)) - one
+        layers = 1 + (MAX_PARAMS - one) // per_layer
+        assert count_params(desk_config(num_encoder_layers=layers)) <= MAX_PARAMS
+        for overrides in (dict(num_encoder_layers=layers + 1), dict(d_model=2**30)):
+            with pytest.raises(ValidationError, match=f"over the budget of {MAX_PARAMS}"):
+                desk_config(**overrides)
+        assert count_params(paper_scale_config()) <= MAX_PARAMS
 
     def test_count_params_closed_form(self):
         cfg = desk_config(

@@ -270,6 +270,26 @@ class TestBuildDataset:
         assert "nan.csv: times and f0 values must be finite" in reasons[1]
         assert "inf.csv: times and f0 values must be finite" in reasons[2]
 
+    def test_wav_scipy_cannot_read_quarantines(self, tmp_path):
+        record, _, _, _ = make_pair(tmp_path, np.random.default_rng(7), name="song")
+        kept, _ = build_dataset([record])
+        records = [record]
+        for name, content in [("no_chunks", WAV_NO_CHUNKS),
+                              ("zero_bits", WAV_ZERO_BITS)]:
+            wav = tmp_path / f"{name}.wav"
+            wav.write_bytes(content)
+            records.append(PairRecord(str(wav), record.cover_midi, 0, record.beats, record.f0))
+        examples, report = build_dataset(records + [record])
+        assert [e["status"] for e in report.entries] == ["kept", "failed", "failed", "kept"]
+        assert "no_chunks.wav: not a readable WAV file: no fmt or data chunk" in (
+            report.entries[1]["reason"])
+        assert "zero_bits.wav: not a readable WAV file: fmt chunk has 0-byte samples" in (
+            report.entries[2]["reason"])
+        assert len(examples) == 2 * len(kept)
+        for (mel, aid, tokens), (want_mel, want_aid, want_tokens) in zip(examples, kept + kept):
+            assert np.array_equal(mel.frames, want_mel.frames)
+            assert (aid, tokens) == (want_aid, want_tokens)
+
     def test_pair_over_the_dtw_budget_quarantines(self, tmp_path, monkeypatch):
         record, _, _, _ = make_pair(tmp_path, np.random.default_rng(6), name="song")
         monkeypatch.setattr(sync, "MAX_DTW_CELLS", 100)
@@ -502,6 +522,15 @@ def _checkpoint_config(**fields):
     return content
 
 
+# A RIFF header with neither a fmt nor a data chunk.
+WAV_NO_CHUNKS = b"RIFF\x04\0\0\0WAVE"
+# A mono PCM WAV of 100 zero bytes whose fmt chunk declares 0 bits per
+# sample (and so 0 bytes per second and a block align of 0).
+_ZERO_BITS_BODY = (b"WAVEfmt " + struct.pack("<IHHIIHH", 16, 1, 1, SAMPLE_RATE, 0, 0, 0)
+                   + b"data" + struct.pack("<I", 100) + bytes(100))
+WAV_ZERO_BITS = b"RIFF" + struct.pack("<I", len(_ZERO_BITS_BODY)) + _ZERO_BITS_BODY
+
+
 def _checkpoint_with_mels(n_mels):
     """A valid checkpoint of a model that reads n_mels mel channels."""
     def content(inputs):
@@ -533,6 +562,12 @@ CONTRACT_ROWS = [
     _row("wav-cut-in-data", "cover {bad} {out} --arranger 0 --checkpoint {ckpt} --beats {beats}",
          "song.wav: not a readable WAV file: Reached EOF prematurely", "song.wav",
          _first_half("wav")),
+    _row("wav-no-chunks", COVER.replace("{wav}", "{bad}"),
+         "song.wav: not a readable WAV file: no fmt or data chunk", "song.wav",
+         WAV_NO_CHUNKS),
+    _row("wav-zero-bits", COVER.replace("{wav}", "{bad}"),
+         "song.wav: not a readable WAV file: fmt chunk has 0-byte samples", "song.wav",
+         WAV_ZERO_BITS),
     _row("wav-empty", "sync {bad} {mid} {out} --beats {beats}",
          "song.wav: not a readable WAV", "song.wav", b""),
     _row("wav-8-bit", "sync {bad} {mid} {out} --beats {beats}",
@@ -569,6 +604,9 @@ CONTRACT_ROWS = [
          "model.ckpt: bad checkpoint config: "
          "relative_bias_max_distance must exceed relative_bias_buckets // 2 = 4, got 4",
          "model.ckpt", _checkpoint_config(relative_bias_max_distance=4)),
+    _row("ckpt-param-budget", "cover {wav} {out} --arranger 0 --checkpoint {bad}",
+         "model.ckpt: bad checkpoint config: model has", "model.ckpt",
+         _checkpoint_config(d_model=2**30)),
     _row("ckpt-dead-mel-channels", "cover {wav} {out} --arranger 0 --checkpoint {bad}",
          "n_mels 800 leaves 2 mel filters with no FFT bin", "model.ckpt",
          _checkpoint_with_mels(800)),
@@ -653,6 +691,8 @@ CONTRACT_ROWS = [
     _row("config-bias-distance", "train {ds} {bad} {out}",
          "relative_bias_max_distance must exceed relative_bias_buckets // 2 = 16, got 16",
          "train.cfg", b"relative_bias_max_distance = 16\n"),
+    _row("config-param-budget", "train {ds} {bad} {out}",
+         "parameters, over the budget of 134217728", "train.cfg", b"d_model = 1073741824\n"),
     _row("config-learning-rate-nan", "train {ds} {bad} {out}",
          "learning_rate must be positive and finite", "train.cfg",
          b"epochs = 1\nlearning_rate = nan\n"),
