@@ -4,8 +4,8 @@ Exit codes: 0 success; 1 invalid input, including usage errors and
 numeric options that are not finite or not above 0; 2 I/O error; 3
 numeric failure such as training divergence. Every failure prints one
 line on stderr. Warnings the library logs while a command runs, and
-Python warnings raised under it (such as scipy's WavFileWarning), are
-held, and printed as "warning: ..." lines only if the command succeeds.
+Python warnings raised under it, are held, and printed as "warning: ..."
+lines only if the command succeeds.
 
 The tokenize/detokenize commands exchange quantized pieces as MIDI with
 a fixed-tempo convention: at the given --bpm, one half-beat lasts
@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .beats import halfbeats_to_seconds, write_beat_file
 from .errors import DivergenceError, FormatError, ValidationError, read_text
-from .features import SAMPLE_RATE, load_wav, write_wav
+from .features import MAX_SAMPLE_RATE, SAMPLE_RATE, load_wav, write_wav
 from .filtering import filter_pair, melody_chroma_accuracy, midi_topline, read_f0_csv
 from .midi import Note, NoteSequence, TimeUnit, parse_smf, write_smf
 from .model import (
@@ -238,6 +238,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_render(args) -> int:
+    if args.rate > MAX_SAMPLE_RATE:
+        raise ValidationError(f"--rate must be at most {MAX_SAMPLE_RATE}, got {args.rate}")
     seq = _load_midi(args.midi)
     write_wav(args.out, render_sine_audio(seq, args.rate), args.rate)
     return 0

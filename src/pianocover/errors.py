@@ -23,7 +23,7 @@ class ParameterError(ValidationError):
 
 
 class FormatError(ValidationError):
-    """Malformed binary or text input (SMF chunks, checkpoints, CSV).
+    """Malformed binary or text input (WAV and SMF chunks, checkpoints, CSV).
 
     Carries the byte offset of the failure when known.
     """
@@ -74,7 +74,7 @@ def read_text(path) -> str:
 
 
 class ByteCursor:
-    """Read position over untrusted binary data.
+    """Read position over untrusted binary data (bytes or a memoryview).
 
     A read that runs past the end raises FormatError at the offset where
     that read began, so a truncated file is one invalid input like any
@@ -85,13 +85,18 @@ class ByteCursor:
         self.data = data
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def skip(self, n: int) -> int:
+        """Move past n bytes without copying them; returns where they start."""
         start = self.pos
         end = start + n
         if end > len(self.data):
             raise FormatError(f"unexpected end of data, wanted {n} more bytes", start)
         self.pos = end
-        return self.data[start:end]
+        return start
+
+    def take(self, n: int) -> bytes:
+        start = self.skip(n)
+        return bytes(self.data[start : self.pos])
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import struct
+
 import numpy as np
 
 from pianocover.model import compute_loss, init_params, loss_and_grads
@@ -52,3 +54,25 @@ def gradient_check(config, seed, entries_per_tensor, h=1e-5):
             tensor_worst = max(tensor_worst, err / max(abs(numeric), abs(analytic)))
         worst[name] = tensor_worst
     return worst
+
+
+def wav_bytes(*chunks, magic=b"RIFF"):
+    """A WAVE file of (id, payload) chunks, each odd payload followed by
+    its pad byte; a RIFX file has big-endian sizes."""
+    order = ">" if magic == b"RIFX" else "<"
+    body = b"WAVE" + b"".join(
+        cid + struct.pack(order + "I", len(data)) + data + bytes(len(data) % 2)
+        for cid, data in chunks
+    )
+    return magic + struct.pack(order + "I", len(body)) + body
+
+
+def fmt_chunk(channels, rate, *, bits=16, block_align=None, order="<", subformat=None):
+    """A PCM fmt chunk payload, or with ``subformat`` a WAVE_FORMAT_EXTENSIBLE
+    one whose subformat GUID carries that format tag."""
+    align = 2 * channels if block_align is None else block_align
+    fields = (channels, rate, rate * align & 0xFFFFFFFF, align, bits)
+    if subformat is None:
+        return struct.pack(order + "HHIIHH", 1, *fields)
+    guid = struct.pack(order + "IHH", subformat, 0, 0x10) + b"\x80\x00\x00\xaa\x00\x38\x9b\x71"
+    return struct.pack(order + "HHIIHHHHI", 0xFFFE, *fields, 22, bits, 0) + guid

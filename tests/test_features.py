@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 import warnings
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.io.wavfile
 
+from conftest import fmt_chunk, wav_bytes
 from pianocover import beats, features, sync
 from pianocover.errors import FormatError, ParameterError, ValidationError
 from pianocover.features import (
@@ -12,6 +14,7 @@ from pianocover.features import (
     _CHUNK_SAMPLES,
     HOP,
     LOG_FLOOR,
+    MAX_SAMPLE_RATE,
     N_MELS,
     SAMPLE_RATE,
     WINDOW,
@@ -374,12 +377,69 @@ class TestWavIO:
             if rng.random() < 0.2:
                 del data[int(rng.integers(0, len(data))):]
             mutant.write_bytes(bytes(data))
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")  # e.g. a chunk scipy skips
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
                     load_wav(mutant)
-            except (FormatError, ParameterError):
-                pass
+                except (FormatError, ParameterError):
+                    pass
+            assert not caught, (trial, [str(w.message) for w in caught])
+
+    @pytest.mark.parametrize("layout", ["plain", "extensible", "list", "odd-chunk", "rifx"])
+    @pytest.mark.parametrize("rate,channels", [(SAMPLE_RATE, 1), (SAMPLE_RATE, 2),
+                                               (44100, 1), (44100, 2)])
+    def test_samples_equal_the_scipy_reader(self, tmp_path, layout, rate, channels):
+        pcm = np.random.default_rng(rate + channels).integers(
+            -32768, 32768, size=(rate // 4, channels), dtype=np.int16)
+        order = ">" if layout == "rifx" else "<"
+        fmt = fmt_chunk(channels, rate, order=order,
+                        subformat=1 if layout == "extensible" else None)
+        extra = {"list": [(b"LIST", b"INFOISFT\x06\0\0\0pianos")],
+                 "odd-chunk": [(b"abcd", b"odd")]}.get(layout, [])
+        path = tmp_path / "valid.wav"
+        path.write_bytes(wav_bytes((b"fmt ", fmt), *extra,
+                                   (b"data", pcm.astype(order + "i2").tobytes()),
+                                   magic=b"RIFX" if layout == "rifx" else b"RIFF"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # scipy reports chunks it skips
+            scipy_rate, data = scipy.io.wavfile.read(path)
+        # load_wav as it was when scipy read the file.
+        expected = data.reshape(len(data), -1).sum(axis=1, dtype=np.float64)
+        expected /= 32768.0 * channels
+        assert scipy_rate == rate
+        assert np.array_equal(load_wav(path), resample(expected, rate))
+
+    @pytest.mark.parametrize("rate", [SAMPLE_RATE, 44100])
+    @pytest.mark.parametrize("count", [1, 4001, None])
+    def test_writer_bytes_equal_scipy_writer(self, tmp_path, rate, count):
+        count = 30 * rate if count is None else count
+        audio = np.random.default_rng(count).uniform(-1.1, 1.1, count)
+        path = tmp_path / "out.wav"
+        write_wav(path, audio, rate)
+        expected = io.BytesIO()
+        pcm = (np.clip(audio, -1.0, 1.0) * 32767.0).astype(np.int16)
+        scipy.io.wavfile.write(expected, rate, pcm)
+        assert path.read_bytes() == expected.getvalue()
+
+    @pytest.mark.parametrize("rate", [0, MAX_SAMPLE_RATE + 1, 4_294_967_291])
+    def test_rate_outside_the_bounds_is_refused_before_allocating(self, tmp_path, rate):
+        path = tmp_path / "rate.wav"
+        path.write_bytes(wav_bytes((b"fmt ", fmt_chunk(1, rate)), (b"data", bytes(4000))))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match=f"sample rate {rate} Hz is outside"):
+                load_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_rate_at_the_ceiling_loads(self, tmp_path):
+        path = tmp_path / "rate.wav"
+        path.write_bytes(wav_bytes((b"fmt ", fmt_chunk(1, MAX_SAMPLE_RATE)),
+                                   (b"data", bytes(2 * 7680))))
+        # 7680 samples at 384 kHz are 441 at SAMPLE_RATE.
+        assert np.array_equal(load_wav(path), np.zeros(441))
 
     def test_rejects_float_wav(self, tmp_path):
         import scipy.io.wavfile

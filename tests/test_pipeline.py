@@ -1,5 +1,6 @@
 """End-to-end tests: dataset builds, cover generation, stats, and the CLI."""
 
+import dataclasses
 import io
 import json
 import os
@@ -7,17 +8,19 @@ import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.io.wavfile
 
-from pianocover import sync
+from conftest import fmt_chunk, wav_bytes
+from pianocover import cli, sync
 from pianocover.beats import BeatGrid, halfbeats_to_seconds, read_beat_file, write_beat_file
 from pianocover.cli import main
 from pianocover.errors import ParameterError
-from pianocover.features import SAMPLE_RATE, load_wav, write_wav
+from pianocover.features import MAX_SAMPLE_RATE, SAMPLE_RATE, load_wav, write_wav
 from pianocover.filtering import (
     UNVOICED,
     F0Contour,
@@ -290,6 +293,41 @@ class TestBuildDataset:
             assert np.array_equal(mel.frames, want_mel.frames)
             assert (aid, tokens) == (want_aid, want_tokens)
 
+    def test_byte_mutations_stay_in_their_record(self, tmp_path):
+        rng = np.random.default_rng(11)
+        before, _, _, _ = make_pair(tmp_path, rng, name="before")
+        target, _, _, _ = make_pair(tmp_path, rng, name="target")
+        after, _, _, _ = make_pair(tmp_path, rng, name="after", arranger_id=1)
+        want = build_dataset([before])[0], build_dataset([after])[0]
+        fields = ["pop_audio", "cover_midi", "beats", "f0"]
+        for trial in range(200):
+            field = fields[trial % len(fields)]
+            data = bytearray(Path(getattr(target, field)).read_bytes())
+            # Half of the edits land in the headers, or the first lines.  Text
+            # files also get bytes of their own alphabet, so that some
+            # mutants still parse.
+            for _ in range(int(rng.integers(1, 4))):
+                at = rng.integers(0, 64) if rng.random() < 0.5 else rng.integers(0, len(data))
+                text = field in ("beats", "f0") and rng.random() < 0.5
+                alphabet = b"0123456789.-e,\n" if text else bytes(range(256))
+                data[int(at)] = alphabet[rng.integers(0, len(alphabet))]
+            if rng.random() < 0.2:
+                del data[int(rng.integers(0, len(data))):]
+            mutant = tmp_path / f"mutant{trial}"
+            mutant.write_bytes(bytes(data))
+            record = dataclasses.replace(target, **{field: str(mutant)})
+            examples, report = build_dataset([before, record, after])
+            statuses = [e["status"] for e in report.entries]
+            assert statuses[0] == statuses[2] == "kept", (trial, field, report.entries)
+            assert statuses[1] in ("kept", "discarded", "failed")
+            around = examples[: len(want[0])] + examples[len(examples) - len(want[1]) :]
+            assert len(examples) == (len(want[0]) + report.entries[1].get("n_examples", 0)
+                                     + len(want[1]))
+            for (mel, aid, tokens), (want_mel, want_aid, want_tokens) in zip(
+                    around, want[0] + want[1]):
+                assert np.array_equal(mel.frames, want_mel.frames)
+                assert (aid, tokens) == (want_aid, want_tokens)
+
     def test_pair_over_the_dtw_budget_quarantines(self, tmp_path, monkeypatch):
         record, _, _, _ = make_pair(tmp_path, np.random.default_rng(6), name="song")
         monkeypatch.setattr(sync, "MAX_DTW_CELLS", 100)
@@ -560,7 +598,7 @@ CONTRACT_ROWS = [
     _row("wav-truncated", "cover {bad} {out} --arranger 0 --checkpoint {ckpt}",
          "not a readable WAV", "song.wav", b"RIFF"),
     _row("wav-cut-in-data", "cover {bad} {out} --arranger 0 --checkpoint {ckpt} --beats {beats}",
-         "song.wav: not a readable WAV file: Reached EOF prematurely", "song.wav",
+         "song.wav: not a readable WAV file: unexpected end of data", "song.wav",
          _first_half("wav")),
     _row("wav-no-chunks", COVER.replace("{wav}", "{bad}"),
          "song.wav: not a readable WAV file: no fmt or data chunk", "song.wav",
@@ -572,6 +610,25 @@ CONTRACT_ROWS = [
          "song.wav: not a readable WAV", "song.wav", b""),
     _row("wav-8-bit", "sync {bad} {mid} {out} --beats {beats}",
          "song.wav: expected 16-bit PCM WAV", "song.wav", _eight_bit_wav),
+    _row("wav-data-before-fmt", COVER.replace("{wav}", "{bad}"),
+         "song.wav: not a readable WAV file: data chunk before the fmt chunk", "song.wav",
+         wav_bytes((b"data", bytes(100)), (b"fmt ", fmt_chunk(1, SAMPLE_RATE)))),
+    _row("wav-block-align", COVER.replace("{wav}", "{bad}"),
+         "song.wav: not a readable WAV file: block align 2 is not 2 bytes x 2 channels",
+         "song.wav",
+         wav_bytes((b"fmt ", fmt_chunk(2, SAMPLE_RATE, block_align=2)), (b"data", bytes(100)))),
+    _row("wav-extensible-float", COVER.replace("{wav}", "{bad}"),
+         "song.wav: expected 16-bit PCM WAV, got format tag 0x0003 with 32-bit samples",
+         "song.wav",
+         wav_bytes((b"fmt ", fmt_chunk(1, SAMPLE_RATE, bits=32, block_align=4, subformat=3)),
+                   (b"data", bytes(100)))),
+    _row("wav-rf64", COVER.replace("{wav}", "{bad}"),
+         "song.wav: not a readable WAV file: RF64 files are not supported", "song.wav",
+         b"RF64\xff\xff\xff\xffWAVEds64" + bytes(28)),
+    _row("wav-rate-over-ceiling", COVER.replace("{wav}", "{bad}"),
+         "song.wav: not a readable WAV file: sample rate 4294967291 Hz is outside "
+         f"1..{MAX_SAMPLE_RATE}", "song.wav",
+         wav_bytes((b"fmt ", fmt_chunk(1, 4_294_967_291)), (b"data", bytes(100)))),
     # MIDI: every error names the file
     _row("mid-empty", "sync {wav} {bad} {out} --beats {beats}",
          "song.mid: unexpected end of data", "song.mid", b""),
@@ -708,6 +765,8 @@ CONTRACT_ROWS = [
     _row("detokenize-bpm-negative", "detokenize {tokens} {out} --bpm -5",
          "--bpm must be a finite number above 0"),
     _row("rate-zero", "render {mid} {out} --rate 0", "--rate must be a finite number above 0"),
+    _row("render-rate-over-ceiling", "render {mid} {out} --rate 4294967291",
+         f"--rate must be at most {MAX_SAMPLE_RATE}, got 4294967291"),
     _row("rate-negative", "render {mid} {out} --rate -5",
          "--rate must be a finite number above 0"),
     _row("rate-not-an-integer", "render {mid} {out} --rate 1.5",
@@ -868,38 +927,36 @@ class TestCli:
         assert lines and all(line.startswith("warning: ") for line in lines)
         assert any("clamped to the beat grid" in line for line in lines)
 
-    def test_python_warnings_are_held(self, tmp_path):
-        # scipy warns about the unknown chunk with Python's warnings
-        # module, not logging; its two-line report must not reach stderr.
+    def test_python_warnings_are_held(self, tmp_path, capsys, monkeypatch):
+        # An unknown chunk, odd-sized and padded, is valid RIFF: the reader
+        # skips it without a word.
         record, _, _, _ = make_pair(tmp_path, np.random.default_rng(0), name="song")
         data = Path(record.pop_audio).read_bytes()
-        chunk = b"abcd" + struct.pack("<I", 4) + bytes(4)
+        chunk = b"abcd" + struct.pack("<I", 3) + b"odd\0"
         wav = tmp_path / "chunked.wav"
         wav.write_bytes(data[:4] + struct.pack("<I", len(data) - 8 + len(chunk))
                         + data[8:12] + chunk + data[12:])
-        one_beat = tmp_path / "one.beats"
-        one_beat.write_text("0.5\n")
-        checkpoint, _ = toy_checkpoint(tmp_path)
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        assert np.array_equal(load_wav(wav), load_wav(record.pop_audio))
+        out = tmp_path / "out.mid"
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            assert main(["sync", str(wav), record.cover_midi, str(out),
+                         "--beats", record.beats]) == 0
+            assert capsys.readouterr().err == ""
 
-        def run(beats):
-            argv = ["cover", wav, tmp_path / "out.mid", "--arranger", "0",
-                    "--checkpoint", checkpoint, "--beats", beats]
-            return subprocess.run(
-                [sys.executable, "-m", "pianocover.cli", *map(str, argv)],
-                env=env, capture_output=True, text=True, timeout=120,
-            )
+            # A Python warning raised under a command is held like a logged
+            # one: printed after success, dropped on failure.
+            def render(seq, rate):
+                warnings.warn("the stage warned")
+                return render_sine_audio(seq, rate)
 
-        covered = run(record.beats)
-        assert covered.returncode == 0
-        lines = covered.stderr.splitlines()
-        assert lines and all(line.startswith(("warning: ", "error: ")) for line in lines)
-        assert "warning: Chunk (non-data) not understood, skipping it." in lines
-        failed = run(one_beat)
-        assert failed.returncode == 1
-        assert failed.stderr.splitlines() == [
-            f"error: {one_beat}: a beat grid needs at least 2 beats"
-        ]
+            monkeypatch.setattr(cli, "render_sine_audio", render)
+            assert main(["render", record.cover_midi, str(tmp_path / "out.wav")]) == 0
+            assert capsys.readouterr().err.splitlines() == ["warning: the stage warned"]
+            missing = tmp_path / "missing" / "out.wav"
+            assert main(["render", record.cover_midi, str(missing)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("i/o error: ")
 
     def test_help_exits_zero(self, capsys):
         for argv in (["--help"], ["render", "--help"]):
