@@ -347,6 +347,8 @@ def load_wav(path) -> np.ndarray:
 
 def write_wav(path, audio: np.ndarray, sample_rate: int = SAMPLE_RATE):
     """Write mono float audio in [-1, 1] as 16-bit PCM."""
+    if not 1 <= sample_rate <= MAX_SAMPLE_RATE:
+        raise ParameterError(f"sample rate {sample_rate} Hz is outside 1..{MAX_SAMPLE_RATE}")
     clipped = np.clip(np.asarray(audio, dtype=np.float64), -1.0, 1.0)
     pcm = (clipped * 32767.0).astype("<i2")
     header = struct.pack(

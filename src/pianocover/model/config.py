@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 from ..errors import ValidationError
 from ..tokenizer import MAX_TOKENS, VOCAB_SIZE
@@ -29,26 +29,19 @@ class ModelConfig:
     max_decode_len: int = 512
 
     def __post_init__(self):
+        # Every field is a size, and checkpoint JSON can hold any type.
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValidationError(f"{field.name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValidationError(f"{field.name} must be positive")
         if self.d_model % self.num_heads != 0:
             raise ValidationError(
                 f"d_model {self.d_model} not divisible by {self.num_heads} heads"
             )
         if self.vocab_size != VOCAB_SIZE:
             raise ValidationError(f"vocab_size must be {VOCAB_SIZE}")
-        for name in (
-            "d_model",
-            "num_heads",
-            "d_ff",
-            "num_encoder_layers",
-            "num_decoder_layers",
-            "n_mels",
-            "num_arrangers",
-            "relative_bias_buckets",
-            "relative_bias_max_distance",
-            "max_decode_len",
-        ):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be positive")
         # The decoder sizes its caches from max_decode_len, and the token
         # grammar refuses segments longer than MAX_TOKENS anyway.
         if self.max_decode_len > MAX_TOKENS:

@@ -8,6 +8,12 @@ a ReLU feed-forward, and a token embedding tied to the output head with
 a d_model**-0.5 logit scale. The encoder input is the arranger
 embedding row concatenated before the projected mel frames.
 
+One layer table, _LAYOUT, lists each stack's sublayers: an encoder
+layer is [self-attention, FFN], a decoder layer [self-attention,
+cross-attention, FFN]. param_shapes, IncrementalDecoder and the one
+stack runner, _stack_f with its backward _stack_b, read their weight
+names from it, and the runner serves both stacks.
+
 Every layer takes leading batch dimensions. Training pads a batch to
 its longest example (zero frames, PAD decoder inputs and targets) and
 runs it as one tensor; a key mask hides padded frames from encoder
@@ -21,8 +27,8 @@ size) together. It prepares every step-invariant product once per
 group: norm gains and attention scales folded into the weights, one
 fused self-attention Q/K/V projection per layer, a token-id table for
 layer 0's Q/K/V, and a gain-folded tied head. greedy_generate_windows
-is the one decoding loop; decode_step and decoder_forward recompute the
-whole prefix and serve as its reference.
+is the one decoding loop. decode_step and decoder_forward recompute the
+whole prefix through the training forward; they are its reference.
 
 Gradients are hand-derived, and every reduction runs in a fixed order,
 so training is bit-reproducible run to run for a fixed seed. The sums
@@ -49,6 +55,33 @@ _LOCKSTEP_WINDOWS = 32
 # Parameters
 
 
+# The layer table: each stack's sublayers in order, as (kind, weight
+# suffixes). Every sublayer is pre-norm residual, x + f(norm(x)); its
+# gain is ln1, ln2, ... in this order.
+_LAYOUT = {
+    "enc": (("self", ("q", "k", "v", "o")), ("ffn", ("ff1", "ff2"))),
+    "dec": (
+        ("self", ("sq", "sk", "sv", "so")),
+        ("cross", ("cq", "ck", "cv", "co")),
+        ("ffn", ("ff1", "ff2")),
+    ),
+}
+
+
+def _num_layers(stack, config):
+    return config.num_encoder_layers if stack == "enc" else config.num_decoder_layers
+
+
+def _sublayers(stack, i):
+    """(norm gain, weight names, kind) of each sublayer of layer i of a
+    stack ("enc" or "dec"), in forward order."""
+    p = f"{stack}{i}_"
+    return [
+        (f"{p}ln{j}", tuple(p + w for w in weights), kind)
+        for j, (kind, weights) in enumerate(_LAYOUT[stack], start=1)
+    ]
+
+
 def param_shapes(config: ModelConfig):
     """Names and shapes of every learnable tensor, in declaration order."""
     d, ff, h = config.d_model, config.d_ff, config.num_heads
@@ -59,27 +92,13 @@ def param_shapes(config: ModelConfig):
         "enc_rel_bias": (config.relative_bias_buckets, h),
         "dec_rel_bias": (config.relative_bias_buckets, h),
     }
-    for i in range(config.num_encoder_layers):
-        p = f"enc{i}_"
-        shapes[p + "ln1"] = (d,)
-        for w in ("q", "k", "v", "o"):
-            shapes[p + w] = (d, d)
-        shapes[p + "ln2"] = (d,)
-        shapes[p + "ff1"] = (d, ff)
-        shapes[p + "ff2"] = (ff, d)
-    shapes["enc_ln_final"] = (d,)
-    for i in range(config.num_decoder_layers):
-        p = f"dec{i}_"
-        shapes[p + "ln1"] = (d,)
-        for w in ("sq", "sk", "sv", "so"):
-            shapes[p + w] = (d, d)
-        shapes[p + "ln2"] = (d,)
-        for w in ("cq", "ck", "cv", "co"):
-            shapes[p + w] = (d, d)
-        shapes[p + "ln3"] = (d,)
-        shapes[p + "ff1"] = (d, ff)
-        shapes[p + "ff2"] = (ff, d)
-    shapes["dec_ln_final"] = (d,)
+    for stack in _LAYOUT:
+        for i in range(_num_layers(stack, config)):
+            for gain, weights, kind in _sublayers(stack, i):
+                shapes[gain] = (d,)
+                sizes = [(d, ff), (ff, d)] if kind == "ffn" else [(d, d)] * 4
+                shapes.update(zip(weights, sizes))
+        shapes[stack + "_ln_final"] = (d,)
     return shapes
 
 
@@ -275,6 +294,65 @@ def _ffn_b(dout, cache):
 
 
 # ---------------------------------------------------------------------------
+# Residual stacks, run from the layer table
+
+
+def _stack_f(stack, x, self_mask, params, config, memory=None, memory_mask=None):
+    """Every layer of a stack over inputs x (B, n, d), then its final norm.
+
+    Self-attention adds the stack's relative bias (bidirectional buckets
+    in the encoder, causal in the decoder) and self_mask; cross-attention
+    reads memory (B, m, d) under memory_mask."""
+    bias, buckets = _bias_matrix(params[stack + "_rel_bias"], x.shape[1], stack == "enc", config)
+    caches = []
+    for i in range(_num_layers(stack, config)):
+        for gain, names, kind in _sublayers(stack, i):
+            normed, c_norm = _norm_f(x, params[gain])
+            weights = [params[name] for name in names]
+            if kind == "ffn":
+                out, cache = _ffn_f(normed, *weights)
+            elif kind == "self":
+                out, cache = _attn_f(normed, *weights, bias, self_mask, config.num_heads)
+            else:
+                out, cache = _attn_f(
+                    normed, *weights, None, memory_mask, config.num_heads, memory=memory
+                )
+            x = x + out
+            caches.append((gain, names, kind, c_norm, cache))
+    out, c_final = _norm_f(x, params[stack + "_ln_final"])
+    return out, (stack, buckets, caches, c_final, memory)
+
+
+def _stack_b(dout, cache, config, grads):
+    """Backward through _stack_f. Adds the stack's weight, gain and
+    relative bias gradients to grads; returns the gradients of its input
+    and of its memory (None for a stack without cross-attention)."""
+    stack, buckets, caches, c_final, memory = cache
+    dx, dg = _norm_b(dout, c_final)
+    grads[stack + "_ln_final"] += dg
+    dmemory = None if memory is None else np.zeros_like(memory)
+    dbias = 0.0
+    for gain, names, kind, c_norm, c in reversed(caches):
+        if kind == "ffn":
+            dy, *dweights = _ffn_b(dx, c)
+        else:
+            dy, dmem, dweights, dlogits = _attn_b(dx, c)
+            if kind == "self":
+                dbias = dbias + dlogits.sum(axis=0)
+            else:
+                dmemory += dmem
+        for name, dw in zip(names, dweights):
+            grads[name] += dw
+        dnormed, dg = _norm_b(dy, c_norm)
+        grads[gain] += dg
+        dx = dx + dnormed
+    grads[stack + "_rel_bias"] += _scatter_rows(
+        buckets, dbias.transpose(1, 2, 0), config.relative_bias_buckets
+    )
+    return dx, dmemory
+
+
+# ---------------------------------------------------------------------------
 # Encoder
 
 
@@ -310,60 +388,9 @@ def _encoder_batch(frames, lengths, arranger_ids, params, config):
         [params["arranger_emb"][arranger_ids][:, None, :], frames @ params["input_proj"]],
         axis=1,
     )
-    n = x.shape[1]
-    mask = _key_mask(lengths + 1, n)
-    bias, buckets = _bias_matrix(params["enc_rel_bias"], n, True, config)
-    layer_caches = []
-    for i in range(config.num_encoder_layers):
-        p = f"enc{i}_"
-        normed, c_ln1 = _norm_f(x, params[p + "ln1"])
-        attn, c_attn = _attn_f(
-            normed,
-            params[p + "q"],
-            params[p + "k"],
-            params[p + "v"],
-            params[p + "o"],
-            bias,
-            mask,
-            config.num_heads,
-        )
-        x = x + attn
-        normed, c_ln2 = _norm_f(x, params[p + "ln2"])
-        ff, c_ffn = _ffn_f(normed, params[p + "ff1"], params[p + "ff2"])
-        x = x + ff
-        layer_caches.append((c_ln1, c_attn, c_ln2, c_ffn))
-    state, c_final = _norm_f(x, params["enc_ln_final"])
-    return state, mask, (frames, arranger_ids, buckets, layer_caches, c_final)
-
-
-def encoder_backward(dstate, cache, config, grads):
-    frames, arranger_ids, buckets, layer_caches, c_final = cache
-    dx, dg = _norm_b(dstate, c_final)
-    grads["enc_ln_final"] += dg
-    dbias = 0.0
-    for i in reversed(range(config.num_encoder_layers)):
-        p = f"enc{i}_"
-        c_ln1, c_attn, c_ln2, c_ffn = layer_caches[i]
-        dff, dw1, dw2 = _ffn_b(dx, c_ffn)
-        grads[p + "ff1"] += dw1
-        grads[p + "ff2"] += dw2
-        dnormed, dg = _norm_b(dff, c_ln2)
-        grads[p + "ln2"] += dg
-        dx = dx + dnormed
-        dattn_in, _, (dwq, dwk, dwv, dwo), dlogits = _attn_b(dx, c_attn)
-        grads[p + "q"] += dwq
-        grads[p + "k"] += dwk
-        grads[p + "v"] += dwv
-        grads[p + "o"] += dwo
-        dbias = dbias + dlogits.sum(axis=0)
-        dnormed, dg = _norm_b(dattn_in, c_ln1)
-        grads[p + "ln1"] += dg
-        dx = dx + dnormed
-    grads["enc_rel_bias"] += _scatter_rows(
-        buckets, dbias.transpose(1, 2, 0), config.relative_bias_buckets
-    )
-    grads["arranger_emb"] += _scatter_rows(arranger_ids, dx[:, 0], config.num_arrangers)
-    grads["input_proj"] += _rows(frames).T @ _rows(dx[:, 1:])
+    mask = _key_mask(lengths + 1, x.shape[1])
+    state, cache = _stack_f("enc", x, mask, params, config)
+    return state, mask, (frames, arranger_ids, cache)
 
 
 def encode(spectrogram, arranger_id, params, config: ModelConfig):
@@ -381,45 +408,13 @@ def encode(spectrogram, arranger_id, params, config: ModelConfig):
 def _decoder_batch(ids, enc_state, enc_mask, params, config):
     """Next-token logits (B, n, vocab) for decoder inputs ids (B, n)."""
     n = ids.shape[1]
-    x = params["token_emb"][ids]
-    bias, buckets = _bias_matrix(params["dec_rel_bias"], n, False, config)
     causal = np.where(np.arange(n)[None, :] > np.arange(n)[:, None], _NEG_INF, 0.0)
-    layer_caches = []
-    for i in range(config.num_decoder_layers):
-        p = f"dec{i}_"
-        normed, c_ln1 = _norm_f(x, params[p + "ln1"])
-        attn, c_self = _attn_f(
-            normed,
-            params[p + "sq"],
-            params[p + "sk"],
-            params[p + "sv"],
-            params[p + "so"],
-            bias,
-            causal,
-            config.num_heads,
-        )
-        x = x + attn
-        normed, c_ln2 = _norm_f(x, params[p + "ln2"])
-        cross, c_cross = _attn_f(
-            normed,
-            params[p + "cq"],
-            params[p + "ck"],
-            params[p + "cv"],
-            params[p + "co"],
-            None,
-            enc_mask,
-            config.num_heads,
-            memory=enc_state,
-        )
-        x = x + cross
-        normed, c_ln3 = _norm_f(x, params[p + "ln3"])
-        ff, c_ffn = _ffn_f(normed, params[p + "ff1"], params[p + "ff2"])
-        x = x + ff
-        layer_caches.append((c_ln1, c_self, c_ln2, c_cross, c_ln3, c_ffn))
-    h, c_final = _norm_f(x, params["dec_ln_final"])
+    h, cache = _stack_f(
+        "dec", params["token_emb"][ids], causal, params, config, enc_state, enc_mask
+    )
     scale = config.d_model**-0.5
     logits = (h @ params["token_emb"].T) * scale
-    return logits, (ids, enc_state, buckets, layer_caches, c_final, h, scale)
+    return logits, (ids, h, scale, cache)
 
 
 def decoder_forward(dec_ids, enc_state, params, config):
@@ -427,49 +422,6 @@ def decoder_forward(dec_ids, enc_state, params, config):
     ids = np.asarray(dec_ids, dtype=int)
     logits, cache = _decoder_batch(ids[None], enc_state[None], None, params, config)
     return logits[0], cache
-
-
-def decoder_backward(dlogits, cache, params, config, grads):
-    """Backward through the decoder; returns the encoder-state gradient."""
-    ids, enc_state, buckets, layer_caches, c_final, h, scale = cache
-    grads["token_emb"] += (_rows(dlogits).T @ _rows(h)) * scale
-    dh = (dlogits @ params["token_emb"]) * scale
-    dx, dg = _norm_b(dh, c_final)
-    grads["dec_ln_final"] += dg
-    denc = np.zeros_like(enc_state)
-    dbias = 0.0
-    for i in reversed(range(config.num_decoder_layers)):
-        p = f"dec{i}_"
-        c_ln1, c_self, c_ln2, c_cross, c_ln3, c_ffn = layer_caches[i]
-        dff, dw1, dw2 = _ffn_b(dx, c_ffn)
-        grads[p + "ff1"] += dw1
-        grads[p + "ff2"] += dw2
-        dnormed, dg = _norm_b(dff, c_ln3)
-        grads[p + "ln3"] += dg
-        dx = dx + dnormed
-        dcross_in, dmem, (dwq, dwk, dwv, dwo), _ = _attn_b(dx, c_cross)
-        grads[p + "cq"] += dwq
-        grads[p + "ck"] += dwk
-        grads[p + "cv"] += dwv
-        grads[p + "co"] += dwo
-        denc += dmem
-        dnormed, dg = _norm_b(dcross_in, c_ln2)
-        grads[p + "ln2"] += dg
-        dx = dx + dnormed
-        dself_in, _, (dwq, dwk, dwv, dwo), dlogits_self = _attn_b(dx, c_self)
-        grads[p + "sq"] += dwq
-        grads[p + "sk"] += dwk
-        grads[p + "sv"] += dwv
-        grads[p + "so"] += dwo
-        dbias = dbias + dlogits_self.sum(axis=0)
-        dnormed, dg = _norm_b(dself_in, c_ln1)
-        grads[p + "ln1"] += dg
-        dx = dx + dnormed
-    grads["dec_rel_bias"] += _scatter_rows(
-        buckets, dbias.transpose(1, 2, 0), config.relative_bias_buckets
-    )
-    grads["token_emb"] += _scatter_rows(ids, dx, config.vocab_size)
-    return denc
 
 
 def decode_step(encoder_state, prefix, params, config: ModelConfig):
@@ -531,19 +483,18 @@ class IncrementalDecoder:
         self.bias = params["dec_rel_bias"][distances].T[:, None, :].astype(np.float64)
         self.layers = []
         for i in range(config.num_decoder_layers):
-            p = f"dec{i}_"
-            qkv = np.concatenate(
-                [params[p + "sq"] * scale, params[p + "sk"], params[p + "sv"]], axis=1
-            )
+            ((g1, (sq, sk, sv, so), _), (g2, (cq, ck, cv, co), _),
+             (g3, (ff1, ff2), _)) = _sublayers("dec", i)
+            qkv = np.concatenate([params[sq] * scale, params[sk], params[sv]], axis=1)
             self.layers.append((
-                params[p + "ln1"][:, None] * qkv,
-                params[p + "so"],
-                params[p + "ln2"][:, None] * (params[p + "cq"] * scale),
-                _split_heads(memory @ params[p + "ck"], heads).swapaxes(-1, -2),
-                _split_heads(memory @ params[p + "cv"], heads),
-                params[p + "co"],
-                params[p + "ln3"][:, None] * params[p + "ff1"],
-                params[p + "ff2"],
+                params[g1][:, None] * qkv,
+                params[so],
+                params[g2][:, None] * (params[cq] * scale),
+                _split_heads(memory @ params[ck], heads).swapaxes(-1, -2),
+                _split_heads(memory @ params[cv], heads),
+                params[co],
+                params[g3][:, None] * params[ff1],
+                params[ff2],
             ))
         emb = params["token_emb"]
         self.embedding = emb
@@ -697,7 +648,14 @@ def loss_and_grads(examples, params, config: ModelConfig):
     so the loss equals compute_loss exactly.
     """
     loss, count, dlogits, e_cache, d_cache = _forward(examples, params, config)
+    frames, arranger_ids, encoder = e_cache
+    ids, h, scale, decoder = d_cache
     grads = zero_grads(params)
-    denc = decoder_backward(dlogits / count, d_cache, params, config, grads)
-    encoder_backward(denc, e_cache, config, grads)
+    dlogits = dlogits / count
+    grads["token_emb"] += (_rows(dlogits).T @ _rows(h)) * scale
+    dx, dstate = _stack_b((dlogits @ params["token_emb"]) * scale, decoder, config, grads)
+    grads["token_emb"] += _scatter_rows(ids, dx, config.vocab_size)
+    dx, _ = _stack_b(dstate, encoder, config, grads)
+    grads["arranger_emb"] += _scatter_rows(arranger_ids, dx[:, 0], config.num_arrangers)
+    grads["input_proj"] += _rows(frames).T @ _rows(dx[:, 1:])
     return loss, grads

@@ -434,6 +434,13 @@ class TestWavIO:
             tracemalloc.stop()
         assert peak < 2**20
 
+    @pytest.mark.parametrize("rate", [0, MAX_SAMPLE_RATE + 1, 2**31])
+    def test_writer_refuses_a_rate_the_reader_refuses(self, tmp_path, rate):
+        path = tmp_path / "rate.wav"
+        with pytest.raises(ParameterError, match=f"sample rate {rate} Hz is outside"):
+            write_wav(path, np.zeros(4), rate)
+        assert not path.exists()
+
     def test_rate_at_the_ceiling_loads(self, tmp_path):
         path = tmp_path / "rate.wav"
         path.write_bytes(wav_bytes((b"fmt ", fmt_chunk(1, MAX_SAMPLE_RATE)),

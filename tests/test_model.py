@@ -42,7 +42,7 @@ from pianocover.model.config import MAX_PARAMS
 from pianocover.midi import Note, NoteSequence, parse_smf, write_smf
 from pianocover.model import network, optim
 from pianocover.model.checkpoint import MAGIC
-from pianocover.tokenizer import EOS, PAD, symbol
+from pianocover.tokenizer import EOS, MAX_TOKENS, PAD, symbol
 
 
 def tiny_config(**overrides):
@@ -118,6 +118,43 @@ class TestConfig:
             desk_config(vocab_size=100)
         with pytest.raises(ValidationError):
             desk_config(d_ff=0)
+        # Checked before d_model % num_heads, which would divide by zero.
+        with pytest.raises(ValidationError, match="num_heads must be positive"):
+            desk_config(num_heads=0)
+
+    @pytest.mark.parametrize("value", [64.0, "64", None, True])
+    @pytest.mark.parametrize("field", ["d_model", "num_heads", "vocab_size", "max_decode_len"])
+    def test_fields_must_be_integers(self, field, value):
+        message = re.escape(f"{field} must be an integer, got {value!r}")
+        with pytest.raises(ValidationError, match=message):
+            desk_config(**{field: value})
+
+    def test_fuzzed_fields_build_or_raise_validation_error(self, tmp_path):
+        # Each field's bound where __post_init__ checks one, else its default.
+        bounds = dict(ModelConfig().to_dict(), max_decode_len=MAX_TOKENS,
+                      relative_bias_buckets=4, relative_bias_max_distance=16)
+        rng = np.random.default_rng(15)
+        path = tmp_path / "model.ckpt"
+        outcomes = set()
+        for trial in range(400):
+            fields = dict(bounds)
+            for name, bound in bounds.items():
+                draws = [0, 1, 2, 3, bound, bound - 1, bound + 1, 2**31, 64.0, "64", None, True]
+                if rng.random() < 0.3:
+                    fields[name] = draws[int(rng.integers(len(draws)))]
+            try:
+                ModelConfig(**fields)
+                outcomes.add("built")
+            except ValidationError:
+                outcomes.add("refused")
+            # The same config as a checkpoint with no tensors: refused on
+            # the config, or for lacking the tensors it names.
+            config = json.dumps(fields, sort_keys=True).encode()
+            path.write_bytes(MAGIC + struct.pack("<II", 1, len(config)) + config
+                             + struct.pack("<I", 0))
+            with pytest.raises(FormatError):
+                load_checkpoint(path)
+        assert outcomes == {"built", "refused"}
 
     def test_decoder_bounds(self):
         # Each bound holds at its edge and fails one step past it.

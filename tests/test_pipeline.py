@@ -664,6 +664,12 @@ CONTRACT_ROWS = [
     _row("ckpt-param-budget", "cover {wav} {out} --arranger 0 --checkpoint {bad}",
          "model.ckpt: bad checkpoint config: model has", "model.ckpt",
          _checkpoint_config(d_model=2**30)),
+    _row("ckpt-zero-heads", "cover {wav} {out} --arranger 0 --checkpoint {bad}",
+         "model.ckpt: bad checkpoint config: num_heads must be positive", "model.ckpt",
+         _checkpoint_config(num_heads=0)),
+    _row("ckpt-float-field", "cover {wav} {out} --arranger 0 --checkpoint {bad}",
+         "model.ckpt: bad checkpoint config: d_model must be an integer, got 64.0",
+         "model.ckpt", _checkpoint_config(d_model=64.0)),
     _row("ckpt-dead-mel-channels", "cover {wav} {out} --arranger 0 --checkpoint {bad}",
          "n_mels 800 leaves 2 mel filters with no FFT bin", "model.ckpt",
          _checkpoint_with_mels(800)),
@@ -750,6 +756,8 @@ CONTRACT_ROWS = [
          "train.cfg", b"relative_bias_max_distance = 16\n"),
     _row("config-param-budget", "train {ds} {bad} {out}",
          "parameters, over the budget of 134217728", "train.cfg", b"d_model = 1073741824\n"),
+    _row("config-zero-heads", "train {ds} {bad} {out}",
+         "num_heads must be positive", "train.cfg", b"num_heads = 0\n"),
     _row("config-learning-rate-nan", "train {ds} {bad} {out}",
          "learning_rate must be positive and finite", "train.cfg",
          b"epochs = 1\nlearning_rate = nan\n"),
