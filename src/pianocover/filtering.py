@@ -79,10 +79,6 @@ class F0Contour:
     def __len__(self):
         return len(self.times)
 
-    @property
-    def voiced(self) -> np.ndarray:
-        return self.f0_hz > 0
-
 
 @dataclass(frozen=True)
 class FilterReport:

@@ -13,6 +13,15 @@ from ..tokenizer import MAX_TOKENS, VOCAB_SIZE
 # config is refused before ``init_params`` tries to allocate it.
 MAX_PARAMS = 2**27
 
+# Layers a stack may have.  MAX_PARAMS alone admits 16M layers of width 1,
+# and ``param_shapes``, ``init_params`` and every forward and backward pass
+# walk the layers one at a time in Python, so a checkpoint config of a few
+# hundred bytes could ask for gigabytes of parameter names.  At 4096 both
+# stacks name under 90k tensors, and a desk-width model (d_model 64) still
+# reaches MAX_PARAMS by depth alone (about 2700 encoder layers) before
+# this bound; the published model has 8 layers per stack.
+MAX_LAYERS = 4096
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -36,6 +45,11 @@ class ModelConfig:
                 raise ValidationError(f"{field.name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValidationError(f"{field.name} must be positive")
+        for name in ("num_encoder_layers", "num_decoder_layers"):
+            if getattr(self, name) > MAX_LAYERS:
+                raise ValidationError(
+                    f"{name} must be at most {MAX_LAYERS}, got {getattr(self, name)}"
+                )
         if self.d_model % self.num_heads != 0:
             raise ValidationError(
                 f"d_model {self.d_model} not divisible by {self.num_heads} heads"

@@ -12,11 +12,14 @@ the beat grid and written as MIDI.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import logging
 import math
+import os
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -237,52 +240,74 @@ def build_dataset(records, out_dir=None):
 # Dataset directory layout
 
 
+def _mel_header(rows: int) -> bytes:
+    """The .npy header of (rows, N_MELS) little-endian float64 C-order frames."""
+    buffer = io.BytesIO()
+    header = {"descr": "<f8", "fortran_order": False, "shape": (rows, N_MELS)}
+    np.lib.format.write_array_header_1_0(buffer, header)
+    return buffer.getvalue()
+
+
 def save_dataset(out_dir, examples, report: BuildReport) -> None:
+    """Writes examples and their report as a three-file dataset directory.
+
+    ``mels.npy`` holds every example's frames stacked in order, one
+    float64 (total frames, N_MELS) array streamed an example at a time;
+    ``tokens.txt`` one line of token ids per example; ``dataset.json``
+    each example's frame count and arranger id, and the report. Frames
+    not shaped (t >= 1, N_MELS) raise ParameterError.
+    """
+    mels = [np.asarray(getattr(spec, "frames", spec), dtype="<f8") for spec, _, _ in examples]
+    for frames in mels:
+        if frames.ndim != 2 or frames.shape[1] != N_MELS or len(frames) < 1:
+            raise ParameterError(f"expected frames shaped (t, {N_MELS}), got {frames.shape}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    index = []
-    for i, (spec, arranger_id, tokens) in enumerate(examples):
-        stem = f"ex{i:06d}"
-        frames = np.asarray(getattr(spec, "frames", spec), dtype=np.float64)
-        np.save(out / f"{stem}.mel.npy", frames)
-        write_token_file(out / f"{stem}.tokens.txt", [tokens])
-        index.append(
-            {
-                "mel": f"{stem}.mel.npy",
-                "tokens": f"{stem}.tokens.txt",
-                "arranger_id": arranger_id,
-            }
-        )
-    payload = {"examples": index, "report": report.to_dict()}
+    with open(out / "mels.npy", "wb") as fh:
+        fh.write(_mel_header(sum(map(len, mels))))
+        for frames in mels:
+            fh.write(np.ascontiguousarray(frames))
+    write_token_file(out / "tokens.txt", [tokens for _, _, tokens in examples])
+    payload = {"frames": [len(frames) for frames in mels], "report": report.to_dict(),
+               "arranger_ids": [arranger_id for _, arranger_id, _ in examples]}
     (out / "dataset.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def load_dataset(in_dir):
     """Returns (examples, report dict) from a save_dataset directory.
 
-    A malformed index or mel file raises FormatError naming the file.
-    """
+    Frames are views into the one mels.npy array. Anything save_dataset
+    does not write raises FormatError naming the file."""
     root = Path(in_dir)
-    index = root / "dataset.json"
+    index, mels, tokens = root / "dataset.json", root / "mels.npy", root / "tokens.txt"
     try:
         payload = json.loads(read_text(index))
-        report = payload["report"]
-        rows = [(root / e["mel"], root / e["tokens"], int(e["arranger_id"]))
-                for e in payload["examples"]]
-    except (ValueError, KeyError, TypeError) as exc:  # ValueError: bad JSON or id
+        counts, arranger_ids, report = (payload[k] for k in ("frames", "arranger_ids", "report"))
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:  # RecursionError: deep JSON
         raise FormatError(f"{index}: not a dataset index: {exc!r}") from None
-    examples = []
-    for mel, tokens, arranger_id in rows:
-        try:
-            frames = np.load(mel)
-        except (ValueError, EOFError) as exc:  # not .npy, truncated, or pickled
-            raise FormatError(f"{mel}: not an .npy array: {exc}") from None
-        if not isinstance(frames, np.ndarray) or frames.ndim != 2:
-            raise FormatError(f"{mel}: not a 2-D .npy array")
-        segments = read_token_file(tokens)
-        if len(segments) != 1:
-            raise ValidationError(f"{tokens}: expected one segment per file")
-        examples.append((frames, arranger_id, segments[0]))
+    for key, values, least in (("frames", counts, 1), ("arranger_ids", arranger_ids, 0)):
+        if not isinstance(values, list) or any(type(v) is not int or v < least for v in values):
+            raise FormatError(f"{index}: {key} must be a list of integers >= {least}")
+    segments = read_token_file(tokens)
+    if not len(counts) == len(arranger_ids) == len(segments):
+        raise FormatError(f"{index}: {len(counts)} frame counts and {len(arranger_ids)} "
+                          f"arranger ids for {len(segments)} lines of {tokens.name}")
+    shape = (sum(counts), N_MELS)
+    header = _mel_header(shape[0])
+    with open(mels, "rb") as fh:
+        # Only the exact header save_dataset writes is read, so no shape or
+        # dtype from the file reaches numpy, and the size is checked first.
+        if (fh.read(len(header)) != header
+                or os.fstat(fh.fileno()).st_size != len(header) + 8 * math.prod(shape)):
+            raise FormatError(f"{mels}: not the C-order float64 array of shape {shape} "
+                              f"that {index.name} describes")
+        frames = np.fromfile(fh, "<f8").reshape(shape)
+    finite = np.isfinite(frames).all(axis=1)
+    if not finite.all():
+        raise FormatError(f"{mels}: non-finite value in row {np.argmin(finite)}")
+    ends = list(accumulate(counts))
+    examples = [(frames[start:end], arranger_id, segment) for start, end, arranger_id, segment
+                in zip([0, *ends], ends, arranger_ids, segments)]
     return examples, report
 
 

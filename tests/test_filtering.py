@@ -42,7 +42,6 @@ class TestF0Contour:
         c = F0Contour.from_hop([100.0, 0.0, 220.0])
         assert len(c) == 3
         assert c.times[1] == pytest.approx(F0_HOP)
-        assert c.voiced.tolist() == [True, False, True]
 
     def test_validation(self):
         with pytest.raises(ValidationError):

@@ -38,9 +38,9 @@ from pianocover.model import (
     train,
     zero_grads,
 )
-from pianocover.model.config import MAX_PARAMS
+from pianocover.model.config import MAX_LAYERS, MAX_PARAMS
 from pianocover.midi import Note, NoteSequence, parse_smf, write_smf
-from pianocover.model import network, optim
+from pianocover.model import checkpoint, network, optim
 from pianocover.model.checkpoint import MAGIC
 from pianocover.tokenizer import EOS, MAX_TOKENS, PAD, symbol
 
@@ -132,12 +132,16 @@ class TestConfig:
     def test_fuzzed_fields_build_or_raise_validation_error(self, tmp_path):
         # Each field's bound where __post_init__ checks one, else its default.
         bounds = dict(ModelConfig().to_dict(), max_decode_len=MAX_TOKENS,
-                      relative_bias_buckets=4, relative_bias_max_distance=16)
+                      relative_bias_buckets=4, relative_bias_max_distance=16,
+                      num_encoder_layers=MAX_LAYERS, num_decoder_layers=MAX_LAYERS)
+        # Trials start from the default layer counts: MAX_LAYERS layers of
+        # the default width are over MAX_PARAMS.
+        base = dict(bounds, num_encoder_layers=2, num_decoder_layers=2)
         rng = np.random.default_rng(15)
         path = tmp_path / "model.ckpt"
         outcomes = set()
         for trial in range(400):
-            fields = dict(bounds)
+            fields = dict(base)
             for name, bound in bounds.items():
                 draws = [0, 1, 2, 3, bound, bound - 1, bound + 1, 2**31, 64.0, "64", None, True]
                 if rng.random() < 0.3:
@@ -168,6 +172,28 @@ class TestConfig:
         ):
             with pytest.raises(ValidationError, match=message):
                 desk_config(**overrides)
+
+    def test_layer_bound(self, tmp_path, monkeypatch):
+        narrow = dict(d_model=1, num_heads=1, d_ff=1, n_mels=1, num_arrangers=1)
+        desk_config(**narrow, num_encoder_layers=MAX_LAYERS, num_decoder_layers=MAX_LAYERS)
+        # 16M narrow layers fit MAX_PARAMS; the bound refuses them before
+        # anything names their tensors.
+        def no_shapes(config):
+            raise AssertionError("param_shapes built")
+        monkeypatch.setattr(network, "param_shapes", no_shapes)
+        monkeypatch.setattr(checkpoint, "param_shapes", no_shapes)
+        for name in ("num_encoder_layers", "num_decoder_layers"):
+            deep = dict(ModelConfig().to_dict(), **narrow, **{name: 16_000_000})
+            with pytest.raises(ValidationError, match=f"{name} must be at most {MAX_LAYERS}"):
+                ModelConfig(**deep)
+            config = json.dumps(deep, sort_keys=True).encode()
+            path = tmp_path / "deep.ckpt"
+            path.write_bytes(MAGIC + struct.pack("<II", 1, len(config)) + config
+                             + struct.pack("<I", 0))
+            with pytest.raises(FormatError, match=f"{name} must be at most {MAX_LAYERS}"):
+                load_checkpoint(path)
+        with pytest.raises(ValidationError, match="must be at most"):
+            desk_config(**narrow, num_encoder_layers=MAX_LAYERS + 1)
 
     def test_param_budget(self):
         # The budget holds at its edge: encoder layers add a fixed count each.

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -19,8 +20,8 @@ from conftest import fmt_chunk, wav_bytes
 from pianocover import cli, sync
 from pianocover.beats import BeatGrid, halfbeats_to_seconds, read_beat_file, write_beat_file
 from pianocover.cli import main
-from pianocover.errors import ParameterError
-from pianocover.features import MAX_SAMPLE_RATE, SAMPLE_RATE, load_wav, write_wav
+from pianocover.errors import ParameterError, PianoCoverError
+from pianocover.features import MAX_SAMPLE_RATE, N_MELS, SAMPLE_RATE, load_wav, write_wav
 from pianocover.filtering import (
     UNVOICED,
     F0Contour,
@@ -355,12 +356,84 @@ class TestBuildDataset:
         record, _, _, _ = make_pair(tmp_path, rng, name="rt", arranger_id=2)
         out = tmp_path / "ds"
         examples, report = build_dataset([record], out_dir=out)
+        assert sorted(p.name for p in out.iterdir()) == ["dataset.json", "mels.npy", "tokens.txt"]
         loaded, loaded_report = load_dataset(out)
         assert len(loaded) == len(examples)
         assert loaded_report["kept"] == report.kept
         for (spec, aid, tokens), (frames, laid, ltokens) in zip(examples, loaded):
             assert np.array_equal(np.asarray(spec.frames), frames)
             assert (aid, tokens.ids) == (laid, ltokens.ids)
+
+
+def ragged_examples(rng, count):
+    """Examples of 1 to 80 frames holding every kind of finite float64."""
+    examples = []
+    for _ in range(count):
+        scale = 10.0 ** rng.integers(-320, 300, size=N_MELS)  # subnormal to huge
+        frames = rng.standard_normal((int(rng.integers(1, 81)), N_MELS)) * scale
+        frames[0, :3] = (-0.0, np.finfo(float).max, np.finfo(float).tiny / 4)
+        # Note-off, note-on and pitch ids, in any order, make a valid segment.
+        ids = rng.integers(102, 232, int(rng.integers(0, 20)))
+        tokens = TokenSeq(tuple(int(i) for i in ids) + (EOS,))
+        examples.append((frames, int(rng.integers(0, 21)), tokens))
+    return examples
+
+
+class TestDatasetDirectory:
+    def test_ragged_round_trip_is_bit_equal(self, tmp_path):
+        examples = ragged_examples(np.random.default_rng(21), 40)
+        save_dataset(tmp_path / "ds", examples, BuildReport(1, 1, 0, 0, []))
+        loaded, report = load_dataset(tmp_path / "ds")
+        assert report == BuildReport(1, 1, 0, 0, []).to_dict()
+        assert len(loaded) == len(examples)
+        for (frames, aid, tokens), (got, got_aid, got_tokens) in zip(examples, loaded):
+            assert got.dtype == np.float64 and got.tobytes() == frames.tobytes()
+            assert (got_aid, got_tokens.ids) == (aid, tokens.ids)
+
+    def test_empty_round_trip(self, tmp_path):
+        save_dataset(tmp_path / "ds", [], BuildReport(0, 0, 0, 0, []))
+        assert load_dataset(tmp_path / "ds") == ([], BuildReport(0, 0, 0, 0, []).to_dict())
+
+    @pytest.mark.parametrize("shape", [(4, N_MELS - 1), (4, N_MELS + 1), (0, N_MELS), (N_MELS,)])
+    def test_save_refuses_other_shapes(self, tmp_path, shape):
+        example = (np.zeros(shape), 0, TokenSeq((EOS,)))
+        with pytest.raises(ParameterError, match=f"expected frames shaped \\(t, {N_MELS}\\)"):
+            save_dataset(tmp_path / "ds", [example], BuildReport(1, 1, 0, 0, []))
+        assert not (tmp_path / "ds").exists()
+
+    def test_byte_mutations_raise_only_package_errors(self, tmp_path):
+        valid = tmp_path / "valid"
+        save_dataset(valid, ragged_examples(np.random.default_rng(22), 3),
+                     BuildReport(1, 1, 0, 0, []))
+        names = ["dataset.json", "mels.npy", "tokens.txt"]
+        rng = np.random.default_rng(23)
+        for trial in range(600):
+            name = names[trial % len(names)]
+            mutant = tmp_path / f"mutant{trial}"
+            shutil.copytree(valid, mutant)
+            data = bytearray((valid / name).read_bytes())
+            # Half of the edits land in the .npy header or the first lines.
+            # Text files also get bytes of their own alphabet, so that some
+            # mutants still parse.
+            for _ in range(int(rng.integers(1, 4))):
+                at = rng.integers(0, 64) if rng.random() < 0.5 else rng.integers(0, len(data))
+                text = name != "mels.npy" and rng.random() < 0.5
+                alphabet = b'0123456789 -.e,:[]{}"\n' if text else bytes(range(256))
+                data[int(at)] = alphabet[rng.integers(0, len(alphabet))]
+            if rng.random() < 0.2:
+                del data[int(rng.integers(0, len(data))):]
+            (mutant / name).write_bytes(bytes(data))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    examples, _ = load_dataset(mutant)
+                except PianoCoverError:
+                    continue
+            assert not caught, (trial, [str(w.message) for w in caught])
+            for frames, aid, _ in examples:
+                assert frames.shape[1:] == (N_MELS,) and len(frames) >= 1
+                assert np.isfinite(frames).all() and type(aid) is int
+            shutil.rmtree(mutant)
 
 
 class TestGenerateCover:
@@ -667,6 +740,10 @@ CONTRACT_ROWS = [
     _row("ckpt-zero-heads", "cover {wav} {out} --arranger 0 --checkpoint {bad}",
          "model.ckpt: bad checkpoint config: num_heads must be positive", "model.ckpt",
          _checkpoint_config(num_heads=0)),
+    _row("ckpt-layer-bound", "cover {wav} {out} --arranger 0 --checkpoint {bad}",
+         "model.ckpt: bad checkpoint config: num_encoder_layers must be at most 4096, "
+         "got 16000000", "model.ckpt",
+         _checkpoint_config(d_model=4, num_heads=1, d_ff=4, num_encoder_layers=16_000_000)),
     _row("ckpt-float-field", "cover {wav} {out} --arranger 0 --checkpoint {bad}",
          "model.ckpt: bad checkpoint config: d_model must be an integer, got 64.0",
          "model.ckpt", _checkpoint_config(d_model=64.0)),
@@ -758,6 +835,9 @@ CONTRACT_ROWS = [
          "parameters, over the budget of 134217728", "train.cfg", b"d_model = 1073741824\n"),
     _row("config-zero-heads", "train {ds} {bad} {out}",
          "num_heads must be positive", "train.cfg", b"num_heads = 0\n"),
+    _row("config-layer-bound", "train {ds} {bad} {out}",
+         "num_decoder_layers must be at most 4096, got 16000000", "train.cfg",
+         b"d_model = 4\nnum_heads = 1\nd_ff = 4\nnum_decoder_layers = 16000000\n"),
     _row("config-learning-rate-nan", "train {ds} {bad} {out}",
          "learning_rate must be positive and finite", "train.cfg",
          b"epochs = 1\nlearning_rate = nan\n"),
@@ -794,6 +874,21 @@ CONTRACT_ROWS = [
          "argument --arranger: invalid int value: 'x'"),
     _row("unknown-command", "transcribe {wav}", "invalid choice: 'transcribe'"),
 ]
+
+
+def _npy(array):
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+def _index(**fields):
+    """The valid dataset index of one 4-frame example, with fields overridden."""
+    return json.dumps(dict({"frames": [4], "arranger_ids": [0], "report": {}}, **fields)).encode()
+
+
+NOT_THE_MELS = "mels.npy: not the C-order float64 array of shape (4, 128) that dataset.json"
+_VALID_MELS = _npy(np.zeros((4, 128)))
 
 
 class TestCli:
@@ -976,24 +1071,87 @@ class TestCli:
     @pytest.mark.parametrize(
         "bad_file,content,message",
         [
-            pytest.param("dataset.json", b"{not json", "dataset.json: not a dataset index",
+            pytest.param("dataset.json", b"{not json",
+                         "dataset.json: not a dataset index",
                          id="index-not-json"),
+            pytest.param("dataset.json", b"[" * 100_000,
+                         "dataset.json: not a dataset index: RecursionError(",
+                         id="index-nested-too-deep"),
             pytest.param("dataset.json", b'{"report": {}}',
-                         "dataset.json: not a dataset index: KeyError('examples')",
+                         "dataset.json: not a dataset index: KeyError('frames')",
                          id="index-no-examples"),
             pytest.param("dataset.json",
-                         b'{"examples": [{"mel": "ex000000.mel.npy", "arranger_id": "x",'
+                         b'{"examples": [{"mel": "ex000000.mel.npy", "arranger_id": 0,'
                          b' "tokens": "ex000000.tokens.txt"}], "report": {}}',
-                         "dataset.json: not a dataset index: ValueError(\"invalid literal",
+                         "dataset.json: not a dataset index: KeyError('frames')",
+                         id="index-per-window"),
+            pytest.param("dataset.json", _index(arranger_ids=["x"]),
+                         "dataset.json: arranger_ids must be a list of integers >= 0",
                          id="index-arranger"),
-            pytest.param("ex000000.mel.npy", b"not an array",
-                         "ex000000.mel.npy: not an .npy array", id="mel-not-npy"),
-            pytest.param("ex000000.tokens.txt", b"999 1\n",
-                         "ex000000.tokens.txt:1: id 999 outside the vocabulary",
+            pytest.param("dataset.json", _index(arranger_ids=[float("inf")]),
+                         "dataset.json: arranger_ids must be a list of integers >= 0",
+                         id="index-arranger-infinity"),
+            pytest.param("dataset.json", _index(arranger_ids=[1.5]),
+                         "dataset.json: arranger_ids must be a list of integers >= 0",
+                         id="index-arranger-float"),
+            pytest.param("dataset.json", _index(arranger_ids=[True]),
+                         "dataset.json: arranger_ids must be a list of integers >= 0",
+                         id="index-arranger-bool"),
+            pytest.param("dataset.json", _index(frames=[0]),
+                         "dataset.json: frames must be a list of integers >= 1",
+                         id="index-frames-zero"),
+            pytest.param("dataset.json", _index(frames=[4.0]),
+                         "dataset.json: frames must be a list of integers >= 1",
+                         id="index-frames-float"),
+            pytest.param("dataset.json", _index(frames=4),
+                         "dataset.json: frames must be a list of integers >= 1",
+                         id="index-frames-not-a-list"),
+            pytest.param("dataset.json", _index(frames=[3]),
+                         "mels.npy: not the C-order float64 array of shape (3, 128)",
+                         id="index-frames-sum"),
+            pytest.param("dataset.json", _index(arranger_ids=[0, 0]),
+                         "dataset.json: 1 frame counts and 2 arranger ids for 1 lines of "
+                         "tokens.txt",
+                         id="index-lengths"),
+            pytest.param("mels.npy", b"not an array", NOT_THE_MELS,
+                         id="mel-not-npy"),
+            pytest.param("mels.npy", _npy(np.full((4, 128), "x")), NOT_THE_MELS,
+                         id="mel-strings"),
+            pytest.param("mels.npy", _npy(np.zeros((4, 128), complex)), NOT_THE_MELS,
+                         id="mel-complex"),
+            pytest.param("mels.npy", _npy(np.zeros((4, 128), bool)), NOT_THE_MELS,
+                         id="mel-bool"),
+            pytest.param("mels.npy", _npy(np.zeros(512)), NOT_THE_MELS,
+                         id="mel-one-dimensional"),
+            pytest.param("mels.npy", _npy(np.zeros((8, 64))), NOT_THE_MELS,
+                         id="mel-narrow"),
+            pytest.param("mels.npy", _npy(np.zeros((128, 4)).T), NOT_THE_MELS,
+                         id="mel-fortran-order"),
+            pytest.param("mels.npy", _npy(np.zeros((4, 128), ">f8")), NOT_THE_MELS,
+                         id="mel-big-endian"),
+            pytest.param("mels.npy", _npy(np.zeros((0, 128))), NOT_THE_MELS,
+                         id="mel-zero-rows"),
+            pytest.param("mels.npy", _VALID_MELS + bytes(8), NOT_THE_MELS,
+                         id="mel-trailing-bytes"),
+            pytest.param("mels.npy", _VALID_MELS[:-8], NOT_THE_MELS,
+                         id="mel-truncated"),
+            pytest.param("mels.npy", _npy(np.full((4, 128), np.nan)),
+                         "mels.npy: non-finite value in row 0",
+                         id="mel-all-nan"),
+            pytest.param("mels.npy", _npy(np.where(np.arange(512) == 261, np.inf, 0.0)
+                                          .reshape(4, 128)),
+                         "mels.npy: non-finite value in row 2",
+                         id="mel-one-inf"),
+            pytest.param("tokens.txt", b"999 1\n",
+                         "tokens.txt:1: id 999 outside the vocabulary",
                          id="tokens-bad-id"),
-            pytest.param("ex000000.tokens.txt", b"\xff1\n",
-                         "ex000000.tokens.txt: not UTF-8 text (at byte offset 0)",
+            pytest.param("tokens.txt", b"\xff1\n",
+                         "tokens.txt: not UTF-8 text (at byte offset 0)",
                          id="tokens-not-utf8"),
+            pytest.param("tokens.txt", f"{EOS}\n{EOS}\n".encode(),
+                         "dataset.json: 1 frame counts and 1 arranger ids for 2 lines of "
+                         "tokens.txt",
+                         id="tokens-two-lines"),
         ],
     )
     def test_malformed_dataset_is_one_error_line(
