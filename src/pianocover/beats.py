@@ -147,19 +147,17 @@ def halfbeats_to_seconds(seq: NoteSequence, grid: BeatGrid) -> NoteSequence:
     beyond = sum(1 for n in seq.notes if n.offset >= len(grid.half_beats))
     if beyond:
         log.info("%d note(s) extend past the grid; extrapolating", beyond)
+    # Every onset, then every offset, then the duration, in one lookup.
+    k = len(seq.notes)
+    times = grid.halfbeat_to_seconds(
+        [n.onset for n in seq.notes] + [n.offset for n in seq.notes] + [seq.duration]
+    ).tolist()
+    onsets, offsets = times[:k], times[k : 2 * k]
     notes = [
-        Note(
-            grid.halfbeat_to_seconds(n.onset),
-            n.pitch,
-            grid.halfbeat_to_seconds(n.offset),
-            n.velocity,
-        )
-        for n in seq.notes
+        Note(onset, n.pitch, offset, n.velocity)
+        for n, onset, offset in zip(seq.notes, onsets, offsets)
     ]
-    duration = max(
-        grid.halfbeat_to_seconds(seq.duration),
-        max((n.offset for n in notes), default=0.0),
-    )
+    duration = max(times[-1], max(offsets, default=0.0))
     return NoteSequence.build(notes, TimeUnit.SECONDS, duration)
 
 

@@ -45,6 +45,9 @@ LOG_FLOOR = 1e-6
 # SAMPLE_RATE/rate in lowest terms, so a WAV header's rate is checked
 # against it before anything allocates.
 MAX_SAMPLE_RATE = 384_000
+# The most 16-bit mono samples a WAV file holds: the RIFF size field, a
+# u32, counts the data plus 36 header bytes.
+MAX_WAV_SAMPLES = (2**32 - 1 - 36) // 2
 # Samples of frame data per STFT block: 2048 frames at a 1024-sample
 # window, 512 at WINDOW.  A block holds its magnitude (about 8 MB) and its
 # pool's arrays, whatever the length of the song.
@@ -346,9 +349,14 @@ def load_wav(path) -> np.ndarray:
 
 
 def write_wav(path, audio: np.ndarray, sample_rate: int = SAMPLE_RATE):
-    """Write mono float audio in [-1, 1] as 16-bit PCM."""
+    """Write mono float audio in [-1, 1] as 16-bit PCM. A rate the reader
+    refuses, or more samples than the RIFF size field can count, raises
+    ParameterError before the file is opened."""
     if not 1 <= sample_rate <= MAX_SAMPLE_RATE:
         raise ParameterError(f"sample rate {sample_rate} Hz is outside 1..{MAX_SAMPLE_RATE}")
+    if np.size(audio) > MAX_WAV_SAMPLES:
+        raise ParameterError(f"{np.size(audio)} samples are more than a WAV file holds "
+                             f"({MAX_WAV_SAMPLES})")
     clipped = np.clip(np.asarray(audio, dtype=np.float64), -1.0, 1.0)
     pcm = (clipped * 32767.0).astype("<i2")
     header = struct.pack(

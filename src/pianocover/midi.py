@@ -27,6 +27,9 @@ PIANO_PITCH_MAX = 108
 _META_TEMPO = 0x51
 _META_END_OF_TRACK = 0x2F
 _DEFAULT_USPQ = 500_000  # 120 BPM, SMF default
+# The largest variable-length quantity 4 bytes hold: about 77.7 h between
+# two events at 480 ticks per quarter and 120 BPM.
+MAX_VLQ = 2**28 - 1
 
 
 class TimeUnit(Enum):
@@ -295,6 +298,12 @@ def parse_smf(data: bytes) -> NoteSequence:
 
 
 def _vlq(value: int) -> bytes:
+    """A delta time as a variable-length quantity of at most 4 bytes, the
+    most the SMF format (and parse_smf) reads."""
+    if value > MAX_VLQ:
+        raise ValidationError(
+            f"delta time of {value} ticks exceeds the SMF maximum of {MAX_VLQ}"
+        )
     chunks = [value & 0x7F]
     value >>= 7
     while value:
@@ -309,6 +318,7 @@ def write_smf(seq: NoteSequence, ticks_per_quarter: int = 480,
 
     One tempo event, all notes on channel 0, times rounded to the nearest
     tick.  Output is bit-exact for a fixed (sequence, ticks, tempo) triple.
+    Two events more than MAX_VLQ ticks apart raise ValidationError.
     """
     if seq.time_unit is not TimeUnit.SECONDS:
         raise ValidationError("write_smf requires a sequence in seconds")

@@ -79,7 +79,7 @@ def _decode(reader: ByteCursor):
     cfg = reader.take(cfg_len)
     try:
         config = ModelConfig.from_dict(json.loads(cfg.decode()))
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, RecursionError) as exc:  # RecursionError: deep JSON
         raise FormatError(f"bad checkpoint config: {exc}") from exc
     expected = param_shapes(config)
     (count,) = reader.unpack("<I")

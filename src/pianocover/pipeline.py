@@ -255,12 +255,17 @@ def save_dataset(out_dir, examples, report: BuildReport) -> None:
     float64 (total frames, N_MELS) array streamed an example at a time;
     ``tokens.txt`` one line of token ids per example; ``dataset.json``
     each example's frame count and arranger id, and the report. Frames
-    not shaped (t >= 1, N_MELS) raise ParameterError.
+    not shaped (t >= 1, N_MELS), or an empty token sequence, which would
+    leave tokens.txt no line to read, raise ParameterError before any
+    file is written.
     """
     mels = [np.asarray(getattr(spec, "frames", spec), dtype="<f8") for spec, _, _ in examples]
     for frames in mels:
         if frames.ndim != 2 or frames.shape[1] != N_MELS or len(frames) < 1:
             raise ParameterError(f"expected frames shaped (t, {N_MELS}), got {frames.shape}")
+    for index, (_, _, tokens) in enumerate(examples):
+        if not tokens.ids:
+            raise ParameterError(f"example {index} has no tokens")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "mels.npy", "wb") as fh:
@@ -315,33 +320,66 @@ def load_dataset(in_dir):
 # Synthetic audio
 
 
+# The longest mix render_sine_audio makes: 1 GiB of float64 samples, and
+# at most as much again in sine tables (about 101 minutes at 22050 Hz).
+MAX_RENDER_SAMPLES = 2**27
+
+
+def _sine(pitch: int, start: int, stop: int, sample_rate: int) -> np.ndarray:
+    """Samples start..stop of a unit sine at the pitch's equal-tempered
+    frequency. Any split of a range gives the same bits as the whole."""
+    freq = 440.0 * 2.0 ** ((pitch - 69) / 12.0)
+    return np.sin(2.0 * math.pi * freq * (np.arange(start, stop) / sample_rate))
+
+
+def _note_tone(table, note: Note, length: int, sample_rate: int, ramps: dict) -> np.ndarray:
+    """One note's faded, velocity-weighted samples, read from its pitch's
+    table and computed past the table's end."""
+    tone = table[:length]
+    if length > len(table):
+        tone = np.concatenate((table, _sine(note.pitch, len(table), length, sample_rate)))
+    tone = tone * (note.velocity / 127.0)
+    fade = min(length // 2, max(1, int(round(0.010 * sample_rate))))
+    if fade not in ramps:
+        ramps[fade] = np.linspace(0.0, 1.0, fade, endpoint=False)
+    tone[:fade] *= ramps[fade]
+    tone[length - fade :] *= ramps[fade][::-1]
+    return tone
+
+
 def render_sine_audio(seq: NoteSequence, sample_rate: int = SAMPLE_RATE) -> np.ndarray:
     """Additive sine rendering of a sequence in seconds.
 
     Each note contributes a sine at its equal-tempered frequency with a
     10 ms linear fade in and out, velocity-weighted; the mix is peak
-    normalized to 0.9.
+    normalized to 0.9. A mix over MAX_RENDER_SAMPLES raises ParameterError.
     """
     if seq.time_unit is not TimeUnit.SECONDS:
         raise ParameterError("render_sine_audio expects a sequence in seconds")
     if not seq.notes:
         raise ParameterError("cannot render an empty sequence")
     n = int(round(seq.duration * sample_rate))
-    mix = np.zeros(n)
+    if n > MAX_RENDER_SAMPLES:
+        raise ParameterError(f"{seq.duration:g} s at {sample_rate} Hz is {n} samples, "
+                             f"over the render limit of {MAX_RENDER_SAMPLES}")
+    spans = []
+    longest = {}
     for note in seq:
         lo = int(round(note.onset * sample_rate))
         hi = min(n, int(round(note.offset * sample_rate)))
-        if hi <= lo:
-            continue
-        length = hi - lo
-        freq = 440.0 * 2.0 ** ((note.pitch - 69) / 12.0)
-        t = np.arange(length) / sample_rate
-        tone = np.sin(2.0 * math.pi * freq * t) * (note.velocity / 127.0)
-        fade = min(length // 2, max(1, int(round(0.010 * sample_rate))))
-        ramp = np.linspace(0.0, 1.0, fade, endpoint=False)
-        tone[:fade] *= ramp
-        tone[length - fade :] *= ramp[::-1]
-        mix[lo:hi] += tone
+        if hi > lo:
+            spans.append((lo, hi, note))
+            longest[note.pitch] = max(longest.get(note.pitch, 0), hi - lo)
+    # Each pitch's sine is computed once, as long as its longest note but
+    # capped so that the tables together hold no more samples than the mix.
+    cap = n // max(1, len(longest))
+    tables = {pitch: _sine(pitch, 0, min(length, cap), sample_rate)
+              for pitch, length in longest.items()}
+    ramps = {}
+    mix = np.zeros(n)
+    # Notes are added in sequence order, which fixes the bits where they overlap.
+    for lo, hi, note in spans:
+        mix[lo:hi] += _note_tone(tables[note.pitch], note, hi - lo, sample_rate, ramps)
     peak = np.abs(mix).max()
     if peak > 0:
         mix *= 0.9 / peak

@@ -136,6 +136,33 @@ class TestHalfbeatsToSeconds:
         assert out.notes[0].onset == pytest.approx(0.75)
         assert out.notes[0].offset == pytest.approx(1.25)
 
+    def test_matches_one_scalar_lookup_per_time(self):
+        rng = np.random.default_rng(17)
+        g = BeatGrid(np.cumsum(rng.uniform(0.3, 0.7, 12)))
+        last = len(g.half_beats)
+        # Onsets run past the grid's last half-beat, so some notes and the
+        # duration extrapolate.
+        notes = []
+        for _ in range(80):
+            onset = int(rng.integers(0, last + 10))
+            notes.append(Note(onset, int(rng.integers(21, 109)),
+                              onset + int(rng.integers(1, 6)), int(rng.integers(1, 128))))
+        seq = NoteSequence.build(notes, TimeUnit.HALF_BEATS, duration=last + 20)
+        out = halfbeats_to_seconds(seq, g)
+        want = [Note(g.halfbeat_to_seconds(n.onset), n.pitch,
+                     g.halfbeat_to_seconds(n.offset), n.velocity) for n in seq]
+        assert any(n.offset > last for n in seq)
+        assert out.notes == tuple(want)
+        assert all(type(n.onset) is float and type(n.offset) is float for n in out)
+        assert out.duration == g.halfbeat_to_seconds(last + 20)
+
+    def test_empty_piece(self):
+        g = grid_120bpm()
+        for duration in (0, 5, 40):
+            out = halfbeats_to_seconds(NoteSequence.build([], TimeUnit.HALF_BEATS, duration), g)
+            assert out.notes == () and out.time_unit is TimeUnit.SECONDS
+            assert out.duration == g.halfbeat_to_seconds(duration)
+
     def test_strictly_monotone_in_index(self):
         g = BeatGrid(np.cumsum(np.random.default_rng(1).uniform(0.3, 0.7, 20)))
         secs = [g.halfbeat_to_seconds(i) for i in range(2 * len(g.beats) + 5)]

@@ -15,6 +15,7 @@ from pianocover.features import (
     HOP,
     LOG_FLOOR,
     MAX_SAMPLE_RATE,
+    MAX_WAV_SAMPLES,
     N_MELS,
     SAMPLE_RATE,
     WINDOW,
@@ -440,6 +441,14 @@ class TestWavIO:
         with pytest.raises(ParameterError, match=f"sample rate {rate} Hz is outside"):
             write_wav(path, np.zeros(4), rate)
         assert not path.exists()
+
+    def test_writer_refuses_more_samples_than_riff_counts(self, tmp_path):
+        # A zero-stride view: the length is real, the memory is one sample.
+        path = tmp_path / "long.wav"
+        with pytest.raises(ParameterError, match="2147483630 samples are more than a WAV"):
+            write_wav(path, np.broadcast_to(np.zeros(1), (MAX_WAV_SAMPLES + 1,)))
+        assert not path.exists()
+        assert 36 + 2 * MAX_WAV_SAMPLES <= 2**32 - 1 < 36 + 2 * (MAX_WAV_SAMPLES + 1)
 
     def test_rate_at_the_ceiling_loads(self, tmp_path):
         path = tmp_path / "rate.wav"

@@ -4,6 +4,7 @@ import pytest
 from pianocover.errors import FormatError, UndefinedMetricError, ValidationError
 from pianocover.midi import (
     DEFAULT_VELOCITY,
+    MAX_VLQ,
     Note,
     NoteSequence,
     TimeUnit,
@@ -163,6 +164,15 @@ class TestParseWrite:
         with pytest.raises(FormatError) as exc:
             parse_smf(data)
         assert exc.value.offset is not None
+
+    def test_longest_delta_round_trips_and_one_more_tick_raises(self):
+        # At 480 ticks per quarter and 120 BPM a tick is 1/960 s.
+        longest = NoteSequence.build([Note(0.0, 60, MAX_VLQ / 960)])
+        assert MAX_VLQ == 2**28 - 1
+        assert parse_smf(write_smf(longest)) == longest
+        too_long = NoteSequence.build([Note(0.0, 60, (MAX_VLQ + 1) / 960)])
+        with pytest.raises(ValidationError, match="delta time of 268435456 ticks exceeds"):
+            write_smf(too_long)
 
     def test_write_rejects_halfbeat_sequences(self):
         seq = NoteSequence.build([Note(0, 60, 2)], TimeUnit.HALF_BEATS)

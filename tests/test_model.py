@@ -41,7 +41,7 @@ from pianocover.model import (
 from pianocover.model.config import MAX_LAYERS, MAX_PARAMS
 from pianocover.midi import Note, NoteSequence, parse_smf, write_smf
 from pianocover.model import checkpoint, network, optim
-from pianocover.model.checkpoint import MAGIC
+from pianocover.model.checkpoint import MAGIC, VERSION
 from pianocover.tokenizer import EOS, MAX_TOKENS, PAD, symbol
 
 
@@ -867,6 +867,14 @@ class TestCheckpoint:
         wrong.write_bytes(b"X" + blob[1:])
         with pytest.raises(FormatError):
             load_checkpoint(wrong)
+
+    def test_deeply_nested_config_is_a_format_error(self, tmp_path):
+        config = b"[" * 100_000
+        path = tmp_path / "deep.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<II", VERSION, len(config)) + config)
+        with pytest.raises(FormatError, match="deep.ckpt: bad checkpoint config: maximum "
+                                              "recursion depth exceeded"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize(
         "edit,message",

@@ -3,12 +3,14 @@
 import dataclasses
 import io
 import json
+import math
 import os
 import shutil
 import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -41,6 +43,7 @@ from pianocover.model import (
 )
 from pianocover.model.checkpoint import MAGIC
 from pianocover.pipeline import (
+    MAX_RENDER_SAMPLES,
     BuildReport,
     CoverJob,
     PairRecord,
@@ -156,7 +159,103 @@ def toy_checkpoint(tmp_path, seed=0, **overrides):
     return path, cfg
 
 
+def per_note_render(seq, sample_rate):
+    """The reference renderer: one np.sin call per note, as render_sine_audio
+    computed it before it kept one sine table per pitch."""
+    n = int(round(seq.duration * sample_rate))
+    mix = np.zeros(n)
+    for note in seq:
+        lo = int(round(note.onset * sample_rate))
+        hi = min(n, int(round(note.offset * sample_rate)))
+        if hi <= lo:
+            continue
+        length = hi - lo
+        freq = 440.0 * 2.0 ** ((note.pitch - 69) / 12.0)
+        t = np.arange(length) / sample_rate
+        tone = np.sin(2.0 * math.pi * freq * t) * (note.velocity / 127.0)
+        fade = min(length // 2, max(1, int(round(0.010 * sample_rate))))
+        ramp = np.linspace(0.0, 1.0, fade, endpoint=False)
+        tone[:fade] *= ramp
+        tone[length - fade :] *= ramp[::-1]
+        mix[lo:hi] += tone
+    peak = np.abs(mix).max()
+    if peak > 0:
+        mix *= 0.9 / peak
+    return mix
+
+
+def sample_notes(rng, sample_rate, n_samples, pitches, count):
+    """Notes on sample boundaries, of the given pitches, with lengths from
+    1 sample to the whole clip, some running to its end."""
+    notes = []
+    for _ in range(count):
+        lo = int(rng.integers(0, n_samples - 1))
+        length = int(rng.choice([1, 2, 3, rng.integers(1, 400), rng.integers(1, n_samples)]))
+        hi = n_samples if rng.random() < 0.1 else min(n_samples, lo + length)
+        notes.append(Note(lo / sample_rate, int(rng.choice(pitches)), hi / sample_rate,
+                          int(rng.integers(1, 128))))
+    return notes
+
+
 class TestRenderSineAudio:
+    @pytest.mark.parametrize("seed,sample_rate,pitches", [
+        (0, 8000, [60]),
+        (1, 8000, [40, 52, 60, 64, 67, 100]),
+        (2, SAMPLE_RATE, [21, 69, 108]),
+        (3, 44100, list(range(30, 90))),
+        (4, 1000, [0, 127]),
+    ])
+    def test_bit_equal_to_the_per_note_renderer(self, seed, sample_rate, pitches):
+        # Few pitches give one pitch at many lengths and same-pitch
+        # overlaps; long notes outgrow their tables, which together hold
+        # at most one mix of samples.
+        rng = np.random.default_rng(seed)
+        n_samples = int(rng.integers(2000, 30000))
+        notes = sample_notes(rng, sample_rate, n_samples, pitches, 120)
+        notes += [Note(5 / sample_rate, pitches[0], 6 / sample_rate),
+                  Note(9 / sample_rate, pitches[-1], 11 / sample_rate),
+                  Note(0.0, pitches[0], n_samples / sample_rate, 127)]
+        seq = NoteSequence.build(notes, duration=n_samples / sample_rate)
+        got = render_sine_audio(seq, sample_rate)
+        assert got.tobytes() == per_note_render(seq, sample_rate).tobytes()
+
+    def test_a_note_rounding_onto_the_end_of_the_mix_adds_nothing(self):
+        # round(0.99995 * 10000) is 10000, the mix length, so the note is empty.
+        alone = NoteSequence.build([Note(0.0, 60, 0.25)], duration=1.0)
+        seq = NoteSequence.build([*alone.notes, Note(0.99995, 64, 1.0)], duration=1.0)
+        got = render_sine_audio(seq, 10000).tobytes()
+        assert got == per_note_render(seq, 10000).tobytes()
+        assert got == render_sine_audio(alone, 10000).tobytes()
+
+    def test_tables_cost_at_most_one_mix_more_than_per_note(self):
+        sample_rate, seconds = 8000, 4.0
+        seq = NoteSequence.build([Note(0.0, p, seconds, 100) for p in range(128)],
+                                 duration=seconds)
+
+        def traced(render):
+            tracemalloc.start()
+            try:
+                mix = render(seq, sample_rate)
+                return mix, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        expected, per_note_peak = traced(per_note_render)
+        got, peak = traced(render_sine_audio)
+        assert got.tobytes() == expected.tobytes()
+        assert peak <= per_note_peak + expected.nbytes
+
+    def test_refuses_a_mix_over_the_render_limit(self):
+        seq = NoteSequence.build([Note(0.0, 60, 1.0)], duration=MAX_RENDER_SAMPLES + 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="over the render limit of 134217728"):
+                render_sine_audio(seq, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     def _spectrum(self, samples, sample_rate):
         mag = np.abs(np.fft.rfft(samples * np.hanning(len(samples))))
         freqs = np.fft.rfftfreq(len(samples), 1.0 / sample_rate)
@@ -401,6 +500,14 @@ class TestDatasetDirectory:
             save_dataset(tmp_path / "ds", [example], BuildReport(1, 1, 0, 0, []))
         assert not (tmp_path / "ds").exists()
 
+    def test_save_refuses_an_empty_token_sequence(self, tmp_path):
+        # tokens.txt would hold a blank line for it, which load_dataset skips.
+        examples = [(np.zeros((4, N_MELS)), 0, TokenSeq((EOS,))),
+                    (np.zeros((4, N_MELS)), 0, TokenSeq(()))]
+        with pytest.raises(ParameterError, match="example 1 has no tokens"):
+            save_dataset(tmp_path / "ds", examples, BuildReport(1, 1, 0, 0, []))
+        assert not (tmp_path / "ds").exists()
+
     def test_byte_mutations_raise_only_package_errors(self, tmp_path):
         valid = tmp_path / "valid"
         save_dataset(valid, ragged_examples(np.random.default_rng(22), 3),
@@ -642,6 +749,16 @@ _ZERO_BITS_BODY = (b"WAVEfmt " + struct.pack("<IHHIIHH", 16, 1, 1, SAMPLE_RATE, 
 WAV_ZERO_BITS = b"RIFF" + struct.pack("<I", len(_ZERO_BITS_BODY)) + _ZERO_BITS_BODY
 
 
+def _checkpoint_with_config_bytes(config: bytes):
+    """A checkpoint header whose config is the given bytes."""
+    return MAGIC + struct.pack("<II", 1, len(config)) + config
+
+
+def _long_note_midi(seconds):
+    """A valid MIDI of one note held from 0 to ``seconds``."""
+    return write_smf(NoteSequence.build([Note(0.0, 69, seconds)]))
+
+
 def _checkpoint_with_mels(n_mels):
     """A valid checkpoint of a model that reads n_mels mel channels."""
     def content(inputs):
@@ -713,6 +830,12 @@ CONTRACT_ROWS = [
          "song.mid: missing MThd header", "song.mid", b"hello world"),
     _row("mid-cut-in-header", "render {bad} {out}",
          "song.mid: unexpected end of data", "song.mid", b"MThd\x00\x00\x00\x06\x00"),
+    _row("mid-over-render-limit", "render {bad} {out}",
+         "100000 s at 22050 Hz is 2205000000 samples, over the render limit of 134217728",
+         "song.mid", _long_note_midi(100_000.0)),
+    _row("mid-over-render-limit-at-rate", "render {bad} {out} --rate 384000",
+         "400 s at 384000 Hz is 153600000 samples, over the render limit of 134217728",
+         "song.mid", _long_note_midi(400.0)),
     _row("mid-format-2", "stats {bad}", "song.mid: unsupported SMF format 2", "song.mid",
          b"MThd\x00\x00\x00\x06\x00\x02\x00\x01\x01\xe0"),
     # checkpoint: every error names the file
@@ -750,6 +873,9 @@ CONTRACT_ROWS = [
     _row("ckpt-dead-mel-channels", "cover {wav} {out} --arranger 0 --checkpoint {bad}",
          "n_mels 800 leaves 2 mel filters with no FFT bin", "model.ckpt",
          _checkpoint_with_mels(800)),
+    _row("ckpt-deep-config", "cover {wav} {out} --arranger 0 --checkpoint {bad}",
+         "model.ckpt: bad checkpoint config: maximum recursion depth exceeded", "model.ckpt",
+         _checkpoint_with_config_bytes(b"[" * 100_000)),
     # tokens
     _row("tokens-not-utf8", "detokenize {bad} {out}",
          "piece.tokens: not UTF-8 text (at byte offset 0)", "piece.tokens", b"\xff5 1\n"),
