@@ -63,12 +63,17 @@ class BeatGrid:
 
     def halfbeat_to_seconds(self, index):
         """Seconds at half-beat ``index``; indices past the end extrapolate
-        at the final inter-half-beat interval."""
+        at the final inter-half-beat interval.  A float index with an
+        integral value maps like the integer; any other raises
+        ParameterError."""
         hb = self.half_beats
         index = np.asarray(index)
+        bad = index[~(np.isfinite(index) & (index == np.round(index)))]
+        if bad.size:
+            raise ParameterError(f"half-beat index {bad.flat[0]} is not an integer")
         last = len(hb) - 1
         step = hb[-1] - hb[-2]
-        inside = np.clip(index, 0, last)
+        inside = np.clip(index, 0, last).astype(np.intp)
         out = hb[inside] + np.maximum(index - last, 0) * step
         return out if out.ndim else float(out)
 

@@ -32,7 +32,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 import scipy.signal
 
-from .errors import ByteCursor, FormatError, ParameterError, ValidationError
+from .errors import ByteCursor, FormatError, ParameterError
 
 SAMPLE_RATE = 22050
 WINDOW = 4096
@@ -64,7 +64,7 @@ _BAND_FILTERS = 8
 
 @dataclass(frozen=True)
 class MelSpectrogram:
-    frames: np.ndarray  # (num_frames, n_mels) log mel power
+    frames: np.ndarray  # (num_frames, N_MELS) log mel power
 
 
 def num_frames(num_samples: int, window: int = WINDOW, hop: int = HOP) -> int:
@@ -156,27 +156,6 @@ def mel_filterbank(sample_rate: int = SAMPLE_RATE, n_fft: int = WINDOW,
     return _read_only(fb)
 
 
-def check_model_mels(n_mels: int) -> None:
-    """Refuse a model ``n_mels`` whose filterbank has a filter that is zero
-    at every bin.  Such a channel would read ``log(LOG_FLOOR)`` in every
-    frame.  The limit comes from the bank itself: at SAMPLE_RATE and
-    WINDOW the first dead filter appears at 735 mels."""
-    bins = WINDOW // 2 + 1
-    # A bin lies inside at most two filters, so with more than twice as
-    # many filters as bins some filter has none.  Refusing those sizes
-    # first keeps an absurd n_mels from building an (n_mels, bins) bank.
-    if n_mels > 2 * bins:
-        raise ValidationError(
-            f"n_mels {n_mels} is over twice the {bins} FFT bins; use fewer mels"
-        )
-    dead = np.flatnonzero(~mel_filterbank(SAMPLE_RATE, WINDOW, n_mels).any(axis=1))
-    if len(dead):
-        raise ValidationError(
-            f"n_mels {n_mels} leaves {len(dead)} mel filters with no FFT bin "
-            f"(first: filter {dead[0]}); use fewer mels"
-        )
-
-
 @lru_cache(maxsize=16)
 def mel_bands(sample_rate: int, n_fft: int, n_mels: int) -> tuple:
     """``mel_filterbank`` split into runs of ``_BAND_FILTERS`` filters.
@@ -212,18 +191,17 @@ def mel_power(power: np.ndarray, sample_rate: int, n_mels: int) -> np.ndarray:
     return out
 
 
-def log_mel(mag: np.ndarray, *, n_mels: int = N_MELS) -> MelSpectrogram:
-    """Pool an stft_mag matrix of SAMPLE_RATE audio into log mel power frames."""
+def log_mel(mag: np.ndarray) -> MelSpectrogram:
+    """Pool an stft_mag matrix of SAMPLE_RATE audio into N_MELS log mel power
+    frames."""
     mag = np.asarray(mag, dtype=np.float64)
-    energy = mel_power(mag ** 2, SAMPLE_RATE, n_mels)
+    energy = mel_power(mag ** 2, SAMPLE_RATE, N_MELS)
     return MelSpectrogram(np.log(energy + LOG_FLOOR))
 
 
-def melspectrogram(audio: np.ndarray, *, n_mels: int = N_MELS) -> MelSpectrogram:
+def melspectrogram(audio: np.ndarray) -> MelSpectrogram:
     """Model-frontend log mel frames of SAMPLE_RATE audio (WINDOW/HOP STFT)."""
-    return MelSpectrogram(
-        pooled_stft(audio, WINDOW, HOP, lambda mag: log_mel(mag, n_mels=n_mels).frames)
-    )
+    return MelSpectrogram(pooled_stft(audio, WINDOW, HOP, lambda mag: log_mel(mag).frames))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ import numpy as np
 from .errors import ParameterError, UndefinedMetricError, ValidationError, read_text
 from .midi import NoteSequence, TimeUnit
 
-F0_HOP = 1024 / 44100
 UNVOICED = -1
 
 MCA_THRESHOLD = 0.15
@@ -70,11 +69,6 @@ class F0Contour:
             raise ValidationError("f0 values must be nonnegative")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "f0_hz", f0)
-
-    @classmethod
-    def from_hop(cls, f0_hz, hop: float = F0_HOP) -> "F0Contour":
-        f0_hz = np.asarray(f0_hz, dtype=float)
-        return cls(np.arange(len(f0_hz)) * hop, f0_hz)
 
     def __len__(self):
         return len(self.times)

@@ -8,12 +8,12 @@ Layout (all integers little endian):
     count   u32      number of tensors
     tensor  u16 name length + name
             u8 rank, then rank u64 dims
-            u8 dtype code (4 = float32, 8 = float64)
+            u8 dtype code, 8 (float64)
             u32 CRC-32 of the raw bytes
             raw little-endian tensor bytes
 
 Tensors are written in dict order so a round trip preserves the
-parameter declaration order exactly.
+parameter declaration order exactly. 8 is the only dtype code read.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from .network import param_shapes
 MAGIC = b"PNOCOVR\x01"
 VERSION = 1
 
-_DTYPES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
-_CODES = {np.dtype("float32"): 4, np.dtype("float64"): 8}
+FLOAT64_CODE = 8  # the dtype code of a little-endian float64 tensor
 
 
 def save_checkpoint(path, params, config: ModelConfig) -> None:
@@ -45,14 +44,12 @@ def save_checkpoint(path, params, config: ModelConfig) -> None:
     blob += struct.pack("<I", len(cfg)) + cfg
     blob += struct.pack("<I", len(params))
     for name, value in params.items():
-        if value.dtype not in _CODES:
-            raise FormatError(f"tensor {name!r} has unsupported dtype {value.dtype}")
-        raw = np.ascontiguousarray(value, dtype=value.dtype.newbyteorder("<")).tobytes()
+        raw = np.ascontiguousarray(value, dtype="<f8").tobytes()
         encoded = name.encode()
         blob += struct.pack("<H", len(encoded)) + encoded
         blob += struct.pack("<B", value.ndim)
         blob += struct.pack(f"<{value.ndim}Q", *value.shape)
-        blob += struct.pack("<B", _CODES[value.dtype])
+        blob += struct.pack("<B", FLOAT64_CODE)
         blob += struct.pack("<I", zlib.crc32(raw) & 0xFFFFFFFF)
         blob += raw
     with open(path, "wb") as fh:
@@ -97,12 +94,13 @@ def _decode(reader: ByteCursor):
         (rank,) = reader.unpack("<B")
         shape = reader.unpack(f"<{rank}Q")
         (code,) = reader.unpack("<B")
-        if code not in _DTYPES:
-            raise FormatError(f"tensor {name!r} has unknown dtype code {code}")
-        dtype = _DTYPES[code]
+        if code != FLOAT64_CODE:
+            raise FormatError(
+                f"tensor {name!r} has dtype code {code}; only {FLOAT64_CODE} (float64) is read"
+            )
         (crc,) = reader.unpack("<I")
         start = reader.pos
-        raw = reader.take(math.prod(shape) * dtype.itemsize)
+        raw = reader.take(math.prod(shape) * 8)
         if zlib.crc32(raw) & 0xFFFFFFFF != crc:
             raise FormatError(f"tensor {name!r} failed CRC check", offset=start)
         # Only shapes the config names become arrays, so a corrupt header
@@ -114,7 +112,7 @@ def _decode(reader: ByteCursor):
                 f"tensor {name!r} has shape {shape}, config needs {expected[name]}"
             )
         else:
-            params[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+            params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     if reader.pos != len(reader.data):
         raise FormatError("trailing bytes after last tensor", offset=reader.pos)
     missing = [name for name in expected if name not in params]

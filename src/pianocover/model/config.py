@@ -22,6 +22,15 @@ MAX_PARAMS = 2**27
 # this bound; the published model has 8 layers per stack.
 MAX_LAYERS = 4096
 
+# Mel frames one example may give the encoder: about 23.8 s of audio, a
+# 4-beat window at 10 BPM, six times the 86 frames of a window at the beat
+# tracker's slowest tempo (60 BPM).  Encoder memory grows with the square
+# of the frame count: at desk size a traced encode peaks at 48 MiB for 512
+# frames and 181 MiB for 1024, and one example's loss_and_grads at 66 MiB
+# for 512 frames; a training batch holds that once per example.  Without
+# the bound a 100 000-frame mel asks for a 75 GiB relative-position matrix.
+MAX_FRAMES = 512
+
 
 @dataclass(frozen=True)
 class ModelConfig:

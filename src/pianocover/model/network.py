@@ -42,7 +42,7 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..tokenizer import EOS, PAD, TokenSeq, generated_segment
-from .config import ModelConfig
+from .config import MAX_FRAMES, ModelConfig
 
 _NEG_INF = -1e30
 _NORM_EPS = 1e-6
@@ -102,8 +102,8 @@ def param_shapes(config: ModelConfig):
     return shapes
 
 
-def init_params(config: ModelConfig, seed: int = 0, dtype=np.float64):
-    """Randomly initialized parameter dict.
+def init_params(config: ModelConfig, seed: int = 0):
+    """Randomly initialized float64 parameter dict.
 
     The token embedding uses std 0.2: with the tied d_model**-0.5 scaled
     head the initial logits then have std about 0.2, which keeps the
@@ -127,7 +127,7 @@ def init_params(config: ModelConfig, seed: int = 0, dtype=np.float64):
             value = rng.normal(0.0, ff**-0.5, shape)
         else:
             value = rng.normal(0.0, d**-0.5, shape)
-        params[name] = value.astype(dtype)
+        params[name] = value
     return params
 
 
@@ -372,6 +372,10 @@ def _pad_frames(frame_list, arranger_ids, config):
             raise ParameterError(
                 f"expected frames shaped (t, {config.n_mels}), got {frames.shape}"
             )
+        if len(frames) > MAX_FRAMES:
+            raise ParameterError(
+                f"{len(frames)} frames are over the encoder budget of {MAX_FRAMES}"
+            )
     lengths = np.array([len(frames) for frames in frame_list])
     padded = np.zeros((len(frame_list), lengths.max(), config.n_mels))
     for row, frames in zip(padded, frame_list):
@@ -445,22 +449,19 @@ class IncrementalDecoder:
     each weight as one (W, d) matmul.
 
     Everything that does not depend on the step is prepared once per
-    window group, in the parameters' dtype. Each RMSNorm gain is folded
-    into the rows of the weight its output feeds, and the dh**-0.5
-    attention scale into the query columns: self-attention runs one
-    fused (d, 3d) Q/K/V projection per layer, cross-attention one
-    query projection, and the tied head is (gain * token_emb.T) scaled
-    by d_model**-0.5. Layer 0's input is a token embedding, so its
-    Q/K/V rows are one (vocab, 3d) table gathered by token id.
+    window group. Each RMSNorm gain is folded into the rows of the weight
+    its output feeds, and the dh**-0.5 attention scale into the query
+    columns: self-attention runs one fused (d, 3d) Q/K/V projection per
+    layer, cross-attention one query projection, and the tied head is
+    (gain * token_emb.T) scaled by d_model**-0.5. Layer 0's input is a
+    token embedding, so its Q/K/V rows are one (vocab, 3d) table
+    gathered by token id.
     Cross-attention keys (pre-transposed) and values are projected once
     and zero-padded to the longest window, with a key mask over the
     padding. Self-attention keys and values go, in one write per step,
-    into a preallocated (2, W, heads, max_decode_len, dh) cache per
-    layer. The causal relative bias depends only on the query-key
-    distance, so it is one float64 row per distance, shared by all
-    windows; like the full-sequence path's float64 causal mask, it
-    promotes the self-attention logits, so float32 parameters decode
-    alike.
+    into a (layers, 2, W, heads, max_decode_len, dh) cache allocated with
+    the decoder. The causal relative bias depends only on the query-key
+    distance, so it is one row per distance, shared by all windows.
     """
 
     def __init__(self, encoder_states, params, config: ModelConfig):
@@ -468,10 +469,7 @@ class IncrementalDecoder:
         self.length = 0
         heads, scale = config.num_heads, config.d_head**-0.5
         lengths = np.array([len(state) for state in encoder_states])
-        memory = np.zeros(
-            (len(lengths), lengths.max(), config.d_model),
-            np.result_type(*encoder_states),
-        )
+        memory = np.zeros((len(lengths), lengths.max(), config.d_model))
         for row, state in zip(memory, encoder_states):
             row[: len(state)] = state
         distances = relative_position_bucket(
@@ -480,7 +478,7 @@ class IncrementalDecoder:
             config.relative_bias_buckets,
             config.relative_bias_max_distance,
         )
-        self.bias = params["dec_rel_bias"][distances].T[:, None, :].astype(np.float64)
+        self.bias = params["dec_rel_bias"][distances].T[:, None, :]
         self.layers = []
         for i in range(config.num_decoder_layers):
             ((g1, (sq, sk, sv, so), _), (g2, (cq, ck, cv, co), _),
@@ -501,10 +499,8 @@ class IncrementalDecoder:
         self.table = (emb * _inv_rms(emb)) @ self.layers[0][0]
         self.head = (params["dec_ln_final"][:, None] * emb.T) * config.d_model**-0.5
         self.mask = _key_mask(lengths, memory.shape[1])
-        if self.mask is not None:
-            self.mask = self.mask.astype(self.layers[0][4].dtype)
-        # Allocated on the first step, in the dtype the projections take.
-        self.self_kv = [None] * config.num_decoder_layers
+        kv_shape = (2, len(lengths), heads, config.max_decode_len, config.d_head)
+        self.self_kv = np.empty((config.num_decoder_layers, *kv_shape))
 
     def step(self, tokens) -> np.ndarray:
         """Feed each window its next decoder input token (W,); return the
@@ -525,10 +521,6 @@ class IncrementalDecoder:
                 qkv = (x * _inv_rms(x)) @ wqkv
             qkv = qkv.reshape(w, 3, heads, dh)
             kv = self.self_kv[i]
-            if kv is None:
-                kv = self.self_kv[i] = np.empty(
-                    (2, w, heads, config.max_decode_len, dh), qkv.dtype
-                )
             kv[:, :, :, t] = qkv[:, 1:].swapaxes(0, 1)
             logits = qkv[:, 0, :, None] @ kv[0, :, :, : t + 1].swapaxes(-1, -2) + bias
             x = x + (_softmax(logits) @ kv[1, :, :, : t + 1]).reshape(w, -1) @ wo

@@ -26,14 +26,7 @@ import numpy as np
 
 from .beats import BeatGrid, halfbeats_to_seconds, quantize, read_beat_file, track_beats
 from .errors import FormatError, ParameterError, PianoCoverError, ValidationError, read_text
-from .features import (
-    N_MELS,
-    SAMPLE_RATE,
-    WINDOW,
-    check_model_mels,
-    load_wav,
-    melspectrogram,
-)
+from .features import N_MELS, SAMPLE_RATE, WINDOW, load_wav, melspectrogram, num_frames
 from .filtering import (
     FilterReport,
     Verdict,
@@ -46,6 +39,7 @@ from .midi import Note, NoteSequence, TimeUnit, note_density, parse_smf, write_s
 # greedy_generate is not called here; perfbench's tracer wraps it on this
 # module, so it stays imported.
 from .model import greedy_generate, greedy_generate_windows, load_checkpoint
+from .model.config import MAX_FRAMES
 from .sync import align_to_audio
 from .tokenizer import (
     EOS,
@@ -140,17 +134,31 @@ def aligned_notes(cover: NoteSequence, audio, grid: BeatGrid):
     return aligned, _resolve_pitch_overlaps(quantize(aligned, grid))
 
 
-def _window_spectrogram(audio, grid, window_index, n_mels=N_MELS):
+def _window_samples(n_samples, grid, window_index):
+    """The sample range [lo, hi) of a 4-beat window, cut to the recording."""
     t0 = grid.halfbeat_to_seconds(window_index * WINDOW_HALFBEATS)
     t1 = grid.halfbeat_to_seconds((window_index + 1) * WINDOW_HALFBEATS)
-    lo = max(0, int(round(t0 * SAMPLE_RATE)))
-    hi = min(len(audio), int(round(t1 * SAMPLE_RATE)))
-    clip = audio[lo:hi]
+    return max(0, int(round(t0 * SAMPLE_RATE))), min(n_samples, int(round(t1 * SAMPLE_RATE)))
+
+
+def _check_window_frames(n_samples, grid, n_windows):
+    """Raise ParameterError, before any mel is built, if one of the first
+    n_windows 4-beat windows spans more than MAX_FRAMES mel frames."""
+    for w in range(n_windows):
+        lo, hi = _window_samples(n_samples, grid, w)
+        frames = num_frames(max(hi - lo, WINDOW))
+        if frames > MAX_FRAMES:
+            raise ParameterError(f"window {w} spans {frames} mel frames, over the encoder "
+                                 f"budget of {MAX_FRAMES}; the beats are too far apart")
+
+
+def _window_spectrogram(audio, grid, window_index):
+    clip = audio[slice(*_window_samples(len(audio), grid, window_index))]
     if len(clip) < WINDOW:
         # Extrapolated window ends can overrun the recording; pad so the
         # clip still yields at least one analysis frame.
         clip = np.pad(clip, (0, WINDOW - len(clip)))
-    return melspectrogram(clip, n_mels=n_mels)
+    return melspectrogram(clip)
 
 
 def build_pair(record: PairRecord) -> BuiltPair:
@@ -174,7 +182,9 @@ def build_pair(record: PairRecord) -> BuiltPair:
     if built.report.verdict is not Verdict.KEEP:
         return built
 
-    for index, segment in enumerate(split_piece(quantized)):
+    segments = split_piece(quantized)
+    _check_window_frames(len(audio), grid, len(segments))
+    for index, segment in enumerate(segments):
         try:
             tokens = encode_segment(segment)
         except ValidationError as exc:
@@ -282,7 +292,8 @@ def load_dataset(in_dir):
     """Returns (examples, report dict) from a save_dataset directory.
 
     Frames are views into the one mels.npy array. Anything save_dataset
-    does not write raises FormatError naming the file."""
+    does not write, or a frame count over the encoder's MAX_FRAMES, raises
+    FormatError naming the file."""
     root = Path(in_dir)
     index, mels, tokens = root / "dataset.json", root / "mels.npy", root / "tokens.txt"
     try:
@@ -293,6 +304,9 @@ def load_dataset(in_dir):
     for key, values, least in (("frames", counts, 1), ("arranger_ids", arranger_ids, 0)):
         if not isinstance(values, list) or any(type(v) is not int or v < least for v in values):
             raise FormatError(f"{index}: {key} must be a list of integers >= {least}")
+    if max(counts, default=0) > MAX_FRAMES:
+        raise FormatError(f"{index}: an example of {max(counts)} frames is over the "
+                          f"encoder budget of {MAX_FRAMES}")
     segments = read_token_file(tokens)
     if not len(counts) == len(arranger_ids) == len(segments):
         raise FormatError(f"{index}: {len(counts)} frame counts and {len(arranger_ids)} "
@@ -406,9 +420,12 @@ class CoverJob:
 
 def generate_cover(job: CoverJob) -> NoteSequence:
     """Window the audio by 4 beats, decode the windows in lockstep, stitch,
-    write MIDI."""
+    write MIDI. A model that reads other than N_MELS mels is refused
+    before the audio is read."""
     params, config = load_checkpoint(job.checkpoint)
-    check_model_mels(config.n_mels)
+    if config.n_mels != N_MELS:
+        raise ValidationError(f"{job.checkpoint}: the model reads {config.n_mels} mel "
+                              f"channels; the frontend makes {N_MELS}")
     audio = load_wav(job.audio)
     grid = song_grid(audio, job.beats)
     n_windows = len(grid.half_beats) // WINDOW_HALFBEATS
@@ -423,7 +440,8 @@ def generate_cover(job: CoverJob) -> NoteSequence:
             len(grid.half_beats) % WINDOW_HALFBEATS,
             WINDOW_HALFBEATS,
         )
-    specs = [_window_spectrogram(audio, grid, w, config.n_mels) for w in range(n_windows)]
+    _check_window_frames(len(audio), grid, n_windows)
+    specs = [_window_spectrogram(audio, grid, w) for w in range(n_windows)]
     segments = greedy_generate_windows(specs, job.arranger_id, params, config)
     for tokens in segments:
         if not tokens.ids or tokens.ids[-1] != EOS:

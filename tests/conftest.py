@@ -1,10 +1,13 @@
 """Shared helpers for the test suite."""
 
+import json
 import struct
+import zlib
 
 import numpy as np
 
 from pianocover.model import compute_loss, init_params, loss_and_grads
+from pianocover.model.checkpoint import MAGIC, VERSION
 from pianocover.tokenizer import EOS
 
 
@@ -76,3 +79,15 @@ def fmt_chunk(channels, rate, *, bits=16, block_align=None, order="<", subformat
         return struct.pack(order + "HHIIHH", 1, *fields)
     guid = struct.pack(order + "IHH", subformat, 0, 0x10) + b"\x80\x00\x00\xaa\x00\x38\x9b\x71"
     return struct.pack(order + "HHIIHHHHI", 0xFFFE, *fields, 22, bits, 0) + guid
+
+
+def float32_checkpoint(params, config):
+    """The bytes of a checkpoint in the saved layout whose tensors are
+    float32, dtype code 4, which the reader refuses."""
+    cfg = json.dumps(config.to_dict(), sort_keys=True).encode()
+    blob = MAGIC + struct.pack("<II", VERSION, len(cfg)) + cfg + struct.pack("<I", len(params))
+    for name, value in params.items():
+        raw = np.ascontiguousarray(value, dtype="<f4").tobytes()
+        blob += struct.pack(f"<H{len(name)}sB{value.ndim}QBI", len(name), name.encode(),
+                            value.ndim, *value.shape, 4, zlib.crc32(raw)) + raw
+    return blob

@@ -12,6 +12,7 @@ from pianocover.beats import (
 )
 from pianocover.errors import NoBeatsError, ParameterError, ValidationError
 from pianocover.midi import Note, NoteSequence, TimeUnit
+from pianocover.tokenizer import EOS, TokenSeq, decode_segment
 
 SR = 22050
 
@@ -162,6 +163,29 @@ class TestHalfbeatsToSeconds:
             out = halfbeats_to_seconds(NoteSequence.build([], TimeUnit.HALF_BEATS, duration), g)
             assert out.notes == () and out.time_unit is TimeUnit.SECONDS
             assert out.duration == g.halfbeat_to_seconds(duration)
+
+    def test_integral_float_indices_map_like_integers(self):
+        g = BeatGrid(np.cumsum(np.random.default_rng(3).uniform(0.3, 0.7, 6)))
+        ints = np.arange(-2, len(g.half_beats) + 4)
+        assert np.array_equal(g.halfbeat_to_seconds(ints.astype(float)),
+                              g.halfbeat_to_seconds(ints))
+        for i in ints.tolist():
+            assert g.halfbeat_to_seconds(float(i)) == g.halfbeat_to_seconds(i)
+
+    @pytest.mark.parametrize("index", [2.5, -0.5, float("nan"), float("inf"), [1.0, 3.25]])
+    def test_non_integral_index_is_a_parameter_error(self, index):
+        with pytest.raises(ParameterError, match="is not an integer"):
+            grid_120bpm().halfbeat_to_seconds(index)
+
+    def test_empty_piece_with_a_float_duration(self):
+        # A segment with no notes decodes to a duration of 0.0, as does an
+        # empty half-beat piece built without one.
+        g = grid_120bpm()
+        decoded, _ = decode_segment(TokenSeq((EOS,)), {})
+        for piece in (decoded, NoteSequence.build([], TimeUnit.HALF_BEATS)):
+            assert piece.notes == () and type(piece.duration) is float
+            out = halfbeats_to_seconds(piece, g)
+            assert out.notes == () and out.duration == g.halfbeat_to_seconds(0)
 
     def test_strictly_monotone_in_index(self):
         g = BeatGrid(np.cumsum(np.random.default_rng(1).uniform(0.3, 0.7, 20)))

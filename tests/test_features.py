@@ -8,7 +8,7 @@ import scipy.io.wavfile
 
 from conftest import fmt_chunk, wav_bytes
 from pianocover import beats, features, sync
-from pianocover.errors import FormatError, ParameterError, ValidationError
+from pianocover.errors import FormatError, ParameterError
 from pianocover.features import (
     _BLOCK_SAMPLES,
     _CHUNK_SAMPLES,
@@ -19,7 +19,6 @@ from pianocover.features import (
     N_MELS,
     SAMPLE_RATE,
     WINDOW,
-    check_model_mels,
     hann,
     load_wav,
     log_mel,
@@ -289,27 +288,6 @@ class TestMelBands:
         power = np.random.default_rng(rows).exponential(size=(rows, n_fft // 2 + 1)) ** 2
         got = mel_power(power, sample_rate, n_mels)
         np.testing.assert_allclose(got, power @ fb.T, rtol=1e-13, atol=0)
-
-
-class TestModelMels:
-    def test_refuses_exactly_the_banks_with_a_dead_filter(self):
-        refused = []
-        for n_mels in (1, 128, 512, 734, 735, 736, 800):
-            dead = not mel_filterbank(SAMPLE_RATE, WINDOW, n_mels).any(axis=1).all()
-            try:
-                check_model_mels(n_mels)
-            except ValidationError as exc:
-                assert f"n_mels {n_mels} leaves" in str(exc)
-                refused.append(n_mels)
-            assert (n_mels in refused) == dead
-        assert refused == [735, 736, 800]
-
-    def test_refuses_more_filters_than_bins_can_feed(self):
-        bins = WINDOW // 2 + 1
-        with pytest.raises(ValidationError, match=f"over twice the {bins} FFT bins"):
-            check_model_mels(2 * bins + 1)
-        with pytest.raises(ValidationError, match="over twice"):
-            check_model_mels(2**40)
 
 
 class TestWavIO:

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import gradient_check, random_model_batch
+from conftest import float32_checkpoint, gradient_check, random_model_batch
 from pianocover.errors import (
     DivergenceError,
     FormatError,
@@ -38,7 +38,7 @@ from pianocover.model import (
     train,
     zero_grads,
 )
-from pianocover.model.config import MAX_LAYERS, MAX_PARAMS
+from pianocover.model.config import MAX_FRAMES, MAX_LAYERS, MAX_PARAMS
 from pianocover.midi import Note, NoteSequence, parse_smf, write_smf
 from pianocover.model import checkpoint, network, optim
 from pianocover.model.checkpoint import MAGIC, VERSION
@@ -297,8 +297,9 @@ class TestInitParams:
 
     def test_dtype(self):
         cfg = tiny_config()
-        assert init_params(cfg)["enc0_q"].dtype == np.float64
-        assert init_params(cfg, dtype=np.float32)["enc0_q"].dtype == np.float32
+        assert {value.dtype for value in init_params(cfg).values()} == {np.dtype(np.float64)}
+        with pytest.raises(TypeError):
+            init_params(cfg, dtype=np.float32)
 
 
 class TestEncode:
@@ -368,6 +369,24 @@ class TestEncode:
         with pytest.raises(ParameterError):
             encode(np.zeros((4, cfg.n_mels + 1)), 0, params, cfg)
 
+    def test_frame_budget(self, monkeypatch):
+        cfg = tiny_config()
+        params = init_params(cfg, seed=0)
+        assert encode(np.zeros((MAX_FRAMES, cfg.n_mels)), 0, params, cfg).shape == (
+            MAX_FRAMES + 1, cfg.d_model)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("allocated before the frame budget was checked")
+
+        frames = np.zeros((MAX_FRAMES + 1, cfg.n_mels))
+        batch = [(np.zeros((2, cfg.n_mels)), 0, (EOS,)), (frames, 1, (EOS,))]
+        monkeypatch.setattr(network.np, "zeros", forbidden)
+        with pytest.raises(ParameterError, match=f"{MAX_FRAMES + 1} frames are over the "
+                                                 f"encoder budget of {MAX_FRAMES}"):
+            encode(frames, 0, params, cfg)
+        with pytest.raises(ParameterError, match="over the encoder budget"):
+            loss_and_grads(batch, params, cfg)
+
 
 class TestDecodeStep:
     def _setup(self, seed=0):
@@ -435,18 +454,16 @@ def reference_greedy(frames, arranger_id, params, cfg):
 
 
 class TestIncrementalDecoder:
-    def _setup(self, cfg, seed, dtype=np.float64):
-        params = init_params(cfg, seed=seed, dtype=dtype)
+    def _setup(self, cfg, seed):
+        params = init_params(cfg, seed=seed)
         rng = np.random.default_rng(seed)
-        params["dec_rel_bias"] = rng.normal(size=params["dec_rel_bias"].shape).astype(dtype)
+        params["dec_rel_bias"] = rng.normal(size=params["dec_rel_bias"].shape)
         # init_params sets every norm gain to 1, which would hide a gain
         # folded into the wrong weight, or not folded at all.
         for name in params:
             if name.startswith("dec") and name.endswith(("ln1", "ln2", "ln3", "ln_final")):
-                params[name] = rng.normal(1.0, 0.25, size=params[name].shape).astype(dtype)
-        # encode() returns float64; a float32 state leaves the causal
-        # mask as the only float64 operand of the float32 decoder.
-        state = encode(rng.normal(size=(5, cfg.n_mels)), 1, params, cfg).astype(dtype)
+                params[name] = rng.normal(1.0, 0.25, size=params[name].shape)
+        state = encode(rng.normal(size=(5, cfg.n_mels)), 1, params, cfg)
         ids = [PAD] + [int(t) for t in rng.integers(0, 232, size=cfg.max_decode_len - 1)]
         return params, state, ids
 
@@ -465,13 +482,12 @@ class TestIncrementalDecoder:
         decoder = network.IncrementalDecoder([state], params, cfg)
         return np.array([decoder.step([t])[0] for t in ids])
 
-    def _ragged(self, cfg, seed, dtype=np.float64):
+    def _ragged(self, cfg, seed):
         """Encoder states of different frame counts and one id row each."""
-        params, _, _ = self._setup(cfg, seed, dtype)
+        params, _, _ = self._setup(cfg, seed)
         rng = np.random.default_rng(seed + 100)
         states = [
             encode(rng.normal(size=(n, cfg.n_mels)), n % cfg.num_arrangers, params, cfg)
-            .astype(dtype)
             for n in RAGGED_FRAMES
         ]
         ids = rng.integers(0, 232, size=(len(states), cfg.max_decode_len))
@@ -503,30 +519,6 @@ class TestIncrementalDecoder:
                 full, _ = network.decoder_forward(window_ids, state, params, cfg)
                 assert got.shape == full.shape
                 assert np.max(np.abs(got - full)) < 1e-10
-
-    def test_lockstep_float32_matches_each_window(self):
-        cfg = tiny_config(num_decoder_layers=2, max_decode_len=32)
-        for seed in (0, 1, 2):
-            params, states, ids = self._ragged(cfg, seed, dtype=np.float32)
-            rows = self._lockstep_rows(states, ids, params, cfg)
-            for state, window_ids, got in zip(states, ids, rows):
-                full, _ = network.decoder_forward(window_ids, state, params, cfg)
-                assert got.dtype == full.dtype
-                assert np.max(np.abs(got - full)) < 1e-6
-
-    def test_float32_matches_full_forward_and_ids(self, monkeypatch):
-        cfg = tiny_config(num_decoder_layers=2, max_decode_len=32)
-        seen = self._spy_raw(monkeypatch)
-        for seed in (0, 1, 2):
-            params, state, ids = self._setup(cfg, seed, dtype=np.float32)
-            full, _ = network.decoder_forward(ids, state, params, cfg)
-            cached = self._cached_rows(state, ids, params, cfg)
-            assert cached.dtype == full.dtype
-            assert np.max(np.abs(cached - full)) < 1e-6
-            frames = np.random.default_rng(seed).normal(size=(4, cfg.n_mels))
-            expected = reference_greedy(frames, 0, params, cfg)
-            greedy_generate(frames, 0, params, cfg)
-            assert seen.pop() == expected
 
     def test_greedy_never_recomputes_prefix(self, monkeypatch):
         cfg = tiny_config(num_decoder_layers=2, max_decode_len=24)
@@ -832,14 +824,14 @@ class TestCheckpoint:
             assert np.array_equal(loaded[name], params[name])
             assert loaded[name].dtype == params[name].dtype
 
-    def test_float32_round_trip(self, tmp_path):
+    def test_float32_tensor_is_refused(self, tmp_path):
         cfg = tiny_config()
-        params = init_params(cfg, seed=8, dtype=np.float32)
         path = tmp_path / "model32.ckpt"
-        save_checkpoint(path, params, cfg)
-        loaded, _ = load_checkpoint(path)
-        assert loaded["enc0_q"].dtype == np.float32
-        assert np.array_equal(loaded["enc0_q"], params["enc0_q"])
+        path.write_bytes(float32_checkpoint(init_params(cfg, seed=8), cfg))
+        with pytest.raises(FormatError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == (f"{path}: tensor 'input_proj' has dtype code 4; only 8 "
+                                  "(float64) is read")
 
     def test_corruption_detected(self, tmp_path):
         cfg = tiny_config()
@@ -929,7 +921,7 @@ class TestCheckpoint:
 
     def test_byte_mutations_raise_only_format_error(self, tmp_path):
         cfg = tiny_config(d_model=8, num_heads=2, d_ff=8, n_mels=4)
-        params = init_params(cfg, seed=9, dtype=np.float32)
+        params = init_params(cfg, seed=9)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, params, cfg)
         blob = path.read_bytes()

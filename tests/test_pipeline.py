@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 import scipy.io.wavfile
 
-from conftest import fmt_chunk, wav_bytes
-from pianocover import cli, sync
+from conftest import float32_checkpoint, fmt_chunk, wav_bytes
+from pianocover import cli, pipeline, sync
 from pianocover.beats import BeatGrid, halfbeats_to_seconds, read_beat_file, write_beat_file
 from pianocover.cli import main
 from pianocover.errors import ParameterError, PianoCoverError
@@ -42,6 +42,7 @@ from pianocover.model import (
     save_checkpoint,
 )
 from pianocover.model.checkpoint import MAGIC
+from pianocover.model.config import MAX_FRAMES
 from pianocover.pipeline import (
     MAX_RENDER_SAMPLES,
     BuildReport,
@@ -145,7 +146,7 @@ def toy_checkpoint(tmp_path, seed=0, **overrides):
         d_ff=64,
         num_encoder_layers=1,
         num_decoder_layers=1,
-        n_mels=32,
+        n_mels=N_MELS,
         num_arrangers=4,
         relative_bias_buckets=8,
         relative_bias_max_distance=20,
@@ -157,6 +158,10 @@ def toy_checkpoint(tmp_path, seed=0, **overrides):
     path = tmp_path / "toy.ckpt"
     save_checkpoint(path, params, cfg)
     return path, cfg
+
+
+def forbidden_mel(*args, **kwargs):
+    raise AssertionError("a mel spectrogram was built")
 
 
 def per_note_render(seq, sample_rate):
@@ -436,6 +441,16 @@ class TestBuildDataset:
         assert report.entries[0]["status"] == "failed"
         assert "DTW cells, over the budget of 100" in report.entries[0]["reason"]
 
+    def test_pair_over_the_frame_budget_quarantines_before_any_mel(
+        self, tmp_path, monkeypatch
+    ):
+        record, _, _, _ = make_pair(tmp_path, np.random.default_rng(6), name="song")
+        monkeypatch.setattr(pipeline, "MAX_FRAMES", 30)
+        monkeypatch.setattr(pipeline, "melspectrogram", forbidden_mel)
+        examples, report = build_dataset([record])
+        assert (examples, report.failed) == ([], 1)
+        assert "mel frames, over the encoder budget of 30" in report.entries[0]["reason"]
+
     def test_rebuild_is_byte_identical(self, tmp_path):
         rng = np.random.default_rng(4)
         record, _, _, _ = make_pair(tmp_path, rng, name="idem")
@@ -591,15 +606,15 @@ class TestGenerateCover:
         spacing = [0.5] * 4 + [0.35] * 4 + [0.6] * 4 + [0.45] * 3
         write_beat_file(job.beats, BeatGrid(0.25 + np.cumsum([0.0] + spacing)))
         params, config = load_checkpoint(job.checkpoint)
-        # EOS takes the output row of token 26, which some windows settle
+        # EOS takes the output row of token 159, which two windows settle
         # on, so those windows stop early and the others hit the cap.
-        params["token_emb"][EOS] = params["token_emb"][26]
+        params["token_emb"][EOS] = params["token_emb"][159]
         save_checkpoint(job.checkpoint, params, config)
         generate_cover(job)
 
         audio = load_wav(job.audio)
         grid = read_beat_file(job.beats)
-        specs = [_window_spectrogram(audio, grid, w, config.n_mels) for w in range(4)]
+        specs = [_window_spectrogram(audio, grid, w) for w in range(4)]
         assert len({len(spec.frames) for spec in specs}) == 4
         segments = [greedy_generate(spec, job.arranger_id, params, config) for spec in specs]
         stopped = [tokens.ids[-1] == EOS for tokens in segments]
@@ -614,6 +629,29 @@ class TestGenerateCover:
         generate_cover(job)
         assert len(grid.half_beats) == 8
         assert job.windows == 1
+
+    @pytest.mark.parametrize("kind", ["float32", "800 mels"])
+    def test_refuses_other_checkpoints_before_reading_audio(self, tmp_path, kind):
+        job, _, _ = self._job(tmp_path, np.random.default_rng(10), n_beats=4)
+        if kind == "float32":
+            params, config = load_checkpoint(job.checkpoint)
+            Path(job.checkpoint).write_bytes(float32_checkpoint(params, config))
+        else:
+            toy_checkpoint(tmp_path, n_mels=800)
+        job.audio = str(tmp_path / "missing.wav")
+        with pytest.raises(PianoCoverError) as exc:
+            generate_cover(job)
+        assert str(exc.value).startswith(f"{job.checkpoint}: ")
+
+    def test_window_over_the_frame_budget_is_refused_before_any_mel(
+        self, tmp_path, monkeypatch
+    ):
+        job, _, _ = self._job(tmp_path, np.random.default_rng(11), n_beats=8)
+        monkeypatch.setattr(pipeline, "MAX_FRAMES", 30)
+        monkeypatch.setattr(pipeline, "melspectrogram", forbidden_mel)
+        with pytest.raises(ParameterError, match="over the encoder budget of 30"):
+            generate_cover(job)
+        assert not Path(job.output).exists()
 
     def test_fewer_than_four_beats_rejected(self, tmp_path):
         job, _, _ = self._job(tmp_path, np.random.default_rng(9), n_beats=3)
@@ -685,6 +723,10 @@ def cli_inputs(tmp_path_factory):
     """One valid file of each input kind, for rows that break another."""
     root = tmp_path_factory.mktemp("cli_inputs")
     record, _, _, _ = make_pair(root, np.random.default_rng(0), name="valid")
+    # Thirty seconds of silence at 8 kHz (480 kB): long enough for a 4-beat
+    # window over the encoder's frame budget.
+    long_wav = root / "long.wav"
+    write_wav(long_wav, np.zeros(30 * 8000), 8000)
     ds = root / "dataset"
     save_dataset(ds, [(np.zeros((4, 128)), 0, TokenSeq((EOS,)))], BuildReport(1, 1, 0, 0, []))
     config = root / "valid.cfg"
@@ -693,7 +735,7 @@ def cli_inputs(tmp_path_factory):
     tokens.write_text(f"{EOS}\n")
     return {"wav": record.pop_audio, "mid": record.cover_midi, "beats": record.beats,
             "f0": record.f0, "ckpt": str(toy_checkpoint(root)[0]), "tokens": str(tokens),
-            "ds": str(ds), "cfg": str(config)}
+            "ds": str(ds), "cfg": str(config), "long_wav": str(long_wav)}
 
 
 def _first_half(kind):
@@ -765,6 +807,12 @@ def _checkpoint_with_mels(n_mels):
         with tempfile.TemporaryDirectory() as tmp:
             return toy_checkpoint(Path(tmp), n_mels=n_mels)[0].read_bytes()
     return content
+
+
+def _float32_checkpoint(inputs):
+    """The valid checkpoint with its tensors stored as float32."""
+    params, config = load_checkpoint(inputs["ckpt"])
+    return float32_checkpoint(params, config)
 
 
 ERROR_PREFIX = {1: "error:", 2: "i/o error:", 3: "numeric error:"}
@@ -871,8 +919,11 @@ CONTRACT_ROWS = [
          "model.ckpt: bad checkpoint config: d_model must be an integer, got 64.0",
          "model.ckpt", _checkpoint_config(d_model=64.0)),
     _row("ckpt-dead-mel-channels", "cover {wav} {out} --arranger 0 --checkpoint {bad}",
-         "n_mels 800 leaves 2 mel filters with no FFT bin", "model.ckpt",
-         _checkpoint_with_mels(800)),
+         "model.ckpt: the model reads 800 mel channels; the frontend makes 128",
+         "model.ckpt", _checkpoint_with_mels(800)),
+    _row("ckpt-float32", "cover {wav} {out} --arranger 0 --checkpoint {bad}",
+         "model.ckpt: tensor 'input_proj' has dtype code 4; only 8 (float64) is read",
+         "model.ckpt", _float32_checkpoint),
     _row("ckpt-deep-config", "cover {wav} {out} --arranger 0 --checkpoint {bad}",
          "model.ckpt: bad checkpoint config: maximum recursion depth exceeded", "model.ckpt",
          _checkpoint_with_config_bytes(b"[" * 100_000)),
@@ -898,6 +949,9 @@ CONTRACT_ROWS = [
          "song.beats:2: not a beat time", "song.beats", b"0.5\nabc\n"),
     _row("beats-decreasing", COVER + " --beats {bad}",
          "song.beats: beat times must be strictly increasing", "song.beats", b"1.0\n0.5\n"),
+    _row("beats-sparse", "cover {long_wav} {out} --arranger 0 --checkpoint {ckpt} --beats {bad}",
+         f"window 0 spans 637 mel frames, over the encoder budget of {MAX_FRAMES}",
+         "song.beats", b"0.25\n7.75\n15.25\n22.75\n"),
     # f0 CSV
     _row("f0-infinite", "filter {mid} {bad} --pop-seconds 8",
          "melody.csv: times and f0 values must be finite", "melody.csv", _with_f0(b"inf")),
@@ -970,6 +1024,10 @@ CONTRACT_ROWS = [
     # dataset directory (its files have their own table below)
     _row("dataset-missing", "train {tmp}/nowhere {cfg} {out}",
          "nowhere/dataset.json", code=2),
+    _row("dataset-frames-over-budget", "train {tmp} {cfg} {out}",
+         f"dataset.json: an example of 100000 frames is over the encoder budget of {MAX_FRAMES}",
+         "dataset.json", json.dumps({"frames": [100_000], "arranger_ids": [0],
+                                     "report": {}}).encode()),
     # numeric options
     _row("bpm-zero", "tokenize {mid} {out} --bpm 0", "--bpm must be a finite number above 0"),
     _row("bpm-nan", "tokenize {mid} {out} --bpm nan", "--bpm must be a finite number above 0"),
