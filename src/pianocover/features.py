@@ -30,7 +30,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-import scipy.signal
 
 from .errors import ByteCursor, FormatError, ParameterError
 
@@ -56,6 +55,9 @@ _BLOCK_SAMPLES = 2**21
 # 1024-sample window, 16 at WINDOW.  Tapered frames and complex spectra
 # exist for one chunk at a time: about 1 MB, the size of a typical L2.
 _CHUNK_SAMPLES = 2**16
+# Samples per chunk of ``write_wav``'s float-to-PCM conversion: 512 kB of
+# float64.
+_WAV_CHUNK_SAMPLES = 2**16
 # Consecutive mel filters applied as one matmul over the union of their
 # nonzero bins.  Eight keeps the slabs about 7% (model) and 14% (onset)
 # of the dense filterbank while each matmul stays large enough for BLAS.
@@ -212,6 +214,10 @@ def resample(audio: np.ndarray, orig_rate: int, target_rate: int = SAMPLE_RATE):
     """Polyphase windowed-sinc resampling (Kaiser window, scipy default)."""
     if orig_rate == target_rate:
         return np.asarray(audio, dtype=np.float64)
+    # Imported here, not at the top: scipy.signal costs about 1 s and 75 MB
+    # of RSS to load, and only WAVs at another rate need it.
+    import scipy.signal
+
     ratio = Fraction(target_rate, orig_rate)
     return scipy.signal.resample_poly(
         np.asarray(audio, dtype=np.float64), ratio.numerator, ratio.denominator
@@ -335,8 +341,16 @@ def write_wav(path, audio: np.ndarray, sample_rate: int = SAMPLE_RATE):
     if np.size(audio) > MAX_WAV_SAMPLES:
         raise ParameterError(f"{np.size(audio)} samples are more than a WAV file holds "
                              f"({MAX_WAV_SAMPLES})")
-    clipped = np.clip(np.asarray(audio, dtype=np.float64), -1.0, 1.0)
-    pcm = (clipped * 32767.0).astype("<i2")
+    samples = np.asarray(audio).reshape(-1)
+    pcm = np.empty(samples.size, "<i2")
+    # Clip, scale and cast one chunk at a time: whole-signal float64 copies
+    # would hold 18 bytes per sample next to the 2 of the PCM.
+    for start in range(0, samples.size, _WAV_CHUNK_SAMPLES):
+        rows = slice(start, start + _WAV_CHUNK_SAMPLES)
+        chunk = samples[rows].astype(np.float64)
+        np.clip(chunk, -1.0, 1.0, out=chunk)
+        chunk *= 32767.0
+        pcm[rows] = chunk
     header = struct.pack(
         "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + pcm.nbytes, b"WAVE",
         b"fmt ", 16, _WAVE_PCM, 1, sample_rate, 2 * sample_rate, 2, 16,

@@ -9,7 +9,7 @@ from ..errors import ValidationError
 from ..tokenizer import MAX_TOKENS, VOCAB_SIZE
 
 # Parameters a model may have: about twice the published architecture
-# (``paper_scale_config``, 59M), and 1 GB of float64 weights.  A larger
+# (``paper_scale_config``, 58.9M), and 1 GB of float64 weights.  A larger
 # config is refused before ``init_params`` tries to allocate it.
 MAX_PARAMS = 2**27
 
@@ -114,7 +114,7 @@ def paper_scale_config() -> ModelConfig:
         d_ff=2048,
         num_encoder_layers=8,
         num_decoder_layers=8,
-        n_mels=512,
+        n_mels=128,  # features.N_MELS, which model/ may not import
         num_arrangers=21,
     )
 

@@ -134,26 +134,27 @@ def aligned_notes(cover: NoteSequence, audio, grid: BeatGrid):
     return aligned, _resolve_pitch_overlaps(quantize(aligned, grid))
 
 
-def _window_samples(n_samples, grid, window_index):
-    """The sample range [lo, hi) of a 4-beat window, cut to the recording."""
-    t0 = grid.halfbeat_to_seconds(window_index * WINDOW_HALFBEATS)
-    t1 = grid.halfbeat_to_seconds((window_index + 1) * WINDOW_HALFBEATS)
-    return max(0, int(round(t0 * SAMPLE_RATE))), min(n_samples, int(round(t1 * SAMPLE_RATE)))
+def _window_spans(n_samples, grid, n_windows):
+    """The sample ranges [lo, hi) of the first n_windows 4-beat windows, cut
+    to the recording, as a list of [lo, hi] pairs."""
+    edges = grid.halfbeat_to_seconds(np.arange(n_windows + 1) * WINDOW_HALFBEATS)
+    # rint rounds halves to even, as the built-in round does.
+    ends = np.rint(edges * SAMPLE_RATE).astype(np.int64)
+    return np.stack([np.maximum(ends[:-1], 0), np.minimum(ends[1:], n_samples)], 1).tolist()
 
 
-def _check_window_frames(n_samples, grid, n_windows):
-    """Raise ParameterError, before any mel is built, if one of the first
-    n_windows 4-beat windows spans more than MAX_FRAMES mel frames."""
-    for w in range(n_windows):
-        lo, hi = _window_samples(n_samples, grid, w)
+def _check_window_frames(spans):
+    """Raise ParameterError, before any mel is built, if a window of
+    ``_window_spans`` spans more than MAX_FRAMES mel frames."""
+    for w, (lo, hi) in enumerate(spans):
         frames = num_frames(max(hi - lo, WINDOW))
         if frames > MAX_FRAMES:
             raise ParameterError(f"window {w} spans {frames} mel frames, over the encoder "
                                  f"budget of {MAX_FRAMES}; the beats are too far apart")
 
 
-def _window_spectrogram(audio, grid, window_index):
-    clip = audio[slice(*_window_samples(len(audio), grid, window_index))]
+def _window_spectrogram(audio, lo, hi):
+    clip = audio[lo:hi]
     if len(clip) < WINDOW:
         # Extrapolated window ends can overrun the recording; pad so the
         # clip still yields at least one analysis frame.
@@ -183,7 +184,8 @@ def build_pair(record: PairRecord) -> BuiltPair:
         return built
 
     segments = split_piece(quantized)
-    _check_window_frames(len(audio), grid, len(segments))
+    spans = _window_spans(len(audio), grid, len(segments))
+    _check_window_frames(spans)
     for index, segment in enumerate(segments):
         try:
             tokens = encode_segment(segment)
@@ -191,7 +193,7 @@ def build_pair(record: PairRecord) -> BuiltPair:
             built.dropped_segments += 1
             log.warning("%s: segment %d dropped: %s", record.pop_audio, index, exc)
             continue
-        spec = _window_spectrogram(audio, grid, index)
+        spec = _window_spectrogram(audio, *spans[index])
         built.examples.append((spec, record.arranger_id, tokens))
     return built
 
@@ -440,8 +442,9 @@ def generate_cover(job: CoverJob) -> NoteSequence:
             len(grid.half_beats) % WINDOW_HALFBEATS,
             WINDOW_HALFBEATS,
         )
-    _check_window_frames(len(audio), grid, n_windows)
-    specs = [_window_spectrogram(audio, grid, w) for w in range(n_windows)]
+    spans = _window_spans(len(audio), grid, n_windows)
+    _check_window_frames(spans)
+    specs = [_window_spectrogram(audio, lo, hi) for lo, hi in spans]
     segments = greedy_generate_windows(specs, job.arranger_id, params, config)
     for tokens in segments:
         if not tokens.ids or tokens.ids[-1] != EOS:

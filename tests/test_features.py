@@ -1,6 +1,11 @@
 import io
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ from pianocover.errors import FormatError, ParameterError
 from pianocover.features import (
     _BLOCK_SAMPLES,
     _CHUNK_SAMPLES,
+    _WAV_CHUNK_SAMPLES,
     HOP,
     LOG_FLOOR,
     MAX_SAMPLE_RATE,
@@ -330,6 +336,9 @@ class TestWavIO:
         data = rng.integers(-32768, 32768, size=(30 * rate, channels)).astype(np.int16)
         p = tmp_path / "noise.wav"
         scipy.io.wavfile.write(p, rate, data[:, 0] if channels == 1 else data)
+        # The first resample in a process imports scipy.signal; its memory
+        # is not the reader's, so it is paid before tracing starts.
+        resample(np.zeros(64), rate)
         tracemalloc.start()
         try:
             y = load_wav(p)
@@ -389,7 +398,7 @@ class TestWavIO:
         assert np.array_equal(load_wav(path), resample(expected, rate))
 
     @pytest.mark.parametrize("rate", [SAMPLE_RATE, 44100])
-    @pytest.mark.parametrize("count", [1, 4001, None])
+    @pytest.mark.parametrize("count", [1, 4001, 3 * _WAV_CHUNK_SAMPLES + 4001, None])
     def test_writer_bytes_equal_scipy_writer(self, tmp_path, rate, count):
         count = 30 * rate if count is None else count
         audio = np.random.default_rng(count).uniform(-1.1, 1.1, count)
@@ -399,6 +408,39 @@ class TestWavIO:
         pcm = (np.clip(audio, -1.0, 1.0) * 32767.0).astype(np.int16)
         scipy.io.wavfile.write(expected, rate, pcm)
         assert path.read_bytes() == expected.getvalue()
+
+    def test_writer_converts_in_chunks(self, tmp_path):
+        audio = np.random.default_rng(5).uniform(-1.1, 1.1, 2_000_003)
+        tracemalloc.start()
+        try:
+            write_wav(tmp_path / "out.wav", audio)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The PCM plus a few float64 chunks, not whole-signal float copies.
+        assert peak <= 2 * audio.size + 4 * 8 * _WAV_CHUNK_SAMPLES
+
+    def test_scipy_loads_only_to_resample(self, tmp_path):
+        path = tmp_path / "a.wav"
+        write_wav(path, sine(440.0, 0.2))
+        script = """
+import json, sys
+import numpy as np
+import pianocover.cli, pianocover.pipeline
+from pianocover.features import load_wav, resample
+load_wav(sys.argv[1])
+after_load = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+x = np.random.default_rng(0).standard_normal(4410)
+y = resample(x, 44100)
+loaded = "scipy.signal" in sys.modules
+import scipy.signal
+same = y.tobytes() == scipy.signal.resample_poly(x, 1, 2).tobytes()
+print(json.dumps([after_load, loaded, same]))
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        out = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert json.loads(out) == [[], True, True]
 
     @pytest.mark.parametrize("rate", [0, MAX_SAMPLE_RATE + 1, 4_294_967_291])
     def test_rate_outside_the_bounds_is_refused_before_allocating(self, tmp_path, rate):

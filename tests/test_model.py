@@ -39,6 +39,7 @@ from pianocover.model import (
     zero_grads,
 )
 from pianocover.model.config import MAX_FRAMES, MAX_LAYERS, MAX_PARAMS
+from pianocover import features
 from pianocover.midi import Note, NoteSequence, parse_smf, write_smf
 from pianocover.model import checkpoint, network, optim
 from pianocover.model.checkpoint import MAGIC, VERSION
@@ -236,6 +237,9 @@ class TestConfig:
     def test_paper_scale_window(self):
         n = count_params(paper_scale_config())
         assert 50_000_000 <= n <= 70_000_000
+
+    def test_paper_scale_reads_the_frontend_mels(self):
+        assert paper_scale_config().n_mels == features.N_MELS
 
 
 def _pianocover_imports(path):

@@ -45,6 +45,7 @@ from pianocover.model.checkpoint import MAGIC
 from pianocover.model.config import MAX_FRAMES
 from pianocover.pipeline import (
     MAX_RENDER_SAMPLES,
+    WINDOW_HALFBEATS,
     BuildReport,
     CoverJob,
     PairRecord,
@@ -55,6 +56,7 @@ from pianocover.pipeline import (
     load_dataset,
     render_sine_audio,
     _resolve_pitch_overlaps,
+    _window_spans,
     _window_spectrogram,
     save_dataset,
 )
@@ -299,6 +301,29 @@ class TestRenderSineAudio:
         seq = NoteSequence.build([], duration=1.0)
         with pytest.raises(ParameterError):
             render_sine_audio(seq, SAMPLE_RATE)
+
+
+class TestWindowSpans:
+    @pytest.mark.parametrize("beats", [
+        make_grid(10).beats,
+        make_grid(9, bpm=97.0, start=-0.3).beats,
+        0.25 + np.cumsum(np.random.default_rng(3).uniform(0.3, 0.7, 13)),
+        np.arange(1, 12) * 10001 / 44100,  # edges on half samples
+    ])
+    def test_spans_equal_the_per_window_values(self, beats):
+        grid = BeatGrid(beats)
+        n_samples = int(beats[-1] * SAMPLE_RATE) - 500
+        # Windows past the last half-beat extrapolate and overrun the audio.
+        n_windows = len(grid.half_beats) // WINDOW_HALFBEATS + 3
+
+        def window(w):
+            t0 = grid.halfbeat_to_seconds(w * WINDOW_HALFBEATS)
+            t1 = grid.halfbeat_to_seconds((w + 1) * WINDOW_HALFBEATS)
+            return [max(0, int(round(t0 * SAMPLE_RATE))),
+                    min(n_samples, int(round(t1 * SAMPLE_RATE)))]
+
+        spans = _window_spans(n_samples, grid, n_windows)
+        assert spans == [window(w) for w in range(n_windows)]
 
 
 class TestBuildPair:
@@ -614,7 +639,8 @@ class TestGenerateCover:
 
         audio = load_wav(job.audio)
         grid = read_beat_file(job.beats)
-        specs = [_window_spectrogram(audio, grid, w) for w in range(4)]
+        spans = _window_spans(len(audio), grid, 4)
+        specs = [_window_spectrogram(audio, lo, hi) for lo, hi in spans]
         assert len({len(spec.frames) for spec in specs}) == 4
         segments = [greedy_generate(spec, job.arranger_id, params, config) for spec in specs]
         stopped = [tokens.ids[-1] == EOS for tokens in segments]
