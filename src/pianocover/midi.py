@@ -3,8 +3,9 @@
 Every other module consumes :class:`NoteSequence`: a canonically sorted list
 of notes tagged with its time unit (seconds or half-beat indices).  The SMF
 parser accepts format 0/1 files with arbitrary tempo maps and merges all
-tracks and channels; the writer always emits a single-tempo format-0 file on
-channel 0.
+tracks and channels, in time proportional to the file's events however
+many tempo changes it holds: one sorted lookup maps every tick to seconds.
+The writer always emits a single-tempo format-0 file on channel 0.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ import logging
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
+
+import numpy as np
 
 from .errors import ByteCursor, FormatError, UndefinedMetricError, ValidationError
 
@@ -129,13 +132,13 @@ _CHANNEL_DATA_LEN = {0x8: 2, 0x9: 2, 0xA: 2, 0xB: 2, 0xC: 1, 0xD: 1, 0xE: 2}
 def _parse_track(r: ByteCursor, length):
     """Return (note events, tempo events, end tick) for one MTrk body.
 
-    Note events are (tick, order, kind, pitch, velocity) with kind 0 = off
-    and 1 = on; tempo events are (tick, microseconds per quarter).
+    Note events are (tick, kind, pitch, velocity) in file order, with
+    kind 0 = off and 1 = on; tempo events are (tick, microseconds per
+    quarter).
     """
     end = r.pos + length
     tick = 0
     running = None
-    order = 0
     notes = []
     tempos = []
     while r.pos < end:
@@ -166,46 +169,32 @@ def _parse_track(r: ByteCursor, length):
             running = status
             kind = status >> 4
             data = r.take(_CHANNEL_DATA_LEN[kind])
-            if kind == 0x9:
+            if kind in (0x8, 0x9):
                 pitch, vel = data
                 if pitch > 127 or vel > 127:
                     raise FormatError("data byte above 0x7f in note event", r.pos - 1)
-                notes.append((tick, order, 1 if vel > 0 else 0, pitch, vel))
-            elif kind == 0x8:
-                pitch = data[0]
-                if pitch > 127 or data[1] > 127:
-                    raise FormatError("data byte above 0x7f in note event", r.pos - 1)
-                notes.append((tick, order, 0, pitch, 0))
-            order += 1
+                on = kind == 0x9 and vel > 0
+                notes.append((tick, 1, pitch, vel) if on else (tick, 0, pitch, 0))
     r.pos = end
     return notes, tempos, tick
 
 
-class _TempoMap:
-    """Piecewise-constant tempo map; converts absolute ticks to seconds."""
+def _ticks_to_seconds(ticks, tempo_events, ticks_per_quarter):
+    """Seconds at each tick under a piecewise-constant tempo map.
 
-    def __init__(self, tempo_events, ticks_per_quarter):
-        changes = sorted(set(tempo_events))
-        if not changes or changes[0][0] > 0:
-            changes.insert(0, (0, _DEFAULT_USPQ))
-        self.boundaries = []  # (tick, seconds at tick, seconds per tick after)
-        seconds = 0.0
-        prev_tick, prev_uspq = changes[0]
-        spt = prev_uspq / (1e6 * ticks_per_quarter)
-        self.boundaries.append((prev_tick, 0.0, spt))
-        for tick, uspq in changes[1:]:
-            seconds = seconds + (tick - prev_tick) * spt
-            spt = uspq / (1e6 * ticks_per_quarter)
-            self.boundaries.append((tick, seconds, spt))
-            prev_tick = tick
-
-    def seconds(self, tick):
-        b_tick, b_sec, spt = self.boundaries[0]
-        for tick0, sec0, spt0 in self.boundaries:
-            if tick0 > tick:
-                break
-            b_tick, b_sec, spt = tick0, sec0, spt0
-        return b_sec + (tick - b_tick) * spt
+    Each tempo boundary starts at the seconds of all spans before it,
+    added in tick order; a tick takes the last boundary at or before it.
+    Without a tempo event at tick 0 the map starts at 120 BPM.
+    """
+    changes = sorted(set(tempo_events))
+    if not changes or changes[0][0] > 0:
+        changes.insert(0, (0, _DEFAULT_USPQ))
+    b_tick, uspq = np.array(changes, dtype=np.int64).T
+    spt = uspq / (1e6 * ticks_per_quarter)
+    b_sec = np.concatenate(([0.0], np.cumsum(np.diff(b_tick) * spt[:-1])))
+    ticks = np.asarray(ticks, dtype=np.int64)
+    i = np.searchsorted(b_tick, ticks, side="right") - 1
+    return (b_sec[i] + (ticks - b_tick[i]) * spt[i]).tolist()
 
 
 def parse_smf(data: bytes) -> NoteSequence:
@@ -242,32 +231,27 @@ def parse_smf(data: bytes) -> NoteSequence:
             r.take(length)  # alien chunks are skipped per the SMF spec
             continue
         notes, tempos, end_tick = _parse_track(r, length)
-        all_notes.extend((t, parsed, o, k, p, v) for (t, o, k, p, v) in notes)
+        all_notes.extend(notes)
         all_tempos.extend(tempos)
         final_tick = max(final_tick, end_tick)
         parsed += 1
     if parsed == 0 and ntracks > 0:
         raise FormatError("no MTrk chunk found", r.pos)
 
-    tmap = _TempoMap(all_tempos, division)
-    # Off events sort before on events at the same tick so that back-to-back
-    # same-pitch notes close/reopen correctly.
-    all_notes.sort(key=lambda e: (e[0], e[3], e[1], e[2]))
+    # A stable sort keeps file order within a tick, with off events before
+    # on events so that back-to-back same-pitch notes close/reopen correctly.
+    all_notes.sort(key=lambda e: (e[0], e[1]))
 
     open_notes = {}  # pitch -> (tick, velocity)
     finished = []
-    dropped = 0
     unmatched_off = 0
-    for tick, _track, _order, kind, pitch, vel in all_notes:
-        if kind == 1:
-            if pitch in open_notes:
-                finished.append((*open_notes.pop(pitch), pitch, tick))
+    for tick, kind, pitch, vel in all_notes:
+        if pitch in open_notes:
+            finished.append((*open_notes.pop(pitch), pitch, tick))
+        elif not kind:
+            unmatched_off += 1
+        if kind:
             open_notes[pitch] = (tick, vel)
-        else:
-            if pitch in open_notes:
-                finished.append((*open_notes.pop(pitch), pitch, tick))
-            else:
-                unmatched_off += 1
     if open_notes:
         log.warning(
             "%d unmatched note-on(s) closed at final event time", len(open_notes)
@@ -277,20 +261,16 @@ def parse_smf(data: bytes) -> NoteSequence:
     if unmatched_off:
         log.warning("%d note-off(s) had no matching note-on", unmatched_off)
 
-    out = []
-    for on_tick, vel, pitch, off_tick in finished:
-        if off_tick <= on_tick:
-            dropped += 1
-            continue
-        out.append(
-            Note(tmap.seconds(on_tick), pitch, tmap.seconds(off_tick), max(vel, 1))
-        )
-    if dropped:
-        log.warning("%d zero-length note(s) dropped", dropped)
-    duration = max(
-        tmap.seconds(final_tick), max((n.offset for n in out), default=0.0)
-    )
-    return NoteSequence.build(out, TimeUnit.SECONDS, duration)
+    kept = [f for f in finished if f[3] > f[0]]
+    if len(kept) < len(finished):
+        log.warning("%d zero-length note(s) dropped", len(finished) - len(kept))
+    ticks = [f[0] for f in kept] + [f[3] for f in kept] + [final_tick]
+    seconds = _ticks_to_seconds(ticks, all_tempos, division)
+    # offs ends with the final tick's seconds, so max(offs) is the later of
+    # the last offset and the final event.
+    ons, offs = seconds[: len(kept)], seconds[len(kept) :]
+    out = [Note(on, p, off, max(v, 1)) for (_, v, p, _), on, off in zip(kept, ons, offs)]
+    return NoteSequence.build(out, TimeUnit.SECONDS, max(offs))
 
 
 # ---------------------------------------------------------------------------

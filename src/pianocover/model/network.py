@@ -603,10 +603,7 @@ def _forward(examples, params, config):
     normalization, encoder cache, decoder cache)."""
     if not examples:
         raise ParameterError("empty batch")
-    targets = [
-        np.asarray(t.ids if isinstance(t, TokenSeq) else tuple(t), dtype=int)
-        for _, _, t in examples
-    ]
+    targets = [np.asarray(tuple(t), dtype=int) for _, _, t in examples]
     longest = max(len(t) for t in targets)
     if longest > config.max_decode_len:
         raise ParameterError(

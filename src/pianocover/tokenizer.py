@@ -186,7 +186,7 @@ def decode_segment(tokens, open_notes=None):
     open, pitches never flushed, zero-length closes) are dropped with a
     warning.
     """
-    ids = tokens.ids if isinstance(tokens, TokenSeq) else tuple(int(i) for i in tokens)
+    ids = tuple(int(i) for i in tokens)
     open_map = dict(open_notes) if open_notes else {}
     closed = []
     pending = []
@@ -292,18 +292,15 @@ def split_piece(seq: NoteSequence):
     last = max((n.offset for n in seq), default=0)
     total = max(seq.duration, last)
     n_segments = max(1, int(math.ceil(total / SEGMENT_HALFBEATS)))
-    views = []
-    for k in range(n_segments):
-        base = k * SEGMENT_HALFBEATS
-        kept = [
-            Note(n.onset - base, n.pitch, n.offset - base, n.velocity)
-            for n in seq
-            if n.onset < base + SEGMENT_HALFBEATS and n.offset >= base
-        ]
-        views.append(
-            NoteSequence.build(kept, TimeUnit.HALF_BEATS, validate=False)
-        )
-    return views
+    # Segment k holds the notes with onset < 8k + 8 and offset >= 8k.
+    kept = [[] for _ in range(n_segments)]
+    for n in seq:
+        first = max(0, math.floor(n.onset / SEGMENT_HALFBEATS))
+        stop = min(math.floor(n.offset / SEGMENT_HALFBEATS) + 1, n_segments)
+        for k in range(first, stop):
+            base = k * SEGMENT_HALFBEATS
+            kept[k].append(Note(n.onset - base, n.pitch, n.offset - base, n.velocity))
+    return [NoteSequence.build(v, TimeUnit.HALF_BEATS, validate=False) for v in kept]
 
 
 def encode_piece(seq: NoteSequence):

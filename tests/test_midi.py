@@ -1,3 +1,6 @@
+import struct
+import time
+
 import numpy as np
 import pytest
 
@@ -212,6 +215,190 @@ class TestRoundTrip:
                 parse_smf(blob)
             except FormatError:
                 pass
+
+
+def vlq(value):
+    out = [value & 0x7F]
+    value >>= 7
+    while value:
+        out.append((value & 0x7F) | 0x80)
+        value >>= 7
+    return bytes(reversed(out))
+
+
+def smf_bytes(division, tracks):
+    """A format 0/1 SMF holding the given MTrk bodies."""
+    head = struct.pack(">IHHH", 6, 0 if len(tracks) == 1 else 1, len(tracks), division)
+    return b"MThd" + head + b"".join(
+        b"MTrk" + struct.pack(">I", len(t)) + t for t in tracks
+    )
+
+
+def random_smf(rng):
+    """A seeded random SMF plus what it holds: its division, each track's
+    note events as (tick, kind 0=off/1=on, pitch, velocity) in file order,
+    every (tick, microseconds per quarter) tempo event and each track's
+    end tick.
+
+    Tracks mix note-ons (velocity 0 among them), note-offs, controller and
+    program changes, text meta events and sysex, with and without running
+    status. Tempo events land at tick 0, after it and in same-tick pairs;
+    a handful of pitches makes retriggers, zero-length notes and unmatched
+    ons and offs common."""
+    division = int(rng.choice([1, 0x7FFF, int(rng.integers(1, 0x8000))]))
+    tracks, bodies, tempos, ends = [], [], [], []
+    for _ in range(int(rng.integers(1, 4))):
+        body = bytearray()
+        notes = []
+        tick = 0
+        running = None
+
+        def channel(delta, status, data):
+            nonlocal running
+            body.extend(vlq(delta))
+            if status != running or rng.random() < 0.3:
+                body.append(status)
+            body.extend(data)
+            running = status
+
+        def meta(delta, kind, data):
+            nonlocal running
+            body.extend(vlq(delta) + bytes([0xFF, kind]) + vlq(len(data)) + data)
+            running = None
+
+        if rng.random() < 0.5:
+            tempos.append((0, int(rng.integers(1, 0x1000000))))
+            meta(0, 0x51, tempos[-1][1].to_bytes(3, "big"))
+        for _ in range(int(rng.integers(0, 60))):
+            delta = int(rng.choice([0, 0, rng.integers(1, 50), rng.integers(1, 2**21)]))
+            tick += delta
+            roll = rng.random()
+            if roll < 0.15:
+                for _ in range(int(rng.integers(1, 3))):
+                    tempos.append((tick, int(rng.integers(1, 0x1000000))))
+                    meta(delta, 0x51, tempos[-1][1].to_bytes(3, "big"))
+                    delta = 0
+            elif roll < 0.8:
+                pitch = int(rng.integers(60, 64) if rng.random() < 0.8 else rng.integers(0, 128))
+                vel = int(rng.integers(0, 128)) if rng.random() < 0.3 else 0
+                on = rng.random() < 0.6
+                if on and vel == 0 and rng.random() < 0.7:
+                    vel = int(rng.integers(1, 128))
+                status = (0x90 if on else 0x80) | int(rng.integers(0, 16))
+                channel(delta, status, bytes([pitch, vel]))
+                notes.append((tick, int(on and vel > 0), pitch, vel if on else 0))
+            elif roll < 0.87:
+                channel(delta, 0xB0 | int(rng.integers(0, 16)), bytes([7, 100]))
+            elif roll < 0.92:
+                channel(delta, 0xC0 | int(rng.integers(0, 16)), bytes([3]))
+            elif roll < 0.96:
+                meta(delta, 0x01, b"text")
+            else:
+                body.extend(vlq(delta) + bytes([0xF0, 2, 0x7E, 0xF7]))
+                running = None
+        if rng.random() < 0.8:
+            delta = int(rng.integers(0, 1000))
+            tick += delta
+            meta(delta, 0x2F, b"")
+        tracks.append(notes)
+        bodies.append(bytes(body))
+        ends.append(tick)
+    return smf_bytes(division, bodies), division, tracks, tempos, ends
+
+
+def reference_parse(division, tracks, tempos, ends):
+    """The notes, duration and warning lines parse_smf must give, from
+    scalar arithmetic: seconds add up boundary by boundary, and a tick
+    takes the last boundary at or before it."""
+    changes = sorted(set(tempos))
+    if not changes or changes[0][0] > 0:
+        changes.insert(0, (0, 500_000))
+    seconds = 0.0
+    prev_tick, spt = changes[0][0], changes[0][1] / (1e6 * division)
+    boundaries = [(prev_tick, 0.0, spt)]
+    for tick, uspq in changes[1:]:
+        seconds = seconds + (tick - prev_tick) * spt
+        spt = uspq / (1e6 * division)
+        boundaries.append((tick, seconds, spt))
+        prev_tick = tick
+
+    def at(tick):
+        b_tick, b_sec, b_spt = [b for b in boundaries if b[0] <= tick][-1]
+        return b_sec + (tick - b_tick) * b_spt
+
+    # Offs before ons at a tick, then track and file order.
+    events = sorted(
+        (tick, kind, t, i, pitch, vel)
+        for t, notes in enumerate(tracks)
+        for i, (tick, kind, pitch, vel) in enumerate(notes)
+    )
+    final_tick = max(ends, default=0)
+    open_notes = {}
+    finished = []
+    unmatched_off = 0
+    for tick, kind, _, _, pitch, vel in events:
+        if kind == 1:
+            if pitch in open_notes:
+                finished.append((*open_notes.pop(pitch), pitch, tick))
+            open_notes[pitch] = (tick, vel)
+        elif pitch in open_notes:
+            finished.append((*open_notes.pop(pitch), pitch, tick))
+        else:
+            unmatched_off += 1
+    warnings = []
+    if open_notes:
+        warnings.append(
+            f"{len(open_notes)} unmatched note-on(s) closed at final event time"
+        )
+        for pitch, (tick, vel) in open_notes.items():
+            finished.append((tick, vel, pitch, max(final_tick, tick)))
+    if unmatched_off:
+        warnings.append(f"{unmatched_off} note-off(s) had no matching note-on")
+    notes = [
+        Note(at(on), pitch, at(off), max(vel, 1))
+        for on, vel, pitch, off in finished
+        if off > on
+    ]
+    if len(notes) < len(finished):
+        warnings.append(f"{len(finished) - len(notes)} zero-length note(s) dropped")
+    duration = max(at(final_tick), max((n.offset for n in notes), default=0.0))
+    return NoteSequence.build(notes, TimeUnit.SECONDS, duration), warnings
+
+
+class TestTempoMap:
+    def test_matches_scalar_reference_bit_for_bit(self, caplog):
+        rng = np.random.default_rng(21)
+        for _ in range(400):
+            data, *held = random_smf(rng)
+            want, want_warnings = reference_parse(*held)
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="pianocover.midi"):
+                got = parse_smf(data)
+            assert [r.getMessage() for r in caplog.records] == want_warnings
+            assert got.duration == want.duration
+            assert [(n.onset, n.offset, n.pitch, n.velocity) for n in got] == [
+                (n.onset, n.offset, n.pitch, n.velocity) for n in want
+            ]
+
+    def test_dense_tempo_map_parses_in_seconds(self):
+        # 32,000 tempo changes interleaved with 32,000 notes, about 480 kB.
+        step = b"".join([
+            vlq(1) + bytes([0xFF, 0x51, 3]) + (400_000).to_bytes(3, "big"),
+            vlq(0) + bytes([0x90, 60, 80]),
+            vlq(3) + bytes([0x80, 60, 0]),
+        ])
+        track = step * 32_000 + vlq(0) + bytes([0xFF, 0x2F, 0])
+        data = smf_bytes(480, [track])
+        start = time.perf_counter()
+        seq = parse_smf(data)
+        elapsed = time.perf_counter() - start
+        assert len(seq) == 32_000
+        # The first tick runs at the default 120 BPM, the rest at 400,000 us.
+        ticks = 32_000 * 4
+        assert seq.duration == pytest.approx(
+            (500_000 + (ticks - 1) * 400_000) / (1e6 * 480)
+        )
+        assert elapsed < 10.0
 
 
 class TestNoteDensity:

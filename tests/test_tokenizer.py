@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -312,6 +314,71 @@ class TestFullRoundTrip:
         piece = NoteSequence.build([Note(0, 60, 16)], HB)
         back = stitch(encode_piece(piece))
         assert back.notes == piece.notes
+
+
+def split_by_definition(seq):
+    """split_piece's views, segment by segment: segment k holds the notes
+    with onset < 8k + 8 and offset >= 8k, shifted by 8k."""
+    total = max(seq.duration, max((n.offset for n in seq), default=0))
+    n_segments = max(1, -(-total // SEGMENT_HALFBEATS))
+    views = []
+    for k in range(int(n_segments)):
+        base = k * SEGMENT_HALFBEATS
+        views.append(hb_seq([
+            Note(n.onset - base, n.pitch, n.offset - base, n.velocity)
+            for n in seq
+            if n.onset < base + SEGMENT_HALFBEATS and n.offset >= base
+        ]))
+    return views
+
+
+class TestSplitPiece:
+    def test_matches_per_segment_definition(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            length = int(rng.integers(1, 120))
+            notes = []
+            for _ in range(int(rng.integers(0, 25))):
+                on = int(rng.integers(0, length))
+                # Short notes, notes spanning many segments, and notes that
+                # end on a segment boundary.
+                off = int(rng.choice([
+                    on + rng.integers(1, 4),
+                    on + rng.integers(8, 60),
+                    (on // SEGMENT_HALFBEATS + rng.integers(1, 4)) * SEGMENT_HALFBEATS,
+                ]))
+                notes.append(Note(on, int(rng.integers(21, 109)), off))
+            last = max((n.offset for n in notes), default=0)
+            duration = last + int(rng.integers(0, 30)) if rng.random() < 0.5 else None
+            piece = NoteSequence.build(notes, HB, duration=duration)
+            assert split_piece(piece) == split_by_definition(piece)
+
+    def test_edge_pieces(self):
+        empty = NoteSequence.build([], HB)
+        assert split_piece(empty) == [hb_seq([])]
+        boundary = NoteSequence.build([Note(3, 60, 16), Note(0, 62, 40)], HB, 57)
+        views = split_piece(boundary)
+        assert views == split_by_definition(boundary)
+        assert len(views) == 8
+        # The note ending at half-beat 16 reaches segment 2 at relative 0.
+        assert Note(-13, 60, 0) in views[2].notes
+        assert all(any(n.pitch == 62 for n in v) for v in views[:6])
+
+    def test_long_piece_splits_in_seconds(self):
+        # 20,000 notes over 4,001 segments.
+        rng = np.random.default_rng(8)
+        onsets = rng.integers(0, 31_977, size=20_000)
+        notes = [
+            Note(int(on), int(p), int(on + d))
+            for on, p, d in zip(onsets, rng.integers(21, 109, size=20_000),
+                                rng.integers(1, 24, size=20_000))
+        ]
+        piece = NoteSequence.build(notes, HB, duration=32_001)
+        start = time.perf_counter()
+        views = split_piece(piece)
+        elapsed = time.perf_counter() - start
+        assert len(views) == 4_001
+        assert elapsed < 5.0
 
 
 class TestTokenFile:
