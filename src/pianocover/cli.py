@@ -1,11 +1,12 @@
 """Command line interface.
 
 Exit codes: 0 success; 1 invalid input, including usage errors and
-numeric options that are not finite or not above 0; 2 I/O error; 3
-numeric failure such as training divergence. Every failure prints one
-line on stderr. Warnings the library logs while a command runs, and
-Python warnings raised under it, are held, and printed as "warning: ..."
-lines only if the command succeeds.
+numeric options that are not finite or not above 0; 2 I/O error, or a
+memory allocation that failed (the line names the subcommand and the
+size asked); 3 numeric failure such as training divergence. Every
+failure prints one line on stderr. Warnings the library logs while a
+command runs, and Python warnings raised under it, are held, and
+printed as "warning: ..." lines only if the command succeeds.
 
 The tokenize/detokenize commands exchange quantized pieces as MIDI with
 a fixed-tempo convention: at the given --bpm, one half-beat lasts
@@ -344,6 +345,7 @@ class _HeldWarnings(logging.Handler):
 
 
 def main(argv=None) -> int:
+    args = argparse.Namespace(command="pianocover")
     held = _HeldWarnings()
     logger = logging.getLogger("pianocover")
     logger.addHandler(held)
@@ -358,6 +360,11 @@ def main(argv=None) -> int:
             return 1
         except OSError as exc:
             print(f"i/o error: {exc}", file=sys.stderr)
+            return 2
+        except MemoryError as exc:
+            # numpy's text names the size: "Unable to allocate 4.00 EiB ..."
+            print(f"memory error: {args.command}: {str(exc) or 'out of memory'}",
+                  file=sys.stderr)
             return 2
         except (DivergenceError, ArithmeticError) as exc:
             print(f"numeric error: {exc}", file=sys.stderr)

@@ -3,7 +3,8 @@ readers of untrusted input that map malformed bytes onto it: a byte
 cursor for binary formats and a UTF-8 text reader.
 
 The CLI maps these onto exit codes: validation errors exit 1, I/O errors
-(plain OSError) exit 2, numeric failures exit 3.
+(plain OSError) and failed allocations (MemoryError) exit 2, numeric
+failures exit 3.
 """
 
 import struct

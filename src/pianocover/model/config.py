@@ -1,4 +1,4 @@
-"""Model and training configuration, plus the analytic parameter count."""
+"""Model and training configuration, and the table of the model's tensors."""
 
 from __future__ import annotations
 
@@ -14,9 +14,9 @@ from ..tokenizer import MAX_TOKENS, VOCAB_SIZE
 MAX_PARAMS = 2**27
 
 # Layers a stack may have.  MAX_PARAMS alone admits 16M layers of width 1,
-# and ``param_shapes``, ``init_params`` and every forward and backward pass
-# walk the layers one at a time in Python, so a checkpoint config of a few
-# hundred bytes could ask for gigabytes of parameter names.  At 4096 both
+# and ``tensor_table`` (so ``count_params``) and every forward and backward
+# pass walk the layers one at a time in Python, so a checkpoint config of a
+# few hundred bytes could ask for gigabytes of parameter names.  At 4096 both
 # stacks name under 90k tensors, and a desk-width model (d_model 64) still
 # reaches MAX_PARAMS by depth alone (about 2700 encoder layers) before
 # this bound; the published model has 8 layers per stack.
@@ -135,16 +135,63 @@ class TrainConfig:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
 
+# The layer table: each stack's sublayers in order, as (kind, weight
+# suffixes). Every sublayer is pre-norm residual, x + f(norm(x)); its
+# gain is ln1, ln2, ... in this order.
+_LAYOUT = {
+    "enc": (("self", ("q", "k", "v", "o")), ("ffn", ("ff1", "ff2"))),
+    "dec": (
+        ("self", ("sq", "sk", "sv", "so")),
+        ("cross", ("cq", "ck", "cv", "co")),
+        ("ffn", ("ff1", "ff2")),
+    ),
+}
+
+# Initial scales that are constants, not a normal's standard deviation;
+# a bare 1.0 would not do, since arranger_emb draws with std 1.
+ONES = ("fill", 1.0)
+ZEROS = ("fill", 0.0)
+
+
+def stack_layers(stack, config):
+    """The layers of a stack ("enc" or "dec"), each a list of its
+    sublayers in forward order as (norm gain, weight names, kind)."""
+    count = config.num_encoder_layers if stack == "enc" else config.num_decoder_layers
+    return [
+        [
+            (f"{stack}{i}_ln{j}", tuple(f"{stack}{i}_{w}" for w in weights), kind)
+            for j, (kind, weights) in enumerate(_LAYOUT[stack], start=1)
+        ]
+        for i in range(count)
+    ]
+
+
+def tensor_table(config: ModelConfig):
+    """(name, shape, initial scale) of every learnable tensor, in
+    declaration order. The scale is a normal's standard deviation, ONES
+    (norm gains) or ZEROS (relative biases)."""
+    d, ff, h = config.d_model, config.d_ff, config.num_heads
+    attention = [((d, d), d**-0.5)] * 4
+    ffn = [((d, ff), d**-0.5), ((ff, d), ff**-0.5)]
+    sizes = {"self": attention, "cross": attention, "ffn": ffn}
+    table = [
+        ("input_proj", (config.n_mels, d), config.n_mels**-0.5),
+        ("arranger_emb", (config.num_arrangers, d), 1.0),
+        # With the tied d_model**-0.5 scaled head, initial logits have std
+        # about 0.2: the loss starts within hundredths of ln(vocab_size).
+        ("token_emb", (config.vocab_size, d), 0.2),
+        ("enc_rel_bias", (config.relative_bias_buckets, h), ZEROS),
+        ("dec_rel_bias", (config.relative_bias_buckets, h), ZEROS),
+    ]
+    for stack in _LAYOUT:
+        for layer in stack_layers(stack, config):
+            for gain, weights, kind in layer:
+                table.append((gain, (d,), ONES))
+                table += [(name, *size) for name, size in zip(weights, sizes[kind])]
+        table.append((stack + "_ln_final", (d,), ONES))
+    return table
+
+
 def count_params(config: ModelConfig) -> int:
     """Exact learnable-parameter total for a configuration."""
-    d = config.d_model
-    ff = config.d_ff
-    total = config.n_mels * d                      # input projection
-    total += config.num_arrangers * d              # arranger embedding
-    total += config.vocab_size * d                 # token embedding (tied head)
-    total += 2 * config.relative_bias_buckets * config.num_heads
-    per_encoder = 4 * d * d + 2 * d * ff + 2 * d   # attention, FFN, two norms
-    total += config.num_encoder_layers * per_encoder + d
-    per_decoder = 8 * d * d + 2 * d * ff + 3 * d   # self+cross attention, FFN, norms
-    total += config.num_decoder_layers * per_decoder + d
-    return total
+    return sum(math.prod(shape) for _, shape, _ in tensor_table(config))

@@ -8,11 +8,10 @@ a ReLU feed-forward, and a token embedding tied to the output head with
 a d_model**-0.5 logit scale. The encoder input is the arranger
 embedding row concatenated before the projected mel frames.
 
-One layer table, _LAYOUT, lists each stack's sublayers: an encoder
-layer is [self-attention, FFN], a decoder layer [self-attention,
-cross-attention, FFN]. param_shapes, IncrementalDecoder and the one
-stack runner, _stack_f with its backward _stack_b, read their weight
-names from it, and the runner serves both stacks.
+The layer table lives in config.py: param_shapes and init_params read
+config.tensor_table, and IncrementalDecoder and the one stack runner
+(_stack_f with its backward _stack_b, serving both stacks) name their
+weights through config.stack_layers.
 
 Every layer takes leading batch dimensions. Training pads a batch to
 its longest example (zero frames, PAD decoder inputs and targets) and
@@ -42,7 +41,7 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..tokenizer import EOS, PAD, TokenSeq, generated_segment
-from .config import MAX_FRAMES, ModelConfig
+from .config import MAX_FRAMES, ModelConfig, stack_layers, tensor_table
 
 _NEG_INF = -1e30
 _NORM_EPS = 1e-6
@@ -55,80 +54,20 @@ _LOCKSTEP_WINDOWS = 32
 # Parameters
 
 
-# The layer table: each stack's sublayers in order, as (kind, weight
-# suffixes). Every sublayer is pre-norm residual, x + f(norm(x)); its
-# gain is ln1, ln2, ... in this order.
-_LAYOUT = {
-    "enc": (("self", ("q", "k", "v", "o")), ("ffn", ("ff1", "ff2"))),
-    "dec": (
-        ("self", ("sq", "sk", "sv", "so")),
-        ("cross", ("cq", "ck", "cv", "co")),
-        ("ffn", ("ff1", "ff2")),
-    ),
-}
-
-
-def _num_layers(stack, config):
-    return config.num_encoder_layers if stack == "enc" else config.num_decoder_layers
-
-
-def _sublayers(stack, i):
-    """(norm gain, weight names, kind) of each sublayer of layer i of a
-    stack ("enc" or "dec"), in forward order."""
-    p = f"{stack}{i}_"
-    return [
-        (f"{p}ln{j}", tuple(p + w for w in weights), kind)
-        for j, (kind, weights) in enumerate(_LAYOUT[stack], start=1)
-    ]
-
-
 def param_shapes(config: ModelConfig):
     """Names and shapes of every learnable tensor, in declaration order."""
-    d, ff, h = config.d_model, config.d_ff, config.num_heads
-    shapes = {
-        "input_proj": (config.n_mels, d),
-        "arranger_emb": (config.num_arrangers, d),
-        "token_emb": (config.vocab_size, d),
-        "enc_rel_bias": (config.relative_bias_buckets, h),
-        "dec_rel_bias": (config.relative_bias_buckets, h),
-    }
-    for stack in _LAYOUT:
-        for i in range(_num_layers(stack, config)):
-            for gain, weights, kind in _sublayers(stack, i):
-                shapes[gain] = (d,)
-                sizes = [(d, ff), (ff, d)] if kind == "ffn" else [(d, d)] * 4
-                shapes.update(zip(weights, sizes))
-        shapes[stack + "_ln_final"] = (d,)
-    return shapes
+    return {name: shape for name, shape, _ in tensor_table(config)}
 
 
 def init_params(config: ModelConfig, seed: int = 0):
-    """Randomly initialized float64 parameter dict.
-
-    The token embedding uses std 0.2: with the tied d_model**-0.5 scaled
-    head the initial logits then have std about 0.2, which keeps the
-    initial cross entropy within a few hundredths of ln(vocab_size).
-    """
+    """Float64 parameters as config.tensor_table gives them: constants
+    filled, the rest drawn from normals in table order from one generator."""
     rng = np.random.default_rng(seed)
-    d, ff = config.d_model, config.d_ff
-    params = {}
-    for name, shape in param_shapes(config).items():
-        if name.endswith(("ln1", "ln2", "ln3", "ln_final")):
-            value = np.ones(shape)
-        elif name.endswith("rel_bias"):
-            value = np.zeros(shape)
-        elif name == "input_proj":
-            value = rng.normal(0.0, config.n_mels**-0.5, shape)
-        elif name == "arranger_emb":
-            value = rng.normal(0.0, 1.0, shape)
-        elif name == "token_emb":
-            value = rng.normal(0.0, 0.2, shape)
-        elif name.endswith("ff2"):
-            value = rng.normal(0.0, ff**-0.5, shape)
-        else:
-            value = rng.normal(0.0, d**-0.5, shape)
-        params[name] = value
-    return params
+    return {
+        name: np.full(shape, scale[1]) if isinstance(scale, tuple)
+        else rng.normal(0.0, scale, shape)
+        for name, shape, scale in tensor_table(config)
+    }
 
 
 def zero_grads(params):
@@ -305,8 +244,8 @@ def _stack_f(stack, x, self_mask, params, config, memory=None, memory_mask=None)
     reads memory (B, m, d) under memory_mask."""
     bias, buckets = _bias_matrix(params[stack + "_rel_bias"], x.shape[1], stack == "enc", config)
     caches = []
-    for i in range(_num_layers(stack, config)):
-        for gain, names, kind in _sublayers(stack, i):
+    for layer in stack_layers(stack, config):
+        for gain, names, kind in layer:
             normed, c_norm = _norm_f(x, params[gain])
             weights = [params[name] for name in names]
             if kind == "ffn":
@@ -480,9 +419,8 @@ class IncrementalDecoder:
         )
         self.bias = params["dec_rel_bias"][distances].T[:, None, :]
         self.layers = []
-        for i in range(config.num_decoder_layers):
-            ((g1, (sq, sk, sv, so), _), (g2, (cq, ck, cv, co), _),
-             (g3, (ff1, ff2), _)) = _sublayers("dec", i)
+        for ((g1, (sq, sk, sv, so), _), (g2, (cq, ck, cv, co), _),
+             (g3, (ff1, ff2), _)) in stack_layers("dec", config):
             qkv = np.concatenate([params[sq] * scale, params[sk], params[sv]], axis=1)
             self.layers.append((
                 params[g1][:, None] * qkv,
@@ -542,10 +480,10 @@ def greedy_generate_windows(
     a group takes each decode step as one batch. A window that has
     emitted EOS keeps stepping with the others until every window of
     its group has stopped; each step's argmaxes go into one (W,
-    max_decode_len) array, and each row is cut after its first EOS, so
-    each window yields the ids it would decode alone. Ties go to the
-    lowest id. Each window's ids become a segment through
-    tokenizer.generated_segment.
+    max_decode_len) array. Ties go to the lowest id. Each window's row
+    becomes a segment through tokenizer.generated_segment, which cuts it
+    after its first EOS, so each window yields what it would decode
+    alone.
 
     Encoding stays one encode call per window, so a tracer that wraps
     encode still sees each window's encoder time.
@@ -563,9 +501,8 @@ def greedy_generate_windows(
             tokens = np.argmax(decoder.step(tokens), axis=-1)
             ids[:, decoder.length - 1] = tokens
             done |= tokens == EOS
-        for row in ids[:, : decoder.length].tolist():
-            raw.append(row[: row.index(EOS) + 1] if EOS in row else row)
-    return [generated_segment(ids) for ids in raw]
+        raw += ids[:, : decoder.length].tolist()
+    return [generated_segment(row) for row in raw]
 
 
 def greedy_generate(spectrogram, arranger_id, params, config: ModelConfig) -> TokenSeq:

@@ -39,6 +39,11 @@ VOCAB_SIZE = 232
 SEGMENT_HALFBEATS = 8
 MAX_TOKENS = 512
 MAX_SHIFT = 100  # cap on one segment's summed beat shifts, in half-beats
+# Segments one piece may split into: about 36 h at 120 BPM. A piece's
+# length follows its MIDI file's last event, so a 36-byte file can claim
+# millions of segments, each a list and a token line. A piece `build`
+# makes has at most about 450 (the DTW budget's 10 minutes at 180 BPM).
+MAX_SEGMENTS = 2**16
 
 _SHIFT_MIN_ID = 2
 _SHIFT_MAX_ID = 101
@@ -222,9 +227,10 @@ def decode_segment(tokens, open_notes=None):
 
 
 def generated_segment(ids) -> TokenSeq:
-    """The segment made of a model's generated ids, without the ones it
-    cannot hold: PAD, beat shifts past the MAX_SHIFT cap and pitches
-    outside the piano range are dropped with a warning."""
+    """The segment made of a model's generated ids up to and including
+    the first EOS, without the ones it cannot hold: PAD, beat shifts past
+    the MAX_SHIFT cap and pitches outside the piano range are dropped
+    with a warning. Ids after the first EOS are ignored."""
     kept = []
     shift_total = 0
     dropped = 0
@@ -242,6 +248,8 @@ def generated_segment(ids) -> TokenSeq:
             dropped += 1
             continue
         kept.append(t)
+        if sym[0] == "eos":
+            break
     if dropped:
         log.warning("dropped %d unusable generated tokens", dropped)
     return TokenSeq(tuple(kept))
@@ -292,6 +300,10 @@ def split_piece(seq: NoteSequence):
     last = max((n.offset for n in seq), default=0)
     total = max(seq.duration, last)
     n_segments = max(1, int(math.ceil(total / SEGMENT_HALFBEATS)))
+    if n_segments > MAX_SEGMENTS:
+        raise ValidationError(
+            f"piece spans {n_segments} segments, over the limit of {MAX_SEGMENTS}"
+        )
     # Segment k holds the notes with onset < 8k + 8 and offset >= 8k.
     kept = [[] for _ in range(n_segments)]
     for n in seq:

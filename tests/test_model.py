@@ -41,7 +41,7 @@ from pianocover.model import (
 from pianocover.model.config import MAX_FRAMES, MAX_LAYERS, MAX_PARAMS
 from pianocover import features
 from pianocover.midi import Note, NoteSequence, parse_smf, write_smf
-from pianocover.model import checkpoint, network, optim
+from pianocover.model import network, optim
 from pianocover.model.checkpoint import MAGIC, VERSION
 from pianocover.tokenizer import EOS, MAX_TOKENS, PAD, symbol
 
@@ -179,12 +179,14 @@ class TestConfig:
         desk_config(**narrow, num_encoder_layers=MAX_LAYERS, num_decoder_layers=MAX_LAYERS)
         # 16M narrow layers fit MAX_PARAMS; the bound refuses them before
         # anything names their tensors.
-        def no_shapes(config):
-            raise AssertionError("param_shapes built")
-        monkeypatch.setattr(network, "param_shapes", no_shapes)
-        monkeypatch.setattr(checkpoint, "param_shapes", no_shapes)
+        defaults = ModelConfig().to_dict()
+
+        def no_table(config):
+            raise AssertionError("tensor table built")
+        monkeypatch.setattr("pianocover.model.config.tensor_table", no_table)
+        monkeypatch.setattr(network, "tensor_table", no_table)
         for name in ("num_encoder_layers", "num_decoder_layers"):
-            deep = dict(ModelConfig().to_dict(), **narrow, **{name: 16_000_000})
+            deep = dict(defaults, **narrow, **{name: 16_000_000})
             with pytest.raises(ValidationError, match=f"{name} must be at most {MAX_LAYERS}"):
                 ModelConfig(**deep)
             config = json.dumps(deep, sort_keys=True).encode()
@@ -304,6 +306,35 @@ class TestInitParams:
         assert {value.dtype for value in init_params(cfg).values()} == {np.dtype(np.float64)}
         with pytest.raises(TypeError):
             init_params(cfg, dtype=np.float32)
+
+    @pytest.mark.parametrize("cfg", [
+        pytest.param(tiny_config(), id="tiny"),
+        pytest.param(desk_config(), id="desk"),
+        pytest.param(tiny_config(num_encoder_layers=1, num_decoder_layers=3), id="1-3"),
+    ])
+    def test_matches_scalar_reference(self, cfg):
+        # The initialisation rules by tensor name, drawn one scalar at a
+        # time from one generator in param_shapes order.
+        def init(name, shape, rng):
+            if re.fullmatch(r"(enc|dec)(\d+_ln\d|_ln_final)", name):
+                return np.ones(shape)
+            if name.endswith("rel_bias"):
+                return np.zeros(shape)
+            std = {"input_proj": cfg.n_mels**-0.5, "arranger_emb": 1.0,
+                   "token_emb": 0.2}.get(name)
+            if std is None:
+                std = cfg.d_ff**-0.5 if name.endswith("ff2") else cfg.d_model**-0.5
+            draws = [rng.normal(0.0, std) for _ in range(math.prod(shape))]
+            return np.array(draws).reshape(shape)
+
+        for seed in (0, 7):
+            rng = np.random.default_rng(seed)
+            want = {name: init(name, shape, rng) for name, shape in param_shapes(cfg).items()}
+            got = init_params(cfg, seed=seed)
+            assert list(got) == list(want)
+            for name, value in got.items():
+                assert value.dtype == np.float64 and value.shape == want[name].shape
+                assert value.tobytes() == want[name].tobytes(), name
 
 
 class TestEncode:
@@ -576,7 +607,10 @@ class TestIncrementalDecoder:
         seen = self._spy_raw(monkeypatch)
         monkeypatch.setattr(network, "decoder_forward", forbidden)
         seqs = greedy_generate_windows(windows, 0, eager, cfg)
-        assert seen == expected
+        # The token filter gets each window's row as stepped with its group;
+        # through its first EOS, the row holds what the window decodes alone.
+        assert [len(row) for row in seen] == [cfg.max_decode_len] * len(windows)
+        assert [row[: len(raw)] for row, raw in zip(seen, expected)] == expected
         assert [seq.ids for seq in seqs] == [generated_segment(raw).ids for raw in expected]
 
     def test_lockstep_groups_are_bounded(self, monkeypatch):

@@ -827,6 +827,13 @@ def _long_note_midi(seconds):
     return write_smf(NoteSequence.build([Note(0.0, 69, seconds)]))
 
 
+# One note, then an end of track 2**20 ticks later at 1 tick per quarter:
+# 36 bytes that claim 262,145 segments at 120 BPM.
+_FAR_END_OF_TRACK = (b"MThd" + struct.pack(">IHHH", 6, 0, 1, 1) + b"MTrk"
+                     + struct.pack(">I", 14) + bytes([0, 0x90, 60, 100, 1, 0x80, 60, 0,
+                                                      0xC0, 0x80, 0, 0xFF, 0x2F, 0]))
+
+
 def _checkpoint_with_mels(n_mels):
     """A valid checkpoint of a model that reads n_mels mel channels."""
     def content(inputs):
@@ -902,6 +909,9 @@ CONTRACT_ROWS = [
          "song.mid: unexpected end of data", "song.mid", _first_half("mid")),
     _row("mid-not-smf", "tokenize {bad} {out}",
          "song.mid: missing MThd header", "song.mid", b"hello world"),
+    _row("mid-over-segment-limit", "tokenize {bad} {out}",
+         "piece spans 262145 segments, over the limit of 65536", "song.mid",
+         _FAR_END_OF_TRACK),
     _row("mid-cut-in-header", "render {bad} {out}",
          "song.mid: unexpected end of data", "song.mid", b"MThd\x00\x00\x00\x06\x00"),
     _row("mid-over-render-limit", "render {bad} {out}",
@@ -1270,6 +1280,16 @@ class TestCli:
             assert main(["render", record.cover_midi, str(missing)]) == 2
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("i/o error: ")
+
+    def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch, cli_inputs):
+        # 4 EiB: numpy raises its MemoryError at once and allocates nothing.
+        monkeypatch.setattr(cli, "render_sine_audio",
+                            lambda seq, rate: np.empty(2**62, dtype=np.uint8))
+        assert main(["render", cli_inputs["mid"], str(tmp_path / "out.wav")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("memory error: render: Unable to allocate 4.00 EiB")
+        assert not (tmp_path / "out.wav").exists()
 
     def test_help_exits_zero(self, capsys):
         for argv in (["--help"], ["render", "--help"]):

@@ -1,3 +1,4 @@
+import logging
 import time
 
 import numpy as np
@@ -7,6 +8,7 @@ from pianocover.errors import ParameterError, ValidationError
 from pianocover.midi import Note, NoteSequence, TimeUnit
 from pianocover.tokenizer import (
     EOS,
+    MAX_SEGMENTS,
     MAX_TOKENS,
     NOTE_OFF,
     NOTE_ON,
@@ -18,6 +20,7 @@ from pianocover.tokenizer import (
     decode_segment,
     encode_piece,
     encode_segment,
+    generated_segment,
     pitch_id,
     read_token_file,
     split_piece,
@@ -274,6 +277,18 @@ class TestDecode:
             assert all(0 <= p <= 127 for p in open_map)
 
 
+class TestGeneratedSegment:
+    def test_ids_after_eos_are_ignored(self, caplog):
+        assert generated_segment([5, NOTE_ON, EOS, 5]).ids == (5, NOTE_ON, EOS)
+        assert generated_segment([EOS, EOS, PAD, 999]).ids == (EOS,)
+        assert generated_segment([5, NOTE_ON]).ids == (5, NOTE_ON)
+        # Only the ids before the first EOS are filtered and counted.
+        with caplog.at_level(logging.WARNING, logger="pianocover"):
+            seq = generated_segment([PAD, pitch_id(60), NOTE_ON, EOS, PAD, pitch_id(5)])
+        assert seq.ids == (pitch_id(60), NOTE_ON, EOS)
+        assert "dropped 1 unusable generated tokens" in caplog.text
+
+
 class TestStitch:
     def test_boundary_crossing_note(self):
         seg0 = TokenSeq((beat_shift_id(6), pitch_id(72), NOTE_ON, EOS))
@@ -363,6 +378,18 @@ class TestSplitPiece:
         # The note ending at half-beat 16 reaches segment 2 at relative 0.
         assert Note(-13, 60, 0) in views[2].notes
         assert all(any(n.pitch == 62 for n in v) for v in views[:6])
+
+    def test_segment_bound(self):
+        limit = SEGMENT_HALFBEATS * MAX_SEGMENTS
+        at_limit = NoteSequence.build([Note(0, 60, 3)], HB, duration=limit)
+        assert len(split_piece(at_limit)) == MAX_SEGMENTS
+        # Past the bound by the duration, or by a note's offset.
+        for piece in (NoteSequence.build([Note(0, 60, 3)], HB, duration=limit + 1),
+                      NoteSequence.build([Note(0, 60, limit + 1)], HB)):
+            with pytest.raises(ValidationError, match=f"piece spans {MAX_SEGMENTS + 1} "
+                                                      f"segments, over the limit of "
+                                                      f"{MAX_SEGMENTS}"):
+                split_piece(piece)
 
     def test_long_piece_splits_in_seconds(self):
         # 20,000 notes over 4,001 segments.
