@@ -170,9 +170,9 @@ def halfbeats_to_seconds(seq: NoteSequence, grid: BeatGrid) -> NoteSequence:
 # Beat tracking
 
 
-def _onset_log_mel(mag: np.ndarray, sample_rate: int) -> np.ndarray:
-    """Log mel power of an onset-window magnitude block, one row per frame."""
-    return np.log(features.mel_power(mag ** 2, sample_rate, _ONSET_MELS) + _ONSET_FLOOR)
+def _onset_log_mel(power: np.ndarray, sample_rate: int) -> np.ndarray:
+    """Log mel power of an onset-window power block, one row per frame."""
+    return np.log(features.mel_power(power, sample_rate, _ONSET_MELS) + _ONSET_FLOOR)
 
 
 def onset_envelope(audio: np.ndarray, sample_rate: int):
@@ -184,7 +184,7 @@ def onset_envelope(audio: np.ndarray, sample_rate: int):
     on synthetic click tracks (residual bias under 10 ms).
     """
     logmel = features.pooled_stft(
-        audio, _ONSET_WINDOW, _ONSET_HOP, lambda mag: _onset_log_mel(mag, sample_rate)
+        audio, _ONSET_WINDOW, _ONSET_HOP, lambda power: _onset_log_mel(power, sample_rate)
     )
     if len(logmel) < 3:
         raise NoBeatsError("audio too short for an onset envelope")

@@ -1,17 +1,18 @@
 """Log-mel spectrogram frontend and WAV ingestion.
 
 Frontend parameters are fixed by the downstream model contract: 22050 Hz
-sample rate, 4096-sample Hann window, 1024-sample hop, magnitude squared to
-power before mel pooling, HTK mel scale over [0, 11025] Hz with
+sample rate, 4096-sample Hann window, 1024-sample hop, power (squared
+magnitude) pooled by the mel filters, HTK mel scale over [0, 11025] Hz with
 area-normalized triangles, log floor 1e-6.  Frames are fully interior (no
 center padding) so frame k covers samples [k*hop, k*hop + window) exactly.
 Spectra are computed in bounded blocks of frames (``pooled_stft``), and
 each block is pooled to a few values per frame before the next is built,
-so no whole-song frame, spectrum or magnitude array exists at any time.
-A block holds its magnitudes and its pool's arrays: ``stft_mag`` tapers
+so no whole-song frame, spectrum or power array exists at any time.
+A block is one power array plus its pool's arrays: ``stft_power`` tapers
 and transforms one cache-sized chunk of frames at a time and writes the
-magnitudes into the block's output, so tapered frames and complex spectra
-exist one chunk at a time.
+chunk's power into the block's output, so tapered frames and complex
+spectra exist one chunk at a time, and no block is held twice as
+magnitude and power.
 Mel filterbanks are applied over each filter's nonzero band only
 (``mel_power``): a filter spans at most a few percent of the bins.
 ``load_wav`` resamples to SAMPLE_RATE, and everything after it runs at that
@@ -29,6 +30,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+# Imported when this module loads, not on first use: numpy 2 loads numpy.fft
+# lazily, and a signal handler that reads np.fft while that import is under
+# way (perfbench's speed gauge, on SIGALRM) recurses until RecursionError.
+from numpy.fft import rfft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ByteCursor, FormatError, ParameterError
@@ -48,10 +53,10 @@ MAX_SAMPLE_RATE = 384_000
 # u32, counts the data plus 36 header bytes.
 MAX_WAV_SAMPLES = (2**32 - 1 - 36) // 2
 # Samples of frame data per STFT block: 2048 frames at a 1024-sample
-# window, 512 at WINDOW.  A block holds its magnitude (about 8 MB) and its
+# window, 512 at WINDOW.  A block holds its power (about 8 MB) and its
 # pool's arrays, whatever the length of the song.
 _BLOCK_SAMPLES = 2**21
-# Samples of frame data per chunk inside ``stft_mag``: 64 frames at a
+# Samples of frame data per chunk inside ``stft_power``: 64 frames at a
 # 1024-sample window, 16 at WINDOW.  Tapered frames and complex spectra
 # exist for one chunk at a time: about 1 MB, the size of a typical L2.
 _CHUNK_SAMPLES = 2**16
@@ -89,11 +94,12 @@ def hann(window: int) -> np.ndarray:
     return _read_only(0.5 - 0.5 * np.cos(2.0 * np.pi * n / window))
 
 
-def stft_mag(audio: np.ndarray, window: int = WINDOW, hop: int = HOP) -> np.ndarray:
-    """Magnitude STFT of mono audio, shape (frames, window // 2 + 1)."""
+def stft_power(audio: np.ndarray, window: int = WINDOW, hop: int = HOP) -> np.ndarray:
+    """Power STFT of mono audio, ``np.abs(rfft) ** 2`` of each Hann-tapered
+    frame, shape (frames, window // 2 + 1)."""
     audio = np.asarray(audio, dtype=np.float64)
     if audio.ndim != 1:
-        raise ParameterError("stft_mag expects mono audio")
+        raise ParameterError("stft_power expects mono audio")
     frames = num_frames(len(audio), window, hop)
     if frames == 0:
         raise ParameterError(
@@ -101,19 +107,21 @@ def stft_mag(audio: np.ndarray, window: int = WINDOW, hop: int = HOP) -> np.ndar
         )
     segs = sliding_window_view(audio, window)[::hop]
     taper = hann(window)
-    mag = np.empty((frames, window // 2 + 1))
-    # rfft and abs work row by row, so chunked rows keep every bit.
+    power = np.empty((frames, window // 2 + 1))
+    # rfft, abs and square work row by row, so chunked rows keep every bit;
+    # squaring the magnitude in place keeps one array per block.
     chunk = max(_CHUNK_SAMPLES // window, 1)
     for start in range(0, frames, chunk):
-        rows = slice(start, start + chunk)
-        np.abs(np.fft.rfft(segs[rows] * taper, n=window, axis=1), out=mag[rows])
-    return mag
+        rows = power[start : start + chunk]
+        np.abs(rfft(segs[start : start + chunk] * taper, n=window, axis=1), out=rows)
+        np.square(rows, out=rows)
+    return power
 
 
 def pooled_stft(audio: np.ndarray, window: int, hop: int, pool) -> np.ndarray:
-    """``pool(stft_mag(audio, window, hop))``, built block by block.
+    """``pool(stft_power(audio, window, hop))``, built block by block.
 
-    ``pool`` maps a (frames, bins) magnitude block to one row per frame.
+    ``pool`` maps a (frames, bins) power block to one row per frame.
     Blocks hold ``_BLOCK_SAMPLES // window`` frames and the last block
     absorbs the remainder, so every block is at least that tall or is the
     whole signal: a block of a few rows runs other BLAS and reduction
@@ -125,7 +133,7 @@ def pooled_stft(audio: np.ndarray, window: int, hop: int, pool) -> np.ndarray:
     starts = range(0, max(num_frames(len(audio), window, hop) // block, 1) * block, block)
     ends = [(s + block - 1) * hop + window for s in starts[:-1]] + [len(audio)]
     return np.concatenate([
-        pool(stft_mag(audio[s * hop : end], window, hop)) for s, end in zip(starts, ends)
+        pool(stft_power(audio[s * hop : end], window, hop)) for s, end in zip(starts, ends)
     ])
 
 
@@ -193,17 +201,16 @@ def mel_power(power: np.ndarray, sample_rate: int, n_mels: int) -> np.ndarray:
     return out
 
 
-def log_mel(mag: np.ndarray) -> MelSpectrogram:
-    """Pool an stft_mag matrix of SAMPLE_RATE audio into N_MELS log mel power
-    frames."""
-    mag = np.asarray(mag, dtype=np.float64)
-    energy = mel_power(mag ** 2, SAMPLE_RATE, N_MELS)
+def log_mel(power: np.ndarray) -> MelSpectrogram:
+    """Pool an stft_power matrix of SAMPLE_RATE audio into N_MELS log mel
+    power frames."""
+    energy = mel_power(np.asarray(power, dtype=np.float64), SAMPLE_RATE, N_MELS)
     return MelSpectrogram(np.log(energy + LOG_FLOOR))
 
 
 def melspectrogram(audio: np.ndarray) -> MelSpectrogram:
     """Model-frontend log mel frames of SAMPLE_RATE audio (WINDOW/HOP STFT)."""
-    return MelSpectrogram(pooled_stft(audio, WINDOW, HOP, lambda mag: log_mel(mag).frames))
+    return MelSpectrogram(pooled_stft(audio, WINDOW, HOP, lambda power: log_mel(power).frames))
 
 
 # ---------------------------------------------------------------------------

@@ -339,28 +339,43 @@ def load_dataset(in_dir):
 # The longest mix render_sine_audio makes: 1 GiB of float64 samples, and
 # at most as much again in sine tables (about 101 minutes at 22050 Hz).
 MAX_RENDER_SAMPLES = 2**27
+# Samples per chunk of a sine or of a note added to the mix: 512 kB of
+# float64, so nothing but the mix and the tables grows with the song.
+_RENDER_CHUNK = 2**16
 
 
 def _sine(pitch: int, start: int, stop: int, sample_rate: int) -> np.ndarray:
     """Samples start..stop of a unit sine at the pitch's equal-tempered
     frequency. Any split of a range gives the same bits as the whole."""
     freq = 440.0 * 2.0 ** ((pitch - 69) / 12.0)
-    return np.sin(2.0 * math.pi * freq * (np.arange(start, stop) / sample_rate))
+    out = np.empty(stop - start)
+    for lo in range(start, stop, _RENDER_CHUNK):
+        hi = min(lo + _RENDER_CHUNK, stop)
+        np.sin(2.0 * math.pi * freq * (np.arange(lo, hi) / sample_rate),
+               out=out[lo - start : hi - start])
+    return out
 
 
-def _note_tone(table, note: Note, length: int, sample_rate: int, ramps: dict) -> np.ndarray:
-    """One note's faded, velocity-weighted samples, read from its pitch's
-    table and computed past the table's end."""
-    tone = table[:length]
-    if length > len(table):
-        tone = np.concatenate((table, _sine(note.pitch, len(table), length, sample_rate)))
-    tone = tone * (note.velocity / 127.0)
+def _add_note(out: np.ndarray, table, note: Note, sample_rate: int, ramps: dict):
+    """Add one note's faded, velocity-weighted samples to ``out``, its span
+    of the mix, one chunk at a time: read from its pitch's table, or
+    computed where the chunk runs past the table's end."""
+    length = len(out)
     fade = min(length // 2, max(1, int(round(0.010 * sample_rate))))
     if fade not in ramps:
         ramps[fade] = np.linspace(0.0, 1.0, fade, endpoint=False)
-    tone[:fade] *= ramps[fade]
-    tone[length - fade :] *= ramps[fade][::-1]
-    return tone
+    rise, fall = ramps[fade], ramps[fade][::-1]
+    tail = length - fade
+    for lo in range(0, length, _RENDER_CHUNK):
+        hi = min(lo + _RENDER_CHUNK, length)
+        tone = table[lo:hi] if hi <= len(table) else _sine(note.pitch, lo, hi, sample_rate)
+        tone = tone * (note.velocity / 127.0)
+        if lo < fade:
+            tone[: fade - lo] *= rise[lo:hi]
+        if hi > tail:
+            first = max(lo, tail)
+            tone[first - lo :] *= fall[first - tail : hi - tail]
+        out[lo:hi] += tone
 
 
 def render_sine_audio(seq: NoteSequence, sample_rate: int = SAMPLE_RATE) -> np.ndarray:
@@ -395,8 +410,8 @@ def render_sine_audio(seq: NoteSequence, sample_rate: int = SAMPLE_RATE) -> np.n
     mix = np.zeros(n)
     # Notes are added in sequence order, which fixes the bits where they overlap.
     for lo, hi, note in spans:
-        mix[lo:hi] += _note_tone(tables[note.pitch], note, hi - lo, sample_rate, ramps)
-    peak = np.abs(mix).max()
+        _add_note(mix[lo:hi], tables[note.pitch], note, sample_rate, ramps)
+    peak = max(mix.max(), -mix.min())
     if peak > 0:
         mix *= 0.9 / peak
     return mix

@@ -26,14 +26,17 @@ CHROMA_HOP = 1024
 # Costs this close to zero are rounding residue from normalized dot
 # products; snapping makes self-alignment cost exactly 0.0.
 _COST_SNAP = 1e-12
+# Cost rows snapped per pass: each pass holds two boolean masks of this
+# many rows.
+_SNAP_ROWS = 256
 
 # Minimal spacing enforced on the warped time axis, in seconds.
 _STRICT_EPS = 1e-3
 
 # Largest source x target frame product dtw will align: 10 minutes against
-# 10 minutes at FRAME_RATE.  dtw holds about 10 bytes per cell (one float64
-# matrix, accumulated in place, plus two boolean masks while the cost is
-# built), so this caps it near 0.36 GB.
+# 10 minutes at FRAME_RATE.  dtw holds about 8.4 bytes per cell (one float64
+# matrix, accumulated in place, plus two boolean masks over a block of rows
+# while the cost is built), so this caps it near 0.30 GB.
 MAX_DTW_CELLS = 36_000_000
 
 
@@ -95,16 +98,15 @@ def _normalize_rows(frames):
     return frames / safe
 
 
-def _fold_chroma(mag, sample_rate: int):
-    """Sum the bin powers of a CHROMA_WINDOW magnitude block per pitch class."""
-    n_bins = mag.shape[1]
+def _fold_chroma(power, sample_rate: int):
+    """Sum the bin powers of a CHROMA_WINDOW power block per pitch class."""
+    n_bins = power.shape[1]
     freqs = np.arange(n_bins) * sample_rate / CHROMA_WINDOW
     classes = np.full(n_bins, -1)
     voiced = freqs > 0
     pitch = 69.0 + 12.0 * np.log2(freqs[voiced] / 440.0)
     classes[voiced] = np.round(pitch).astype(int) % 12
 
-    power = mag**2
     per_frame = np.zeros((len(power), 12))
     for c in range(12):
         sel = classes == c
@@ -131,7 +133,7 @@ def audio_chroma(audio, sample_rate: int) -> Chromagram:
         )
 
     per_frame = pooled_stft(
-        audio, CHROMA_WINDOW, CHROMA_HOP, lambda mag: _fold_chroma(mag, sample_rate)
+        audio, CHROMA_WINDOW, CHROMA_HOP, lambda power: _fold_chroma(power, sample_rate)
     )
     buckets = _chroma_buckets(np.arange(len(per_frame)), sample_rate)
     out = np.zeros((buckets[-1] + 1, 12))
@@ -193,9 +195,11 @@ def chroma_cost(source: Chromagram, target: Chromagram) -> np.ndarray:
     cost = s_hat @ t_hat.T
     np.subtract(1.0, cost, out=cost)
     cost[np.ix_(s_norm == 0, t_norm == 0)] = 0.0
-    near_zero = cost < _COST_SNAP
-    near_zero &= cost > -_COST_SNAP
-    cost[near_zero] = 0.0
+    # The snap is elementwise, so a block of rows at a time gives the same
+    # bits without two whole-matrix masks.
+    for start in range(0, len(cost), _SNAP_ROWS):
+        rows = cost[start : start + _SNAP_ROWS]
+        rows[(rows < _COST_SNAP) & (rows > -_COST_SNAP)] = 0.0
     return cost
 
 

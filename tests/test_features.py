@@ -37,7 +37,7 @@ from pianocover.features import (
     num_frames,
     pooled_stft,
     resample,
-    stft_mag,
+    stft_power,
     write_wav,
 )
 
@@ -50,32 +50,31 @@ def sine(freq, seconds, sr=SAMPLE_RATE, amp=0.5):
 class TestStft:
     def test_frame_count_law(self):
         for n in [WINDOW, WINDOW + 1, WINDOW + HOP, WINDOW + 5 * HOP + 3]:
-            mag = stft_mag(np.zeros(n))
-            assert mag.shape[0] == (n - WINDOW) // HOP + 1 == num_frames(n)
+            power = stft_power(np.zeros(n))
+            assert power.shape[0] == (n - WINDOW) // HOP + 1 == num_frames(n)
 
     def test_too_short_is_error(self):
         with pytest.raises(ParameterError):
-            stft_mag(np.zeros(WINDOW - 1))
+            stft_power(np.zeros(WINDOW - 1))
 
     def test_zeros_give_zero_magnitudes(self):
-        assert np.all(stft_mag(np.zeros(WINDOW + HOP)) == 0.0)
+        assert np.all(stft_power(np.zeros(WINDOW + HOP)) == 0.0)
 
     def test_dc_closed_form(self):
-        # DC of amplitude a -> bin 0 magnitude equals a * sum(window)
+        # DC of amplitude a -> bin 0 power equals (a * sum(window)) ** 2
         a = 0.37
-        mag = stft_mag(np.full(WINDOW, a))
-        expected = a * hann(WINDOW).sum()
-        assert mag[0, 0] == pytest.approx(expected, rel=1e-6)
+        power = stft_power(np.full(WINDOW, a))
+        expected = (a * hann(WINDOW).sum()) ** 2
+        assert power[0, 0] == pytest.approx(expected, rel=1e-6)
 
     def test_bin_center_sine_concentrates(self):
         # sine exactly on a bin center: dominant bin, leakage < -30 dB two bins off
         k = 100
         freq = k * SAMPLE_RATE / WINDOW
-        mag = stft_mag(sine(freq, 0.5))
-        spectrum = mag[2]
+        spectrum = stft_power(sine(freq, 0.5))[2]
         assert np.argmax(spectrum) == k
-        assert spectrum[k + 2] < spectrum[k] * 10 ** (-30 / 20)
-        assert spectrum[k - 2] < spectrum[k] * 10 ** (-30 / 20)
+        assert spectrum[k + 2] < spectrum[k] * 10 ** (-30 / 10)
+        assert spectrum[k - 2] < spectrum[k] * 10 ** (-30 / 10)
 
     @pytest.mark.parametrize("window,hop", [(1024, 256), (2048, 1024), (WINDOW, HOP)])
     def test_bits_match_per_frame_rfft(self, window, hop):
@@ -89,37 +88,47 @@ class TestStft:
             x = rng.normal(size=length)
             taper = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
             loop = np.array([
-                np.abs(np.fft.rfft(x[k * hop : k * hop + window] * taper))
+                np.abs(np.fft.rfft(x[k * hop : k * hop + window] * taper)) ** 2
                 for k in range(num_frames(length, window, hop))
             ])
-            assert np.array_equal(stft_mag(x, window, hop), loop)
+            assert np.array_equal(stft_power(x, window, hop), loop)
 
     def test_memory_is_the_output_plus_one_chunk(self):
         x = np.random.default_rng(1024).normal(size=1023 * 256 + 1024)
         tracemalloc.start()
         try:
-            mag = stft_mag(x, 1024, 256)
+            power = stft_power(x, 1024, 256)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert mag.shape == (1024, 513)
-        assert peak <= 1.3 * mag.nbytes, f"peak {peak / mag.nbytes:.2f}x the output"
+        assert power.shape == (1024, 513)
+        assert peak <= 1.3 * power.nbytes, f"peak {peak / power.nbytes:.2f}x the output"
+
+    def test_numpy_fft_loads_with_the_module(self):
+        # numpy 2 imports numpy.fft on first use. A SIGALRM handler that
+        # reads np.fft during that import (perfbench's speed gauge) recursed
+        # until RecursionError, so features imports it when it loads.
+        script = "import sys, pianocover.features; print('numpy.fft' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.split() == ["True"]
 
     def test_windowed_dft_closed_form(self):
         # compare a whole frame against a direct DFT of the windowed signal
         rng = np.random.default_rng(3)
         x = rng.normal(size=WINDOW + HOP)
-        mag = stft_mag(x)
-        direct = np.abs(np.fft.rfft(x[HOP : HOP + WINDOW] * hann(WINDOW)))
-        np.testing.assert_allclose(mag[1], direct, rtol=1e-10, atol=1e-12)
+        power = stft_power(x)
+        direct = np.abs(np.fft.rfft(x[HOP : HOP + WINDOW] * hann(WINDOW))) ** 2
+        np.testing.assert_allclose(power[1], direct, rtol=1e-10, atol=1e-12)
 
 
 # The three pools the pipeline runs over blocked STFTs: window, hop, and
-# the pool that turns a magnitude block into one row per frame.
+# the pool that turns a power block into one row per frame.
 POOLS = {
-    "onset-log-mel": (1024, 256, lambda mag: beats._onset_log_mel(mag, SAMPLE_RATE)),
-    "chroma-fold": (2048, 1024, lambda mag: sync._fold_chroma(mag, SAMPLE_RATE)),
-    "model-log-mel": (WINDOW, HOP, lambda mag: log_mel(mag).frames),
+    "onset-log-mel": (1024, 256, lambda power: beats._onset_log_mel(power, SAMPLE_RATE)),
+    "chroma-fold": (2048, 1024, lambda power: sync._fold_chroma(power, SAMPLE_RATE)),
+    "model-log-mel": (WINDOW, HOP, lambda power: log_mel(power).frames),
 }
 
 
@@ -141,13 +150,13 @@ class TestPooledStft:
         window, hop, pool = POOLS[pool_name]
         for frames in boundary_frame_counts(window):
             x = noise_with_frames(frames, window, hop)
-            whole = pool(stft_mag(x, window, hop))
+            whole = pool(stft_power(x, window, hop))
             assert len(whole) == frames
             assert np.array_equal(pooled_stft(x, window, hop, pool), whole), frames
 
     def test_onset_envelope_and_chroma_at_block_boundaries(self, monkeypatch):
         def whole_signal(audio, window, hop, pool):
-            return pool(stft_mag(audio, window, hop))
+            return pool(stft_power(audio, window, hop))
 
         for run, (window, hop, _), module in [
             (beats.onset_envelope, POOLS["onset-log-mel"], features),
@@ -166,23 +175,39 @@ class TestPooledStft:
         for frames in boundary_frame_counts(window)[1:]:
             x = noise_with_frames(frames, window, hop)
             env, times = beats.onset_envelope(x, SAMPLE_RATE)
-            whole = pool(stft_mag(x, window, hop))
+            whole = pool(stft_power(x, window, hop))
             assert np.array_equal(env, np.maximum(np.diff(whole, axis=0), 0.0).sum(axis=1))
             assert len(times) == frames - 1
         window, hop, pool = POOLS["chroma-fold"]
         for frames in boundary_frame_counts(window):
             x = noise_with_frames(frames, window, hop)
             chroma = sync.audio_chroma(x, SAMPLE_RATE).frames
-            per_frame = pool(stft_mag(x, window, hop))
+            per_frame = pool(stft_power(x, window, hop))
             # Frames centred in the first 1/FRAME_RATE s fill bucket 0.
             first = int(np.sum((np.arange(frames) * hop + window / 2) / SAMPLE_RATE
                                < 1.0 / sync.FRAME_RATE))
             mean = per_frame[:first].mean(axis=0)
             assert np.allclose(chroma[0], mean / mean.max(), rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("pool_name", POOLS)
+    def test_a_block_is_one_power_array(self, pool_name):
+        window, hop, pool = POOLS[pool_name]
+        frames = _BLOCK_SAMPLES // window
+        x = noise_with_frames(frames, window, hop)
+        # Cached tapers and filterbanks are built before tracing starts.
+        pooled_stft(x[: window + hop], window, hop, pool)
+        tracemalloc.start()
+        try:
+            pooled_stft(x, window, hop, pool)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = frames * (window // 2 + 1) * 8
+        assert peak <= 1.3 * block, f"peak {peak / block:.2f}x the power block"
+
     def test_too_short_is_error(self):
         with pytest.raises(ParameterError, match="shorter than one 1024-sample window"):
-            pooled_stft(np.zeros(1023), 1024, 256, lambda mag: mag)
+            pooled_stft(np.zeros(1023), 1024, 256, lambda power: power)
 
     @pytest.mark.parametrize("run", [beats.onset_envelope, sync.audio_chroma],
                              ids=lambda run: run.__name__)
@@ -243,13 +268,13 @@ class TestMel:
         rng = np.random.default_rng(11)
         x = rng.normal(scale=10.0, size=WINDOW + 4 * HOP)
         fb = mel_filterbank()
-        e1 = (stft_mag(x) ** 2) @ fb.T
-        e2 = (stft_mag(2 * x) ** 2) @ fb.T
+        e1 = stft_power(x) @ fb.T
+        e2 = stft_power(2 * x) @ fb.T
         # doubling amplitude scales every pre-log mel energy by exactly 4
         assert np.array_equal(e2, 4.0 * e1)
         # and post-log difference is log(4) where energy dwarfs the 1e-6 floor
-        la = log_mel(stft_mag(x)).frames
-        lb = log_mel(stft_mag(2 * x)).frames
+        la = log_mel(stft_power(x)).frames
+        lb = log_mel(stft_power(2 * x)).frames
         strong = e1 > 1e4
         assert strong.sum() > 100
         np.testing.assert_allclose(
@@ -325,8 +350,7 @@ class TestWavIO:
         scipy.io.wavfile.write(p, sr, x)
         y = load_wav(p)
         assert abs(len(y) - SAMPLE_RATE) <= 1
-        mag = stft_mag(y)
-        peak_bin = np.argmax(mag[4])
+        peak_bin = np.argmax(stft_power(y)[4])
         assert abs(peak_bin * SAMPLE_RATE / WINDOW - 440.0) < 6.0
 
     @pytest.mark.parametrize("rate", [SAMPLE_RATE, 44100])

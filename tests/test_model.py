@@ -269,7 +269,7 @@ def test_model_package_leaves_the_token_grammar_to_the_tokenizer():
 
 def test_features_module_is_the_only_spectral_path():
     # The blocked STFT in features.py keeps memory bounded; a direct
-    # stft_mag or np.fft call elsewhere would bring back whole-song spectra.
+    # stft_power or np.fft call elsewhere would bring back whole-song spectra.
     # Filterbanks are applied over their nonzero bands by features.mel_power
     # alone, so no other module reads a dense mel_filterbank.
     src = Path(network.__file__).parent.parent
@@ -281,7 +281,7 @@ def test_features_module_is_the_only_spectral_path():
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         names |= {alias.name for node in ast.walk(tree)
                   if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
-        assert not names & {"stft_mag", "fft", "numpy.fft", "rfft", "mel_filterbank"}, path.name
+        assert not names & {"stft_power", "fft", "numpy.fft", "rfft", "mel_filterbank"}, path.name
 
 
 class TestInitParams:

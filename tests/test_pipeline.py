@@ -226,6 +226,19 @@ class TestRenderSineAudio:
         got = render_sine_audio(seq, sample_rate)
         assert got.tobytes() == per_note_render(seq, sample_rate).tobytes()
 
+    def test_notes_across_chunks_match_the_per_note_renderer(self):
+        # Notes are added one chunk at a time: these span one to three
+        # chunks, one fade-out straddles a chunk's end, and the longest
+        # runs past its pitch's table (half the mix) inside a chunk.
+        sample_rate, chunk = 8000, pipeline._RENDER_CHUNK
+        n_samples = 2 * chunk + 500
+        lengths = [chunk - 1, chunk, chunk + 1, chunk + 40, n_samples]
+        notes = [Note(0.0, 60, length / sample_rate, 100) for length in lengths]
+        notes.append(Note(7 / sample_rate, 64, (7 + chunk + 20) / sample_rate, 90))
+        seq = NoteSequence.build(notes, duration=n_samples / sample_rate)
+        got = render_sine_audio(seq, sample_rate)
+        assert got.tobytes() == per_note_render(seq, sample_rate).tobytes()
+
     def test_a_note_rounding_onto_the_end_of_the_mix_adds_nothing(self):
         # round(0.99995 * 10000) is 10000, the mix length, so the note is empty.
         alone = NoteSequence.build([Note(0.0, 60, 0.25)], duration=1.0)
@@ -251,6 +264,19 @@ class TestRenderSineAudio:
         got, peak = traced(render_sine_audio)
         assert got.tobytes() == expected.tobytes()
         assert peak <= per_note_peak + expected.nbytes
+
+    def test_holds_only_the_mix_and_its_tables(self):
+        # A 60-s note runs past its pitch's table, which is capped at half
+        # the mix; the 1-s note's table is small.
+        seq = NoteSequence.build([Note(0.0, 60, 60.0, 100), Note(10.0, 64, 11.0, 90)],
+                                 duration=60.0)
+        tracemalloc.start()
+        try:
+            mix = render_sine_audio(seq, SAMPLE_RATE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * mix.nbytes, f"peak {peak / mix.nbytes:.2f}x the mix"
 
     def test_refuses_a_mix_over_the_render_limit(self):
         seq = NoteSequence.build([Note(0.0, 60, 1.0)], duration=MAX_RENDER_SAMPLES + 1)
