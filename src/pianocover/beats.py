@@ -188,7 +188,9 @@ def onset_envelope(audio: np.ndarray, sample_rate: int):
     )
     if len(logmel) < 3:
         raise NoBeatsError("audio too short for an onset envelope")
-    env = np.maximum(np.diff(logmel, axis=0), 0.0).sum(axis=1)
+    flux = np.diff(logmel, axis=0)
+    np.maximum(flux, 0.0, out=flux)
+    env = flux.sum(axis=1)
     times = (np.arange(len(env)) * _ONSET_HOP + _ONSET_WINDOW) / sample_rate
     return env, times
 

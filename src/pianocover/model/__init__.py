@@ -18,7 +18,6 @@ from .network import (
     loss_and_grads,
     param_shapes,
     relative_position_bucket,
-    zero_grads,
 )
 from .optim import Adafactor
 from .training import train
@@ -42,5 +41,4 @@ __all__ = [
     "relative_position_bucket",
     "save_checkpoint",
     "train",
-    "zero_grads",
 ]

@@ -19,6 +19,17 @@ runs it as one tensor; a key mask hides padded frames from encoder
 self-attention and decoder cross-attention, and PAD targets carry no
 loss. encode and decoder_forward run the same code at batch size one.
 
+Backward reads, per sublayer, only what the forward kept for it: the
+norm's input and inverse RMS; for attention, the Q, K and V heads, the
+probabilities and the merged output; for the FFN, its ReLU output. The
+normed input is recomputed from the norm cache, each sublayer's cache
+is freed as backward consumes it, and each gradient is allocated at its
+first contribution. Per token and encoder layer that is 6d + d_ff + H*n
+floats (H heads, n keys per query), and per token and decoder layer
+9d + d_ff + H*(n + m) (m memory rows) plus 2d per memory row for the
+cross-attention keys and values. Keeping the normed inputs and the FFN
+pre-activation too took 8d + 2*d_ff + H*n and 12d + 2*d_ff + H*(n + m).
+
 Greedy decoding has its own path, IncrementalDecoder, which caches keys
 and values so each step runs one new position per window, and steps a
 batch of windows (all 4-beat windows of a song, up to a bounded group
@@ -68,10 +79,6 @@ def init_params(config: ModelConfig, seed: int = 0):
         else rng.normal(0.0, scale, shape)
         for name, shape, scale in tensor_table(config)
     }
-
-
-def zero_grads(params):
-    return {k: np.zeros_like(v) for k, v in params.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +197,16 @@ def _attn_f(y, wq, wk, wv, wo, bias, mask, heads, memory=None):
         logits = logits + mask
     att = _softmax(logits)
     merged = _merge_heads(att @ vh)
-    cache = (y, src, memory is None, qh, kh, vh, att, merged, wq, wk, wv, wo, scale)
+    cache = (memory, qh, kh, vh, att, merged, wq, wk, wv, wo, scale)
     return merged @ wo, cache
 
 
-def _attn_b(dout, cache):
+def _attn_b(dout, y, cache):
     """Input gradients, weight gradients and the logit gradient, which is
-    the gradient of an additive bias broadcast to (..., heads, n, n)."""
-    y, src, is_self, qh, kh, vh, att, merged, wq, wk, wv, wo, scale = cache
+    the gradient of an additive bias broadcast to (..., heads, n, n).
+    y is the forward's input, which the cache does not keep."""
+    memory, qh, kh, vh, att, merged, wq, wk, wv, wo, scale = cache
+    src = y if memory is None else memory
     dz = _split_heads(dout @ wo.T, qh.shape[-3])
     datt = dz @ vh.swapaxes(-1, -2)
     dvh = att.swapaxes(-1, -2) @ dz
@@ -213,21 +222,22 @@ def _attn_b(dout, cache):
     )
     dy = dq @ wq.T
     dsrc = dk @ wk.T + dv @ wv.T
-    if is_self:
+    if memory is None:
         return dy + dsrc, None, dw, dlogits
     return dy, dsrc, dw, dlogits
 
 
 def _ffn_f(y, w1, w2):
-    a = y @ w1
-    h = np.maximum(a, 0.0)
-    return h @ w2, (y, a, h, w1, w2)
+    h = np.maximum(y @ w1, 0.0)
+    return h @ w2, (h, w1, w2)
 
 
-def _ffn_b(dout, cache):
-    y, a, h, w1, w2 = cache
+def _ffn_b(dout, y, cache):
+    """Like _attn_b, takes the forward's input y apart from its cache. The
+    ReLU output h is positive exactly where its input was (NaN in neither)."""
+    h, w1, w2 = cache
     dw2 = _rows(h).T @ _rows(dout)
-    da = (dout @ w2.T) * (a > 0)
+    da = (dout @ w2.T) * (h > 0)
     dw1 = _rows(y).T @ _rows(da)
     return da @ w1.T, dw1, dw2
 
@@ -263,29 +273,38 @@ def _stack_f(stack, x, self_mask, params, config, memory=None, memory_mask=None)
 
 
 def _stack_b(dout, cache, config, grads):
-    """Backward through _stack_f. Adds the stack's weight, gain and
-    relative bias gradients to grads; returns the gradients of its input
-    and of its memory (None for a stack without cross-attention)."""
+    """Backward through _stack_f, consuming its cache: each sublayer's
+    entry is popped as it is used, so its activations are freed as the
+    pass goes down the stack. A sublayer's normed input is recomputed
+    from its norm cache as _norm_f computed it.
+
+    Stores the stack's weight, gain and relative bias gradients in grads
+    (each is the only contribution to its tensor); returns the gradients
+    of its input and of its memory (None for a stack without
+    cross-attention)."""
     stack, buckets, caches, c_final, memory = cache
     dx, dg = _norm_b(dout, c_final)
-    grads[stack + "_ln_final"] += dg
+    grads[stack + "_ln_final"] = dg
     dmemory = None if memory is None else np.zeros_like(memory)
     dbias = 0.0
-    for gain, names, kind, c_norm, c in reversed(caches):
+    while caches:
+        gain, names, kind, c_norm, c = caches.pop()
+        x, g, inv = c_norm
+        normed = x * inv * g
         if kind == "ffn":
-            dy, *dweights = _ffn_b(dx, c)
+            dy, *dweights = _ffn_b(dx, normed, c)
         else:
-            dy, dmem, dweights, dlogits = _attn_b(dx, c)
+            dy, dmem, dweights, dlogits = _attn_b(dx, normed, c)
             if kind == "self":
                 dbias = dbias + dlogits.sum(axis=0)
             else:
                 dmemory += dmem
         for name, dw in zip(names, dweights):
-            grads[name] += dw
+            grads[name] = dw
         dnormed, dg = _norm_b(dy, c_norm)
-        grads[gain] += dg
+        grads[gain] = dg
         dx = dx + dnormed
-    grads[stack + "_rel_bias"] += _scatter_rows(
+    grads[stack + "_rel_bias"] = _scatter_rows(
         buckets, dbias.transpose(1, 2, 0), config.relative_bias_buckets
     )
     return dx, dmemory
@@ -571,17 +590,18 @@ def loss_and_grads(examples, params, config: ModelConfig):
 
     Examples are (frames, arranger_id, target ids) triples. The batch
     runs as one padded tensor through the same forward as compute_loss,
-    so the loss equals compute_loss exactly.
+    so the loss equals compute_loss exactly. Every parameter gets a
+    gradient, allocated at its first contribution; the dict is in params
+    order.
     """
     loss, count, dlogits, e_cache, d_cache = _forward(examples, params, config)
     frames, arranger_ids, encoder = e_cache
     ids, h, scale, decoder = d_cache
-    grads = zero_grads(params)
-    dlogits = dlogits / count
-    grads["token_emb"] += (_rows(dlogits).T @ _rows(h)) * scale
+    dlogits /= count
+    grads = {"token_emb": (_rows(dlogits).T @ _rows(h)) * scale}
     dx, dstate = _stack_b((dlogits @ params["token_emb"]) * scale, decoder, config, grads)
     grads["token_emb"] += _scatter_rows(ids, dx, config.vocab_size)
     dx, _ = _stack_b(dstate, encoder, config, grads)
-    grads["arranger_emb"] += _scatter_rows(arranger_ids, dx[:, 0], config.num_arrangers)
-    grads["input_proj"] += _rows(frames).T @ _rows(dx[:, 1:])
-    return loss, grads
+    grads["arranger_emb"] = _scatter_rows(arranger_ids, dx[:, 0], config.num_arrangers)
+    grads["input_proj"] = _rows(frames).T @ _rows(dx[:, 1:])
+    return loss, {name: grads[name] for name in params}

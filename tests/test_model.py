@@ -5,6 +5,7 @@ import json
 import math
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -36,7 +37,6 @@ from pianocover.model import (
     relative_position_bucket,
     save_checkpoint,
     train,
-    zero_grads,
 )
 from pianocover.model.config import MAX_FRAMES, MAX_LAYERS, MAX_PARAMS
 from pianocover import features
@@ -778,7 +778,7 @@ class TestGradients:
         assert compute_loss(batch, params, cfg) == loss
         # The batch mean weights each example's mean by its non-PAD targets.
         want_loss = 0.0
-        want = zero_grads(params)
+        want = {name: np.zeros_like(value) for name, value in params.items()}
         for example, count in zip(batch, counts):
             single_loss, single = loss_and_grads([example], params, cfg)
             want_loss += single_loss * count / sum(counts)
@@ -789,6 +789,67 @@ class TestGradients:
             scale = np.max(np.abs(want[name]))
             assert scale > 0, name
             assert np.max(np.abs(grads[name] - want[name])) <= 1e-12 * scale, name
+
+    def test_one_gradient_per_parameter_in_order(self):
+        # Gradients are allocated at their first contribution, and
+        # Adafactor.update looks each one up by its parameter's name. One
+        # example under arranger 1 with three target tokens and EOS leaves
+        # arranger rows 0 and 2, and all token-embedding rows but the four
+        # decoder inputs, without a contribution from any input.
+        cfg = tiny_config(num_encoder_layers=2, num_decoder_layers=2)
+        params = init_params(cfg, seed=3)
+        frames = np.random.default_rng(3).normal(size=(5, cfg.n_mels))
+        _, grads = loss_and_grads([(frames, 1, (3, 104, 9, EOS))], params, cfg)
+        assert list(grads) == list(params)
+        for name, value in params.items():
+            assert grads[name].shape == value.shape, name
+            assert grads[name].dtype == value.dtype, name
+            assert np.all(np.isfinite(grads[name])), name
+        assert not np.any(grads["arranger_emb"][[0, 2]])
+        assert np.any(grads["arranger_emb"][1])
+
+    def test_backward_frees_activations_as_it_goes(self):
+        # A desk batch like the train benchmark's: 8 windows of 42 frames
+        # and 28-47 target tokens, padded to 47.
+        cfg = desk_config()
+        rng = np.random.default_rng(0)
+        params = init_params(cfg, seed=0)
+        lengths = [28, 33, 47, 40, 31, 45, 36, 29]
+        batch = random_model_batch(cfg, rng, n_examples=8, n_frames=42, target_len=47)
+        batch = [(f, a, ids[: n - 1] + (EOS,)) for (f, a, ids), n in zip(batch, lengths)]
+
+        def traced_peak(fn):
+            tracemalloc.start()
+            try:
+                fn(batch, params, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        forward = traced_peak(compute_loss)
+        both = traced_peak(loss_and_grads)
+        # What the forward keeps for backward, in floats: per example and
+        # encoder layer, n rows of the norm input (d), Q, K, V, the merged
+        # heads (4d), the probabilities (heads * n) and the ReLU output
+        # (d_ff); per decoder layer, m rows of that plus cross-attention's
+        # norm input, Q, merged heads and probabilities, and its K and V
+        # over n memory rows; then the logits. About 13.0 MB here.
+        d, heads, n, m = cfg.d_model, cfg.num_heads, 43, 47
+        enc = n * (6 * d + cfg.d_ff + heads * n)
+        dec = m * (9 * d + cfg.d_ff + heads * (m + n)) + n * 2 * d
+        per_example = (cfg.num_encoder_layers * enc + cfg.num_decoder_layers * dec
+                       + m * cfg.vocab_size)
+        kept = 8 * len(batch) * per_example
+        # The forward peaks about 1.2x over it (padded frames, norm caches
+        # and one sublayer's or the cross entropy's temporaries). Keeping
+        # each normed input and the FFN pre-activation too reads 1.57x.
+        assert forward <= 1.35 * kept, (forward, kept)
+        # Backward's peak over the forward's holds the gradients, which
+        # grow as the caches they come from are freed: 0.95x the parameter
+        # bytes here. A zeroed gradient dict allocated up front, beside
+        # caches kept until backward ends, reads 2.7x.
+        grad_bytes = 8 * count_params(cfg)
+        assert both - forward <= 1.5 * grad_bytes, (both - forward, grad_bytes)
 
 
 class TestNorms:
