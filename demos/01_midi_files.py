@@ -23,9 +23,9 @@ notes = [
 seq = NoteSequence.build(notes, duration=2.5)
 print(f"sequence: {len(seq.notes)} notes, {seq.duration:.2f}s")
 
-# Serialize. 480 ticks per quarter at 120 BPM puts one tick at about
-# one millisecond, so these times land exactly on ticks.
-data = write_smf(seq, ticks_per_quarter=480, tempo_bpm=120.0)
+# Serialize. The writer's 480 ticks per quarter at 120 BPM put one tick at
+# about one millisecond, so these times land exactly on ticks.
+data = write_smf(seq, tempo_bpm=120.0)
 print(f"file size: {len(data)} bytes, header chunk: {data[:4]!r}")
 
 out = Path(tempfile.mkdtemp()) / "arpeggio.mid"

@@ -40,11 +40,11 @@ played = NoteSequence.build(
 )
 
 # The chroma views both run at 10 frames per second.
-path = dtw(midi_chroma(played), audio_chroma(audio, SAMPLE_RATE))
+path = dtw(midi_chroma(played), audio_chroma(audio))
 print(f"warp path: {len(path)} steps, accumulated cost {path.total_cost:.3f}")
 
 # align_to_audio wraps the whole chain: chroma, DTW, time-map, warp.
-recovered = align_to_audio(played, audio, SAMPLE_RATE)
+recovered = align_to_audio(played, audio)
 errors = 1000 * np.array(
     [abs(r.onset - t.onset) for r, t in zip(recovered, truth)]
 )

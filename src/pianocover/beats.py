@@ -5,7 +5,8 @@ even positions are the beats themselves, odd positions the midpoints of
 adjacent beats, plus one trailing midpoint extrapolated from the last
 inter-beat interval.  Quantization snaps note times to the nearest half-beat
 index (ties round down) and applies the collision rule: an offset landing on
-its own onset moves to the next half-beat.
+its own onset moves to the next half-beat.  The tracker reads audio at
+``features.SAMPLE_RATE``, the rate fixed after ``load_wav``.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ _ONSET_WINDOW = 1024
 _ONSET_HOP = 256
 _ONSET_MELS = 64
 _ONSET_FLOOR = 1e-2
+_ONSET_FRAME_RATE = features.SAMPLE_RATE / _ONSET_HOP  # envelope frames per second
 
 
 @dataclass(frozen=True)
@@ -170,12 +172,12 @@ def halfbeats_to_seconds(seq: NoteSequence, grid: BeatGrid) -> NoteSequence:
 # Beat tracking
 
 
-def _onset_log_mel(power: np.ndarray, sample_rate: int) -> np.ndarray:
+def _onset_log_mel(power: np.ndarray) -> np.ndarray:
     """Log mel power of an onset-window power block, one row per frame."""
-    return np.log(features.mel_power(power, sample_rate, _ONSET_MELS) + _ONSET_FLOOR)
+    return np.log(features.mel_power(power, _ONSET_MELS) + _ONSET_FLOOR)
 
 
-def onset_envelope(audio: np.ndarray, sample_rate: int):
+def onset_envelope(audio: np.ndarray):
     """Spectral-flux onset envelope from the log-mel frontend.
 
     Returns (envelope, frame times in seconds).  envelope[k] is the summed
@@ -183,19 +185,17 @@ def onset_envelope(audio: np.ndarray, sample_rate: int):
     start of frame k+1's newly covered samples; the constant is calibrated
     on synthetic click tracks (residual bias under 10 ms).
     """
-    logmel = features.pooled_stft(
-        audio, _ONSET_WINDOW, _ONSET_HOP, lambda power: _onset_log_mel(power, sample_rate)
-    )
+    logmel = features.pooled_stft(audio, _ONSET_WINDOW, _ONSET_HOP, _onset_log_mel)
     if len(logmel) < 3:
         raise NoBeatsError("audio too short for an onset envelope")
     flux = np.diff(logmel, axis=0)
     np.maximum(flux, 0.0, out=flux)
     env = flux.sum(axis=1)
-    times = (np.arange(len(env)) * _ONSET_HOP + _ONSET_WINDOW) / sample_rate
+    times = (np.arange(len(env)) * _ONSET_HOP + _ONSET_WINDOW) / features.SAMPLE_RATE
     return env, times
 
 
-def estimate_tempo_period(env: np.ndarray, frame_rate: float) -> float:
+def estimate_tempo_period(env: np.ndarray) -> float:
     """Global tempo via the autocorrelation peak in [60, 180] BPM.
 
     Candidate lags are weighted by a log-normal prior centered at 120 BPM
@@ -208,8 +208,8 @@ def estimate_tempo_period(env: np.ndarray, frame_rate: float) -> float:
     kernel = np.hanning(7)
     x = np.convolve(env, kernel / kernel.sum(), mode="same")
     x = x - x.mean()
-    lag_min = max(2, int(np.floor(frame_rate * 60.0 / TEMPO_MAX_BPM)))
-    lag_max = int(np.ceil(frame_rate * 60.0 / TEMPO_MIN_BPM))
+    lag_min = max(2, int(np.floor(_ONSET_FRAME_RATE * 60.0 / TEMPO_MAX_BPM)))
+    lag_max = int(np.ceil(_ONSET_FRAME_RATE * 60.0 / TEMPO_MIN_BPM))
     if lag_max >= len(x):
         raise NoBeatsError("audio too short to estimate a tempo")
     # acf[i] is the autocorrelation at lag lag_min - 1 + i: the candidate
@@ -218,7 +218,7 @@ def estimate_tempo_period(env: np.ndarray, frame_rate: float) -> float:
     # are the same bits.  A lag of len(x) is an empty product, never read.
     acf = np.array([np.dot(x[k:], x[: len(x) - k]) for k in range(lag_min - 1, lag_max + 2)])
     lags = np.arange(lag_min, lag_max + 1)
-    bpm = 60.0 * frame_rate / lags
+    bpm = 60.0 * _ONSET_FRAME_RATE / lags
     prior = np.exp(-0.5 * np.log2(bpm / 120.0) ** 2)
     best = int(np.argmax(acf[1:-1] * prior))
     k = lag_min + best
@@ -278,25 +278,24 @@ def _refine_peaks(env: np.ndarray, idx: np.ndarray):
     return idx + shifts
 
 
-def track_beats(audio: np.ndarray, sample_rate: int) -> BeatGrid:
-    """Estimate beat times from mono audio.
+def track_beats(audio: np.ndarray, sample_rate: int = features.SAMPLE_RATE) -> BeatGrid:
+    """Estimate beat times from mono audio at SAMPLE_RATE.
 
     Pipeline: spectral-flux onset envelope from the log-mel frontend, global
     tempo by autocorrelation peak in [60, 180] BPM, then dynamic-programming
     beat selection trading onset strength against inter-beat regularity.
     Raises NoBeatsError for audio shorter than 5 s or with a silent
-    envelope.
+    envelope, and ParameterError, before any STFT, for a ``sample_rate``
+    (kept for the benchmark's positional call) but SAMPLE_RATE.
     """
+    features.check_sample_rate(sample_rate)
     audio = np.asarray(audio, dtype=np.float64)
-    if len(audio) < MIN_TRACK_SECONDS * sample_rate:
-        raise NoBeatsError(
-            f"need at least {MIN_TRACK_SECONDS:.0f} s of audio to track beats"
-        )
-    env, times = onset_envelope(audio, sample_rate)
+    if len(audio) < MIN_TRACK_SECONDS * features.SAMPLE_RATE:
+        raise NoBeatsError(f"need at least {MIN_TRACK_SECONDS:.0f} s of audio to track beats")
+    env, times = onset_envelope(audio)
     if env.max() <= 0.0:
         raise NoBeatsError("silent input: onset envelope is all zero")
-    frame_rate = sample_rate / _ONSET_HOP
-    period = estimate_tempo_period(env, frame_rate)
+    period = estimate_tempo_period(env)
     idx = _dp_beat_select(env, period)
     if len(idx) < 2:
         raise NoBeatsError("fewer than 2 beats found")

@@ -15,11 +15,12 @@ spectra exist one chunk at a time, and no block is held twice as
 magnitude and power.
 Mel filterbanks are applied over each filter's nonzero band only
 (``mel_power``): a filter spans at most a few percent of the bins.
-``load_wav`` resamples to SAMPLE_RATE, and everything after it runs at that
-rate.  It reads WAV bytes through ``errors.ByteCursor``, like every other
-binary input: 16-bit PCM in a RIFF or big-endian RIFX file, with a plain
-or extensible fmt chunk, at a rate up to MAX_SAMPLE_RATE.  RF64 files are
-refused: a 16-bit song needs one only past 4 GB.
+``load_wav`` resamples to SAMPLE_RATE, and the rate is fixed after it: no
+function here, in ``beats`` or in ``sync`` takes another.  It reads WAV
+bytes through ``errors.ByteCursor``, like every other binary input: 16-bit
+PCM in a RIFF or big-endian RIFX file, with a plain or extensible fmt
+chunk, at a rate up to MAX_SAMPLE_RATE.  RF64 files are refused: a 16-bit
+song needs one only past 4 GB.
 """
 
 from __future__ import annotations
@@ -146,18 +147,17 @@ def mel_to_hz(mel):
 
 
 @lru_cache(maxsize=16)
-def mel_filterbank(sample_rate: int = SAMPLE_RATE, n_fft: int = WINDOW,
-                   n_mels: int = N_MELS) -> np.ndarray:
+def mel_filterbank(n_fft: int = WINDOW, n_mels: int = N_MELS) -> np.ndarray:
     """Triangular HTK-mel filterbank, shape (n_mels, n_fft // 2 + 1).
 
-    Triangles span [0, sample_rate / 2] and are normalized to unit area
+    Triangles span [0, SAMPLE_RATE / 2] and are normalized to unit area
     (each row scaled by 2 / bandwidth).  Built once per argument tuple and
     returned read-only.
     """
     if n_mels < 1:
         raise ParameterError(f"n_mels must be >= 1, got {n_mels}")
-    edges = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate / 2), n_mels + 2))
-    bins = np.arange(n_fft // 2 + 1) * (sample_rate / n_fft)
+    edges = mel_to_hz(np.linspace(0.0, hz_to_mel(SAMPLE_RATE / 2), n_mels + 2))
+    bins = np.arange(n_fft // 2 + 1) * (SAMPLE_RATE / n_fft)
     lo, ctr, hi = edges[:-2, None], edges[1:-1, None], edges[2:, None]
     rising = (bins[None, :] - lo) / (ctr - lo)
     falling = (hi - bins[None, :]) / (hi - ctr)
@@ -167,7 +167,7 @@ def mel_filterbank(sample_rate: int = SAMPLE_RATE, n_fft: int = WINDOW,
 
 
 @lru_cache(maxsize=16)
-def mel_bands(sample_rate: int, n_fft: int, n_mels: int) -> tuple:
+def mel_bands(n_fft: int, n_mels: int) -> tuple:
     """``mel_filterbank`` split into runs of ``_BAND_FILTERS`` filters.
 
     Each band is ``(first_filter, first_bin, slab)``: ``slab`` holds the
@@ -175,7 +175,7 @@ def mel_bands(sample_rate: int, n_fft: int, n_mels: int) -> tuple:
     bins from the band's first to its last nonzero weight.  Every weight
     outside the slabs is zero.  Built once per argument tuple, read-only.
     """
-    fb = mel_filterbank(sample_rate, n_fft, n_mels)
+    fb = mel_filterbank(n_fft, n_mels)
     bands = []
     for first in range(0, n_mels, _BAND_FILTERS):
         rows = fb[first : first + _BAND_FILTERS]
@@ -185,8 +185,8 @@ def mel_bands(sample_rate: int, n_fft: int, n_mels: int) -> tuple:
     return tuple(bands)
 
 
-def mel_power(power: np.ndarray, sample_rate: int, n_mels: int) -> np.ndarray:
-    """``power @ mel_filterbank(sample_rate, n_fft, n_mels).T`` for a
+def mel_power(power: np.ndarray, n_mels: int) -> np.ndarray:
+    """``power @ mel_filterbank(n_fft, n_mels).T`` for a
     (frames, n_fft // 2 + 1) power block, one small matmul per band.
 
     The sums skip the filters' zero weights, so they can differ from the
@@ -195,7 +195,7 @@ def mel_power(power: np.ndarray, sample_rate: int, n_mels: int) -> np.ndarray:
     """
     n_fft = 2 * (power.shape[1] - 1)
     out = np.empty((len(power), n_mels))
-    for first, lo, slab in mel_bands(sample_rate, n_fft, n_mels):
+    for first, lo, slab in mel_bands(n_fft, n_mels):
         np.matmul(power[:, lo : lo + len(slab)], slab,
                   out=out[:, first : first + slab.shape[1]])
     return out
@@ -204,7 +204,7 @@ def mel_power(power: np.ndarray, sample_rate: int, n_mels: int) -> np.ndarray:
 def log_mel(power: np.ndarray) -> MelSpectrogram:
     """Pool an stft_power matrix of SAMPLE_RATE audio into N_MELS log mel
     power frames."""
-    energy = mel_power(np.asarray(power, dtype=np.float64), SAMPLE_RATE, N_MELS)
+    energy = mel_power(np.asarray(power, dtype=np.float64), N_MELS)
     return MelSpectrogram(np.log(energy + LOG_FLOOR))
 
 
@@ -217,15 +217,21 @@ def melspectrogram(audio: np.ndarray) -> MelSpectrogram:
 # Audio I/O
 
 
-def resample(audio: np.ndarray, orig_rate: int, target_rate: int = SAMPLE_RATE):
-    """Polyphase windowed-sinc resampling (Kaiser window, scipy default)."""
-    if orig_rate == target_rate:
+def check_sample_rate(rate: int) -> None:
+    """Raise ParameterError for any rate but SAMPLE_RATE."""
+    if rate != SAMPLE_RATE:
+        raise ParameterError(f"audio runs at {SAMPLE_RATE} Hz after load_wav, not {rate}")
+
+
+def resample(audio: np.ndarray, orig_rate: int):
+    """Polyphase windowed-sinc resampling to SAMPLE_RATE (scipy's Kaiser window)."""
+    if orig_rate == SAMPLE_RATE:
         return np.asarray(audio, dtype=np.float64)
     # Imported here, not at the top: scipy.signal costs about 1 s and 75 MB
     # of RSS to load, and only WAVs at another rate need it.
     import scipy.signal
 
-    ratio = Fraction(target_rate, orig_rate)
+    ratio = Fraction(SAMPLE_RATE, orig_rate)
     return scipy.signal.resample_poly(
         np.asarray(audio, dtype=np.float64), ratio.numerator, ratio.denominator
     )
@@ -336,7 +342,7 @@ def load_wav(path) -> np.ndarray:
     SAMPLE_RATE, and scale to [-1, 1]."""
     # The file's bytes are freed before resampling allocates its output.
     rate, samples = _read_pcm16_mono(path)
-    return resample(samples, rate, SAMPLE_RATE)
+    return resample(samples, rate)
 
 
 def write_wav(path, audio: np.ndarray, sample_rate: int = SAMPLE_RATE):

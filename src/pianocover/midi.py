@@ -5,7 +5,7 @@ of notes tagged with its time unit (seconds or half-beat indices).  The SMF
 parser accepts format 0/1 files with arbitrary tempo maps and merges all
 tracks and channels, in time proportional to the file's events however
 many tempo changes it holds: one sorted lookup maps every tick to seconds.
-The writer always emits a single-tempo format-0 file on channel 0.
+The writer emits one tempo, format 0, channel 0, at TICKS_PER_QUARTER.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ PIANO_PITCH_MAX = 108
 _META_TEMPO = 0x51
 _META_END_OF_TRACK = 0x2F
 _DEFAULT_USPQ = 500_000  # 120 BPM, SMF default
+TICKS_PER_QUARTER = 480  # the division write_smf writes
 # The largest variable-length quantity 4 bytes hold: about 77.7 h between
 # two events at 480 ticks per quarter and 120 BPM.
 MAX_VLQ = 2**28 - 1
@@ -179,7 +180,7 @@ def _parse_track(r: ByteCursor, length):
     return notes, tempos, tick
 
 
-def _ticks_to_seconds(ticks, tempo_events, ticks_per_quarter):
+def _ticks_to_seconds(ticks, tempo_events, division):
     """Seconds at each tick under a piecewise-constant tempo map.
 
     Each tempo boundary starts at the seconds of all spans before it,
@@ -190,7 +191,7 @@ def _ticks_to_seconds(ticks, tempo_events, ticks_per_quarter):
     if not changes or changes[0][0] > 0:
         changes.insert(0, (0, _DEFAULT_USPQ))
     b_tick, uspq = np.array(changes, dtype=np.int64).T
-    spt = uspq / (1e6 * ticks_per_quarter)
+    spt = uspq / (1e6 * division)
     b_sec = np.concatenate(([0.0], np.cumsum(np.diff(b_tick) * spt[:-1])))
     ticks = np.asarray(ticks, dtype=np.int64)
     i = np.searchsorted(b_tick, ticks, side="right") - 1
@@ -292,24 +293,21 @@ def _vlq(value: int) -> bytes:
     return bytes(reversed(chunks))
 
 
-def write_smf(seq: NoteSequence, ticks_per_quarter: int = 480,
-              tempo_bpm: float = 120.0) -> bytes:
+def write_smf(seq: NoteSequence, tempo_bpm: float = 120.0) -> bytes:
     """Serialize a NoteSequence in seconds to a format-0 SMF.
 
     One tempo event, all notes on channel 0, times rounded to the nearest
-    tick.  Output is bit-exact for a fixed (sequence, ticks, tempo) triple.
+    tick.  Output is bit-exact for a fixed (sequence, tempo) pair.
     Two events more than MAX_VLQ ticks apart raise ValidationError.
     """
     if seq.time_unit is not TimeUnit.SECONDS:
         raise ValidationError("write_smf requires a sequence in seconds")
-    if not 0 < ticks_per_quarter <= 0x7FFF:
-        raise ValidationError(f"ticks_per_quarter {ticks_per_quarter} out of range")
     if not tempo_bpm > 0:
         raise ValidationError(f"tempo {tempo_bpm} must be positive")
     uspq = round(60e6 / tempo_bpm)
     if not 1 <= uspq <= 0xFFFFFF:
         raise ValidationError(f"tempo {tempo_bpm} BPM not representable")
-    spt = uspq / (1e6 * ticks_per_quarter)
+    spt = uspq / (1e6 * TICKS_PER_QUARTER)
 
     events = []  # (tick, kind 0=off/1=on, pitch, velocity)
     for n in seq.notes:
@@ -333,5 +331,5 @@ def write_smf(seq: NoteSequence, ticks_per_quarter: int = 480,
     end_tick = max(tick, round(seq.duration / spt))
     body += _vlq(end_tick - tick) + bytes([0xFF, _META_END_OF_TRACK, 0])
 
-    header = b"MThd" + struct.pack(">IHHH", 6, 0, 1, ticks_per_quarter)
+    header = b"MThd" + struct.pack(">IHHH", 6, 0, 1, TICKS_PER_QUARTER)
     return header + b"MTrk" + struct.pack(">I", len(body)) + bytes(body)

@@ -123,14 +123,14 @@ def song_grid(audio, beats_path) -> BeatGrid:
     otherwise tracked from the audio."""
     if beats_path:
         return read_beat_file(beats_path)
-    return track_beats(audio, SAMPLE_RATE)
+    return track_beats(audio)
 
 
 def aligned_notes(cover: NoteSequence, audio, grid: BeatGrid):
     """A cover warped onto its recording's clock, in seconds, and the same
     notes quantized to the grid's half-beats with one sounding note per
     pitch, as the tokenizer needs them."""
-    aligned = align_to_audio(cover, audio, SAMPLE_RATE)
+    aligned = align_to_audio(cover, audio)
     return aligned, _resolve_pitch_overlaps(quantize(aligned, grid))
 
 

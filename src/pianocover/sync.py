@@ -4,7 +4,8 @@ A cover performance rarely follows the original's clock. To pair the two
 for training, both are reduced to 12-dimensional pitch-class (chroma)
 features on one fixed clock of FRAME_RATE = 10 frames per second, a
 dynamic-time-warping path is computed between them, and the cover's note
-timings are bent through the resulting piecewise-linear time map.
+timings are bent through the resulting piecewise-linear time map.  Audio
+is read at ``features.SAMPLE_RATE``, the rate fixed after ``load_wav``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlignmentError, ParameterError, ValidationError
-from .features import num_frames, pooled_stft
+from .features import SAMPLE_RATE, check_sample_rate, num_frames, pooled_stft
 from .midi import Note, NoteSequence, TimeUnit
 
 FRAME_RATE = 10.0  # chroma frames per second, for audio and MIDI alike
@@ -98,10 +99,10 @@ def _normalize_rows(frames):
     return frames / safe
 
 
-def _fold_chroma(power, sample_rate: int):
+def _fold_chroma(power):
     """Sum the bin powers of a CHROMA_WINDOW power block per pitch class."""
     n_bins = power.shape[1]
-    freqs = np.arange(n_bins) * sample_rate / CHROMA_WINDOW
+    freqs = np.arange(n_bins) * SAMPLE_RATE / CHROMA_WINDOW
     classes = np.full(n_bins, -1)
     voiced = freqs > 0
     pitch = 69.0 + 12.0 * np.log2(freqs[voiced] / 440.0)
@@ -115,27 +116,18 @@ def _fold_chroma(power, sample_rate: int):
     return per_frame
 
 
-def audio_chroma(audio, sample_rate: int) -> Chromagram:
-    """Pitch-class energies of an audio signal at FRAME_RATE.
+def audio_chroma(audio) -> Chromagram:
+    """Pitch-class energies of SAMPLE_RATE audio at FRAME_RATE.
 
-    STFT bin powers are folded onto the 12 pitch classes (A440
-    reference), then STFT frames are averaged into buckets of
-    1 / FRAME_RATE seconds by their center times.
+    STFT bin powers are folded onto the 12 pitch classes (A440 reference), then
+    STFT frames are averaged into buckets of 1 / FRAME_RATE s by center time.
     """
     audio = np.asarray(audio, dtype=float)
     if audio.size == 0:
         raise ParameterError("audio must be nonempty")
-    stft_rate = sample_rate / CHROMA_HOP
-    if FRAME_RATE > stft_rate:
-        raise ParameterError(
-            f"sample rate {sample_rate} gives {stft_rate:.3f} STFT frames per "
-            f"second, fewer than the {FRAME_RATE:g} Hz chroma clock"
-        )
-
-    per_frame = pooled_stft(
-        audio, CHROMA_WINDOW, CHROMA_HOP, lambda power: _fold_chroma(power, sample_rate)
-    )
-    buckets = _chroma_buckets(np.arange(len(per_frame)), sample_rate)
+    # At 22050 Hz, about 21.5 STFT frames per second feed the 10 Hz chroma clock.
+    per_frame = pooled_stft(audio, CHROMA_WINDOW, CHROMA_HOP, _fold_chroma)
+    buckets = _chroma_buckets(np.arange(len(per_frame)))
     out = np.zeros((buckets[-1] + 1, 12))
     counts = np.bincount(buckets, minlength=len(out))
     np.add.at(out, buckets, per_frame)
@@ -143,20 +135,20 @@ def audio_chroma(audio, sample_rate: int) -> Chromagram:
     return Chromagram(out)
 
 
-def _chroma_buckets(stft_frames: np.ndarray, sample_rate: int) -> np.ndarray:
+def _chroma_buckets(stft_frames: np.ndarray) -> np.ndarray:
     """The chroma frame of each chroma STFT frame index: the FRAME_RATE
     bucket its center time falls in."""
-    centers = (stft_frames * CHROMA_HOP + CHROMA_WINDOW / 2) / sample_rate
+    centers = (stft_frames * CHROMA_HOP + CHROMA_WINDOW / 2) / SAMPLE_RATE
     return np.floor(centers * FRAME_RATE).astype(int)
 
 
-def _audio_chroma_frames(num_samples: int, sample_rate: int) -> int:
-    """len(audio_chroma(audio, sample_rate)) for audio of ``num_samples``
-    samples, or 0 when the audio holds no STFT frame."""
+def _audio_chroma_frames(num_samples: int) -> int:
+    """len(audio_chroma(audio)) for audio of ``num_samples`` samples, or 0
+    when the audio holds no STFT frame."""
     stft_frames = num_frames(num_samples, CHROMA_WINDOW, CHROMA_HOP)
     if stft_frames == 0:
         return 0
-    return int(_chroma_buckets(np.array([stft_frames - 1]), sample_rate)[0]) + 1
+    return int(_chroma_buckets(np.array([stft_frames - 1]))[0]) + 1
 
 
 def _midi_chroma_frames(duration: float) -> int:
@@ -324,13 +316,15 @@ def apply_warp(seq: NoteSequence, path: WarpPath) -> NoteSequence:
     return NoteSequence.build(notes, TimeUnit.SECONDS, duration=warped[-1])
 
 
-def align_to_audio(seq: NoteSequence, audio, sample_rate: int) -> NoteSequence:
+def align_to_audio(seq: NoteSequence, audio, sample_rate: int = SAMPLE_RATE) -> NoteSequence:
     """Warp a cover's note timings onto the timeline of a recording.
 
     The DTW budget is checked from the song lengths before either
     chromagram is built, so an over-long cover allocates nothing.
+    A ``sample_rate`` (kept for the benchmark) but SAMPLE_RATE raises
+    ParameterError first.
     """
-    _check_dtw_budget(_midi_chroma_frames(seq.duration),
-                      _audio_chroma_frames(len(audio), sample_rate))
-    path = dtw(midi_chroma(seq), audio_chroma(audio, sample_rate))
+    check_sample_rate(sample_rate)
+    _check_dtw_budget(_midi_chroma_frames(seq.duration), _audio_chroma_frames(len(audio)))
+    path = dtw(midi_chroma(seq), audio_chroma(audio))
     return apply_warp(seq, path)

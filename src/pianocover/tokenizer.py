@@ -260,11 +260,15 @@ def stitch(segments, segment_halfbeats: int = SEGMENT_HALFBEATS) -> NoteSequence
 
     Notes left open by one segment stay open into the next; anything
     still sounding after the final segment closes at the piece end.
+    A ``segment_halfbeats`` (kept for the benchmark) but SEGMENT_HALFBEATS
+    raises ParameterError.
     """
+    if segment_halfbeats != SEGMENT_HALFBEATS:
+        raise ParameterError(f"segment length {segment_halfbeats} is not {SEGMENT_HALFBEATS}")
     open_abs = {}
     notes = []
     for k, seg in enumerate(segments):
-        base = k * segment_halfbeats
+        base = k * SEGMENT_HALFBEATS
         open_rel = {p: a - base for p, a in open_abs.items()}
         decoded, open_rel = decode_segment(seg, open_rel)
         notes.extend(
@@ -272,7 +276,7 @@ def stitch(segments, segment_halfbeats: int = SEGMENT_HALFBEATS) -> NoteSequence
             for n in decoded
         )
         open_abs = {p: r + base for p, r in open_rel.items()}
-    total = len(segments) * segment_halfbeats
+    total = len(segments) * SEGMENT_HALFBEATS
     tail_dropped = 0
     for p, a in open_abs.items():
         if total > a:

@@ -229,7 +229,7 @@ def test_sync_recovery_under_time_distortion(report):
             [Note(warp(n.onset), n.pitch, warp(n.offset), n.velocity) for n in true_seq],
             TimeUnit.SECONDS,
         )
-        recovered = align_to_audio(distorted, audio, SAMPLE_RATE)
+        recovered = align_to_audio(distorted, audio)
         assert len(recovered.notes) == len(true_seq.notes)
         hits += sum(
             abs(r.onset - t.onset) <= 0.100 for r, t in zip(recovered, true_seq)

@@ -209,22 +209,22 @@ class TestHalfbeatsToSeconds:
 
 class TestTracker:
     def test_click_track_accuracy(self):
-        grid = track_beats(click_track(), SR)
+        grid = track_beats(click_track())
         err = np.abs(grid.beats / 0.5 - np.round(grid.beats / 0.5)) * 0.5
         assert np.mean(err <= 0.07) >= 0.95
         assert len(grid.beats) >= 50
 
     def test_silence_is_error(self):
         with pytest.raises(NoBeatsError):
-            track_beats(np.zeros(10 * SR), SR)
+            track_beats(np.zeros(10 * SR))
 
     def test_too_short_is_error(self):
         with pytest.raises(NoBeatsError):
-            track_beats(click_track(seconds=3.0)[: 3 * SR], SR)
+            track_beats(click_track(seconds=3.0)[: 3 * SR])
 
     def test_shift_invariant_tempo(self):
-        g1 = track_beats(click_track(), SR)
-        g2 = track_beats(click_track(start=0.1), SR)
+        g1 = track_beats(click_track())
+        g2 = track_beats(click_track(start=0.1))
         ibi1 = np.median(np.diff(g1.beats))
         ibi2 = np.median(np.diff(g2.beats))
         assert abs(ibi1 - 0.5) <= 0.01
@@ -268,7 +268,7 @@ class TestTempoPeriod:
             for period in [28.4, 43.0, 61.7, 86.0]:
                 env = rng.exponential(size=n)
                 env[np.round(np.arange(0, n, period)).astype(int)] += 5.0
-                assert beats.estimate_tempo_period(env, ONSET_FRAME_RATE) == \
+                assert beats.estimate_tempo_period(env) == \
                     tempo_period_full_correlate(env, ONSET_FRAME_RATE), (n, period)
 
     @pytest.mark.parametrize("n", [LAG_MAX + 1, LAG_MAX + 2])
@@ -280,20 +280,20 @@ class TestTempoPeriod:
         for _ in range(200):
             env = np.zeros(n)
             env[:3], env[-3:] = rng.normal(size=(2, 3))
-            period = beats.estimate_tempo_period(env, ONSET_FRAME_RATE)
+            period = beats.estimate_tempo_period(env)
             assert period == tempo_period_full_correlate(env, ONSET_FRAME_RATE)
 
     def test_too_short_is_error_in_both(self):
         env = np.ones(LAG_MAX)
         with pytest.raises(NoBeatsError):
-            beats.estimate_tempo_period(env, ONSET_FRAME_RATE)
+            beats.estimate_tempo_period(env)
         with pytest.raises(NoBeatsError):
             tempo_period_full_correlate(env, ONSET_FRAME_RATE)
 
     @pytest.mark.parametrize("seconds_per_beat", [0.4, 0.5, 0.6, 0.75])
     def test_matches_full_correlate_on_click_tracks(self, seconds_per_beat):
-        env, _ = beats.onset_envelope(click_track(seconds_per_beat), SR)
-        period = beats.estimate_tempo_period(env, ONSET_FRAME_RATE)
+        env, _ = beats.onset_envelope(click_track(seconds_per_beat))
+        period = beats.estimate_tempo_period(env)
         assert period == tempo_period_full_correlate(env, ONSET_FRAME_RATE)
         assert abs(period / ONSET_FRAME_RATE - seconds_per_beat) < 0.02
 

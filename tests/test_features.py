@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 import scipy.io.wavfile
 
 from conftest import fmt_chunk, wav_bytes
-from pianocover import beats, features, sync
+from pianocover import beats, features, midi, sync, tokenizer
 from pianocover.errors import FormatError, ParameterError
 from pianocover.features import (
     _BLOCK_SAMPLES,
@@ -40,6 +41,8 @@ from pianocover.features import (
     stft_power,
     write_wav,
 )
+from pianocover.midi import Note, NoteSequence
+from pianocover.tokenizer import EOS, TokenSeq
 
 
 def sine(freq, seconds, sr=SAMPLE_RATE, amp=0.5):
@@ -126,8 +129,8 @@ class TestStft:
 # The three pools the pipeline runs over blocked STFTs: window, hop, and
 # the pool that turns a power block into one row per frame.
 POOLS = {
-    "onset-log-mel": (1024, 256, lambda power: beats._onset_log_mel(power, SAMPLE_RATE)),
-    "chroma-fold": (2048, 1024, lambda power: sync._fold_chroma(power, SAMPLE_RATE)),
+    "onset-log-mel": (1024, 256, beats._onset_log_mel),
+    "chroma-fold": (2048, 1024, sync._fold_chroma),
     "model-log-mel": (WINDOW, HOP, lambda power: log_mel(power).frames),
 }
 
@@ -160,28 +163,28 @@ class TestPooledStft:
 
         for run, (window, hop, _), module in [
             (beats.onset_envelope, POOLS["onset-log-mel"], features),
-            (lambda x, sr: sync.audio_chroma(x, sr).frames, POOLS["chroma-fold"], sync),
+            (lambda x: sync.audio_chroma(x).frames, POOLS["chroma-fold"], sync),
         ]:
             for frames in boundary_frame_counts(window)[1:]:
                 x = noise_with_frames(frames, window, hop)
-                blocked = run(x, SAMPLE_RATE)
+                blocked = run(x)
                 with monkeypatch.context() as patch:
                     patch.setattr(module, "pooled_stft", whole_signal)
-                    whole = run(x, SAMPLE_RATE)
+                    whole = run(x)
                 assert np.array_equal(blocked, whole), (window, frames)
 
     def test_envelope_and_first_chroma_bucket_by_hand(self):
         window, hop, pool = POOLS["onset-log-mel"]
         for frames in boundary_frame_counts(window)[1:]:
             x = noise_with_frames(frames, window, hop)
-            env, times = beats.onset_envelope(x, SAMPLE_RATE)
+            env, times = beats.onset_envelope(x)
             whole = pool(stft_power(x, window, hop))
             assert np.array_equal(env, np.maximum(np.diff(whole, axis=0), 0.0).sum(axis=1))
             assert len(times) == frames - 1
         window, hop, pool = POOLS["chroma-fold"]
         for frames in boundary_frame_counts(window):
             x = noise_with_frames(frames, window, hop)
-            chroma = sync.audio_chroma(x, SAMPLE_RATE).frames
+            chroma = sync.audio_chroma(x).frames
             per_frame = pool(stft_power(x, window, hop))
             # Frames centred in the first 1/FRAME_RATE s fill bucket 0.
             first = int(np.sum((np.arange(frames) * hop + window / 2) / SAMPLE_RATE
@@ -216,7 +219,7 @@ class TestPooledStft:
         audio = np.random.default_rng(240).normal(scale=0.1, size=240 * SAMPLE_RATE)
         tracemalloc.start()
         try:
-            run(audio, SAMPLE_RATE)
+            run(audio)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -285,9 +288,9 @@ class TestMel:
 # The two filterbanks the pipeline applies, the model's and the onset's,
 # and one so fine at the bottom that its first band has no nonzero weight.
 FILTERBANKS = {
-    "model": (SAMPLE_RATE, WINDOW, N_MELS),
-    "onset": (SAMPLE_RATE, beats._ONSET_WINDOW, beats._ONSET_MELS),
-    "empty-band": (SAMPLE_RATE, 1024, 1024),
+    "model": (WINDOW, N_MELS),
+    "onset": (beats._ONSET_WINDOW, beats._ONSET_MELS),
+    "empty-band": (1024, 1024),
 }
 
 
@@ -314,10 +317,10 @@ class TestMelBands:
     @pytest.mark.parametrize("bank", FILTERBANKS)
     @pytest.mark.parametrize("rows", [1, 40, 512, 2048])
     def test_band_products_match_the_dense_product(self, bank, rows):
-        sample_rate, n_fft, n_mels = FILTERBANKS[bank]
-        fb = mel_filterbank(sample_rate, n_fft, n_mels)
+        n_fft, n_mels = FILTERBANKS[bank]
+        fb = mel_filterbank(n_fft, n_mels)
         power = np.random.default_rng(rows).exponential(size=(rows, n_fft // 2 + 1)) ** 2
-        got = mel_power(power, sample_rate, n_mels)
+        got = mel_power(power, n_mels)
         np.testing.assert_allclose(got, power @ fb.T, rtol=1e-13, atol=0)
 
 
@@ -511,5 +514,45 @@ print(json.dumps([after_load, loaded, same]))
 
     def test_resample_identity(self):
         x = sine(100.0, 0.1)
-        assert resample(x, SAMPLE_RATE, SAMPLE_RATE) is not None
-        assert np.array_equal(resample(x, SAMPLE_RATE, SAMPLE_RATE), x)
+        assert resample(x, SAMPLE_RATE) is not None
+        assert np.array_equal(resample(x, SAMPLE_RATE), x)
+
+
+# Audio runs at SAMPLE_RATE after load_wav, write_smf writes one division
+# and every segment is SEGMENT_HALFBEATS long, so no function takes one of
+# these.  write_wav's rate is the ``render --rate`` option; the other three
+# are parameters the benchmark passes positionally, which take only their
+# constant.
+FIXED_VALUES = {"sample_rate", "frame_rate", "target_rate", "ticks_per_quarter",
+                "segment_halfbeats"}
+SETTABLE = {("features", "write_wav", "sample_rate"), ("beats", "track_beats", "sample_rate"),
+            ("sync", "align_to_audio", "sample_rate"),
+            ("tokenizer", "stitch", "segment_halfbeats")}
+
+
+def test_no_function_takes_a_rate_a_division_or_a_segment_length():
+    found = set()
+    for module in (features, beats, sync, tokenizer, midi):
+        name = module.__name__.rsplit(".", 1)[1]
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                for arg in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]:
+                    if arg is not None and arg.arg in FIXED_VALUES:
+                        found.add((name, getattr(node, "name", "<lambda>"), arg.arg))
+    assert found - SETTABLE == set()
+
+
+def test_pinned_parameters_refuse_another_value_before_any_stft(monkeypatch):
+    def no_stft(*args):
+        raise AssertionError("an STFT ran before the parameter was checked")
+
+    monkeypatch.setattr(features, "pooled_stft", no_stft)
+    monkeypatch.setattr(sync, "pooled_stft", no_stft)  # sync's own name for it
+    audio = np.zeros(10 * SAMPLE_RATE)
+    seq = NoteSequence.build([Note(0.0, 60, 1.0)])
+    for call in (lambda: beats.track_beats(audio, 44100),
+                 lambda: sync.align_to_audio(seq, audio, 44100),
+                 lambda: tokenizer.stitch([TokenSeq((EOS,))] * 2, 16)):
+        with pytest.raises(ParameterError):
+            call()

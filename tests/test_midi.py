@@ -8,6 +8,7 @@ from pianocover.errors import FormatError, UndefinedMetricError, ValidationError
 from pianocover.midi import (
     DEFAULT_VELOCITY,
     MAX_VLQ,
+    TICKS_PER_QUARTER,
     Note,
     NoteSequence,
     TimeUnit,
@@ -22,9 +23,9 @@ def seconds_per_tick(bpm, tpq):
     return round(60e6 / bpm) / (1e6 * tpq)
 
 
-def random_sequence(rng, tpq=480, bpm=120.0, max_notes=40, max_tick=4000):
+def random_sequence(rng, bpm=120.0, max_notes=40, max_tick=4000):
     """Random tick-aligned sequence with no same-pitch overlap."""
-    spt = seconds_per_tick(bpm, tpq)
+    spt = seconds_per_tick(bpm, TICKS_PER_QUARTER)
     per_pitch_end = {}
     notes = []
     for _ in range(rng.integers(0, max_notes + 1)):
@@ -98,7 +99,7 @@ class TestParseWrite:
 
     def test_one_note_delta_is_480_ticks(self):
         seq = NoteSequence.build([Note(0.0, 60, 0.5, 64)])
-        data = write_smf(seq, ticks_per_quarter=480, tempo_bpm=120.0)
+        data = write_smf(seq, tempo_bpm=120.0)
         # tempo event, then on at delta 0, then off at delta 480 (0x83 0x60)
         i = data.index(bytes([0x90, 60, 64]))
         assert data[i + 3 : i + 5] == bytes([0x83, 0x60])
@@ -192,10 +193,10 @@ class TestRoundTrip:
 
     def test_round_trip_other_tempi(self):
         rng = np.random.default_rng(99)
-        for bpm, tpq in [(60.0, 96), (137.0, 480), (178.5, 960)]:
+        for bpm in [60.0, 137.0, 178.5]:
             for _ in range(30):
-                seq = random_sequence(rng, tpq=tpq, bpm=bpm)
-                assert parse_smf(write_smf(seq, tpq, bpm)) == seq
+                seq = random_sequence(rng, bpm=bpm)
+                assert parse_smf(write_smf(seq, bpm)) == seq
 
     def test_fuzz_never_crashes(self):
         rng = np.random.default_rng(2024)

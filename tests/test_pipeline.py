@@ -810,7 +810,7 @@ def _with_f0(value):
 def _cover_over_the_dtw_budget(inputs):
     """One note held so long that aligning it to the valid song needs
     just over the DTW cell budget."""
-    audio_frames = len(sync.audio_chroma(load_wav(inputs["wav"]), SAMPLE_RATE))
+    audio_frames = len(sync.audio_chroma(load_wav(inputs["wav"])))
     seconds = sync.MAX_DTW_CELLS / audio_frames / sync.FRAME_RATE + 1.0
     return write_smf(NoteSequence.build([Note(0.0, 60, seconds)]))
 
