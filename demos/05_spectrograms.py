@@ -11,9 +11,10 @@ import numpy as np
 
 from pianocover.features import (
     HOP,
+    N_MELS,
     SAMPLE_RATE,
     WINDOW,
-    mel_filterbank,
+    mel_bands,
     melspectrogram,
 )
 from pianocover.midi import Note, NoteSequence
@@ -29,11 +30,13 @@ print(f"window {WINDOW}, hop {HOP} -> {frames.shape[0]} frames x {frames.shape[1
 print(f"frame rate {rate:.1f} Hz, value range [{frames.min():.1f}, {frames.max():.1f}] (log scale)")
 
 # The filterbank tells us which frequency each mel bin is centered on.
-# The hottest bin should sit at the note's frequency.
-bank = mel_filterbank()
+# It is stored as slabs of 8 filters over the STFT bins they touch; the
+# hottest bin's slab column should center on the note's frequency.
 hot = int(np.argmax(frames.mean(axis=0)))
-weights = bank[hot]
-peak_hz = (weights * np.fft.rfftfreq(WINDOW, 1 / SAMPLE_RATE)).sum() / weights.sum()
+first, lo, slab = mel_bands(WINDOW, N_MELS)[hot // 8]
+weights = slab[:, hot - first]
+freqs = np.fft.rfftfreq(WINDOW, 1 / SAMPLE_RATE)[lo : lo + len(slab)]
+peak_hz = (weights * freqs).sum() / weights.sum()
 print(f"strongest mel bin {hot}, centered near {peak_hz:.0f} Hz (note is 440 Hz)")
 
 # Silence is not minus infinity: energies are floored before the log,

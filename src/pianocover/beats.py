@@ -35,6 +35,8 @@ _ONSET_HOP = 256
 _ONSET_MELS = 64
 _ONSET_FLOOR = 1e-2
 _ONSET_FRAME_RATE = features.SAMPLE_RATE / _ONSET_HOP  # envelope frames per second
+# Envelope frames per flux chunk: 512 kB of (frames, _ONSET_MELS) differences.
+_FLUX_ROWS = 2**10
 
 
 @dataclass(frozen=True)
@@ -188,9 +190,12 @@ def onset_envelope(audio: np.ndarray):
     logmel = features.pooled_stft(audio, _ONSET_WINDOW, _ONSET_HOP, _onset_log_mel)
     if len(logmel) < 3:
         raise NoBeatsError("audio too short for an onset envelope")
-    flux = np.diff(logmel, axis=0)
-    np.maximum(flux, 0.0, out=flux)
-    env = flux.sum(axis=1)
+    # Row by row, like the whole-song diff and sum: chunks keep every bit.
+    env = np.empty(len(logmel) - 1)
+    for start in range(0, len(env), _FLUX_ROWS):
+        flux = np.diff(logmel[start : start + _FLUX_ROWS + 1], axis=0)
+        np.maximum(flux, 0.0, out=flux)
+        env[start : start + _FLUX_ROWS] = flux.sum(axis=1)
     times = (np.arange(len(env)) * _ONSET_HOP + _ONSET_WINDOW) / features.SAMPLE_RATE
     return env, times
 

@@ -5,16 +5,17 @@ sample rate, 4096-sample Hann window, 1024-sample hop, power (squared
 magnitude) pooled by the mel filters, HTK mel scale over [0, 11025] Hz with
 area-normalized triangles, log floor 1e-6.  Frames are fully interior (no
 center padding) so frame k covers samples [k*hop, k*hop + window) exactly.
-Spectra are computed in bounded blocks of frames (``pooled_stft``), and
-each block is pooled to a few values per frame before the next is built,
+Spectra are computed in cache-sized blocks of frames (``pooled_stft``),
+each pooled into its rows of one output array before the next is built,
 so no whole-song frame, spectrum or power array exists at any time.
 A block is one power array plus its pool's arrays: ``stft_power`` tapers
-and transforms one cache-sized chunk of frames at a time and writes the
-chunk's power into the block's output, so tapered frames and complex
-spectra exist one chunk at a time, and no block is held twice as
-magnitude and power.
-Mel filterbanks are applied over each filter's nonzero band only
-(``mel_power``): a filter spans at most a few percent of the bins.
+and transforms one chunk of frames at a time and writes the chunk's
+power into the block's output, so tapered frames and complex spectra
+exist one chunk at a time, and no block is held twice as magnitude and
+power.
+Mel filterbanks exist only as slabs over each band's nonzero bins
+(``mel_bands``, applied by ``mel_power``): a filter spans at most a few
+percent of the bins.
 ``load_wav`` resamples to SAMPLE_RATE, and the rate is fixed after it: no
 function here, in ``beats`` or in ``sync`` takes another.  It reads WAV
 bytes through ``errors.ByteCursor``, like every other binary input: 16-bit
@@ -53,13 +54,13 @@ MAX_SAMPLE_RATE = 384_000
 # The most 16-bit mono samples a WAV file holds: the RIFF size field, a
 # u32, counts the data plus 36 header bytes.
 MAX_WAV_SAMPLES = (2**32 - 1 - 36) // 2
-# Samples of frame data per STFT block: 2048 frames at a 1024-sample
-# window, 512 at WINDOW.  A block holds its power (about 8 MB) and its
-# pool's arrays, whatever the length of the song.
-_BLOCK_SAMPLES = 2**21
+# Samples of frame data per STFT block: 256 frames at a 1024-sample
+# window, 64 at WINDOW.  A block holds its power (about 1 MB at any window,
+# within a 2 MB L2) and its pool's arrays, whatever the length of the song.
+_BLOCK_SAMPLES = 2**18
 # Samples of frame data per chunk inside ``stft_power``: 64 frames at a
 # 1024-sample window, 16 at WINDOW.  Tapered frames and complex spectra
-# exist for one chunk at a time: about 1 MB, the size of a typical L2.
+# exist for one chunk at a time: about 0.5 MB each.
 _CHUNK_SAMPLES = 2**16
 # Samples per chunk of ``write_wav``'s float-to-PCM conversion: 512 kB of
 # float64.
@@ -126,16 +127,22 @@ def pooled_stft(audio: np.ndarray, window: int, hop: int, pool) -> np.ndarray:
     Blocks hold ``_BLOCK_SAMPLES // window`` frames and the last block
     absorbs the remainder, so every block is at least that tall or is the
     whole signal: a block of a few rows runs other BLAS and reduction
-    kernels, whose sums can round differently.  The rows are therefore
-    bit-identical to pooling one whole-signal STFT.
+    kernels, whose sums can round differently.  The rows, written into
+    one output, are bit-identical to pooling one whole-signal STFT: the
+    block-boundary tests check that at 64, 128 and 256-row blocks.
     """
     audio = np.asarray(audio, dtype=np.float64)
+    frames = num_frames(len(audio), window, hop)
     block = _BLOCK_SAMPLES // window
-    starts = range(0, max(num_frames(len(audio), window, hop) // block, 1) * block, block)
+    starts = range(0, max(frames // block, 1) * block, block)
     ends = [(s + block - 1) * hop + window for s in starts[:-1]] + [len(audio)]
-    return np.concatenate([
-        pool(stft_power(audio[s * hop : end], window, hop)) for s, end in zip(starts, ends)
-    ])
+    out = None
+    for s, end in zip(starts, ends):
+        rows = pool(stft_power(audio[s * hop : end], window, hop))
+        if out is None:
+            out = np.empty((frames,) + rows.shape[1:], rows.dtype)
+        out[s : s + len(rows)] = rows
+    return out
 
 
 def hz_to_mel(hz):
@@ -147,51 +154,43 @@ def mel_to_hz(mel):
 
 
 @lru_cache(maxsize=16)
-def mel_filterbank(n_fft: int = WINDOW, n_mels: int = N_MELS) -> np.ndarray:
-    """Triangular HTK-mel filterbank, shape (n_mels, n_fft // 2 + 1).
+def mel_bands(n_fft: int, n_mels: int) -> tuple:
+    """Triangular HTK-mel filterbank, shape (n_mels, n_fft // 2 + 1), as
+    runs of ``_BAND_FILTERS`` filters; no dense filterbank is built.
 
     Triangles span [0, SAMPLE_RATE / 2] and are normalized to unit area
-    (each row scaled by 2 / bandwidth).  Built once per argument tuple and
-    returned read-only.
+    (each row scaled by 2 / bandwidth).  Each band is ``(first_filter,
+    first_bin, slab)``: ``slab`` holds the band's weights transposed, shape
+    (bins, filters), over the bins strictly between the band's outer
+    edges, where its weights are nonzero; every other weight is zero.
+    Built once per argument tuple, read-only.
     """
     if n_mels < 1:
         raise ParameterError(f"n_mels must be >= 1, got {n_mels}")
     edges = mel_to_hz(np.linspace(0.0, hz_to_mel(SAMPLE_RATE / 2), n_mels + 2))
     bins = np.arange(n_fft // 2 + 1) * (SAMPLE_RATE / n_fft)
-    lo, ctr, hi = edges[:-2, None], edges[1:-1, None], edges[2:, None]
-    rising = (bins[None, :] - lo) / (ctr - lo)
-    falling = (hi - bins[None, :]) / (hi - ctr)
-    fb = np.maximum(0.0, np.minimum(rising, falling))
-    fb *= 2.0 / (hi - lo)
-    return _read_only(fb)
-
-
-@lru_cache(maxsize=16)
-def mel_bands(n_fft: int, n_mels: int) -> tuple:
-    """``mel_filterbank`` split into runs of ``_BAND_FILTERS`` filters.
-
-    Each band is ``(first_filter, first_bin, slab)``: ``slab`` holds the
-    band's weights transposed, shape (bins, filters), over the consecutive
-    bins from the band's first to its last nonzero weight.  Every weight
-    outside the slabs is zero.  Built once per argument tuple, read-only.
-    """
-    fb = mel_filterbank(n_fft, n_mels)
     bands = []
     for first in range(0, n_mels, _BAND_FILTERS):
-        rows = fb[first : first + _BAND_FILTERS]
-        used = np.flatnonzero(rows.any(axis=0))
-        lo, hi = (used[0], used[-1] + 1) if len(used) else (0, 0)
-        bands.append((first, int(lo), _read_only(rows[:, lo:hi].T.copy())))
+        last = min(first + _BAND_FILTERS, n_mels)
+        lo, ctr, hi = (edges[first + k : last + k, None] for k in range(3))
+        inside = np.flatnonzero((bins > lo[0]) & (bins < hi[-1]))
+        # The same elementwise expressions as over every bin: the same bits.
+        rising = (bins[inside] - lo) / (ctr - lo)
+        falling = (hi - bins[inside]) / (hi - ctr)
+        slab = np.maximum(0.0, np.minimum(rising, falling))
+        slab *= 2.0 / (hi - lo)
+        bands.append((first, int(inside[0]) if len(inside) else 0, _read_only(slab.T.copy())))
     return tuple(bands)
 
 
 def mel_power(power: np.ndarray, n_mels: int) -> np.ndarray:
-    """``power @ mel_filterbank(n_fft, n_mels).T`` for a
+    """``power`` times the transposed mel filterbank, for a
     (frames, n_fft // 2 + 1) power block, one small matmul per band.
 
     The sums skip the filters' zero weights, so they can differ from the
     dense product in the last place; a row's bits do not depend on how
-    many rows the block has once it has a few hundred.
+    many rows the block has once it has a few dozen (the block-boundary
+    tests run 64 to 256-row blocks).
     """
     n_fft = 2 * (power.shape[1] - 1)
     out = np.empty((len(power), n_mels))

@@ -30,7 +30,6 @@ from pianocover.features import (
     load_wav,
     log_mel,
     mel_bands,
-    mel_filterbank,
     mel_power,
     mel_to_hz,
     hz_to_mel,
@@ -48,6 +47,19 @@ from pianocover.tokenizer import EOS, TokenSeq
 def sine(freq, seconds, sr=SAMPLE_RATE, amp=0.5):
     t = np.arange(int(seconds * sr)) / sr
     return amp * np.sin(2 * np.pi * freq * t)
+
+
+def mel_filterbank(n_fft=WINDOW, n_mels=N_MELS):
+    """The dense (n_mels, n_fft // 2 + 1) HTK-mel filterbank, every bin of
+    every filter: the oracle the ``mel_bands`` slabs are checked against."""
+    edges = mel_to_hz(np.linspace(0.0, hz_to_mel(SAMPLE_RATE / 2), n_mels + 2))
+    bins = np.arange(n_fft // 2 + 1) * (SAMPLE_RATE / n_fft)
+    lo, ctr, hi = edges[:-2, None], edges[1:-1, None], edges[2:, None]
+    rising = (bins[None, :] - lo) / (ctr - lo)
+    falling = (hi - bins[None, :]) / (hi - ctr)
+    fb = np.maximum(0.0, np.minimum(rising, falling))
+    fb *= 2.0 / (hi - lo)
+    return fb
 
 
 class TestStft:
@@ -193,29 +205,46 @@ class TestPooledStft:
             assert np.allclose(chroma[0], mean / mean.max(), rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("pool_name", POOLS)
-    def test_a_block_is_one_power_array(self, pool_name):
+    def test_a_block_is_one_power_array(self, pool_name, monkeypatch):
         window, hop, pool = POOLS[pool_name]
         frames = _BLOCK_SAMPLES // window
         x = noise_with_frames(frames, window, hop)
         # Cached tapers and filterbanks are built before tracing starts.
         pooled_stft(x[: window + hop], window, hop, pool)
-        tracemalloc.start()
-        try:
-            pooled_stft(x, window, hop, pool)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         block = frames * (window // 2 + 1) * 8
-        assert peak <= 1.3 * block, f"peak {peak / block:.2f}x the power block"
+        # At the module's chunk, a chunk's arrays weigh about a block, so a
+        # second block made after the chunks are freed would peak no higher;
+        # at a quarter chunk it would.
+        for chunk_samples in (_CHUNK_SAMPLES, _CHUNK_SAMPLES // 4):
+            monkeypatch.setattr(features, "_CHUNK_SAMPLES", chunk_samples)
+            tracemalloc.start()
+            try:
+                pooled = pooled_stft(x, window, hop, pool)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # One chunk's tapered frames and complex spectra, and the pooled
+            # rows, sit beside the block, and the margin is a quarter block.
+            chunk = chunk_samples // window
+            bound = (block + chunk * window * 8 + chunk * (window // 2 + 1) * 16
+                     + pooled.nbytes + block // 4)
+            assert peak <= bound, f"peak {peak / block:.2f}x the power block ({chunk} rows)"
 
     def test_too_short_is_error(self):
         with pytest.raises(ParameterError, match="shorter than one 1024-sample window"):
             pooled_stft(np.zeros(1023), 1024, 256, lambda power: power)
 
-    @pytest.mark.parametrize("run", [beats.onset_envelope, sync.audio_chroma],
-                             ids=lambda run: run.__name__)
-    def test_memory_does_not_grow_with_the_song(self, run):
-        # 240 s of audio: whole-song STFT arrays would take 200-400 MB here.
+    # Traced bytes each may use on 240 s of audio, where whole-song STFT
+    # arrays would take 200-400 MB: 1.6x the envelope's (frames, 64)
+    # log-mel, which leaves no room for a second such array, and 4 MB for
+    # the chromagram, a few power blocks and no whole-song array.
+    @pytest.mark.parametrize("run,bound", [
+        (beats.onset_envelope,
+         1.6 * num_frames(240 * SAMPLE_RATE, beats._ONSET_WINDOW, beats._ONSET_HOP)
+         * beats._ONSET_MELS * 8),
+        (sync.audio_chroma, 4e6),
+    ], ids=["onset_envelope", "audio_chroma"])
+    def test_memory_does_not_grow_with_the_song(self, run, bound):
         audio = np.random.default_rng(240).normal(scale=0.1, size=240 * SAMPLE_RATE)
         tracemalloc.start()
         try:
@@ -223,7 +252,7 @@ class TestPooledStft:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 100e6, f"{run.__name__} peaked {peak / 1e6:.0f} MB above its input"
+        assert peak <= bound, f"{run.__name__} peaked {peak / 1e6:.1f} MB above its input"
 
 
 class TestMel:
@@ -251,15 +280,15 @@ class TestMel:
         assert np.median(bands) == expected_band
 
     def test_cached_arrays_are_read_only(self):
-        assert mel_filterbank() is mel_filterbank()
-        with pytest.raises(ValueError):
-            mel_filterbank()[0, 0] = 1.0
+        assert hann(WINDOW) is hann(WINDOW)
         with pytest.raises(ValueError):
             hann(WINDOW)[0] = 1.0
+        with pytest.raises(ValueError):
+            mel_bands(WINDOW, N_MELS)[0][2][0, 0] = 1.0
 
     def test_bad_n_mels(self):
         with pytest.raises(ParameterError):
-            mel_filterbank(n_mels=0)
+            mel_bands(WINDOW, 0)
 
     def test_deterministic(self):
         x = sine(523.25, 0.6)
@@ -303,8 +332,29 @@ class TestMelBands:
             bins, filters = slab.shape
             assert not dense[first : first + filters].any()
             dense[first : first + filters, lo : lo + bins] = slab.T
-        # Every nonzero weight sits in exactly one slab, in place.
+        # Every nonzero weight sits in exactly one slab, in place, and each
+        # slab's first and last bins carry weight.
         assert np.array_equal(dense, fb)
+        for _, _, slab in mel_bands(*FILTERBANKS[bank]):
+            assert not slab.size or (slab[0].any() and slab[-1].any())
+
+    @pytest.mark.parametrize("bank", FILTERBANKS)
+    def test_cold_bands_hold_no_dense_bank(self, bank):
+        n_fft, n_mels = FILTERBANKS[bank]
+        for value in vars(features).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+        tracemalloc.start()
+        try:
+            bands = mel_bands(n_fft, n_mels)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        dense = n_mels * (n_fft // 2 + 1) * 8
+        slabs = sum(slab.nbytes for _, _, slab in bands)
+        assert peak <= dense / 2, f"peak {peak / dense:.2f}x the dense bank"
+        # Each band's tuple and array header cost about 224 bytes of objects.
+        assert kept <= 1.1 * slabs + 256 * len(bands), f"kept {kept / slabs:.2f}x the slabs"
 
     @pytest.mark.parametrize("bank", FILTERBANKS)
     def test_bands_are_cached_and_read_only(self, bank):

@@ -271,7 +271,7 @@ def test_features_module_is_the_only_spectral_path():
     # The blocked STFT in features.py keeps memory bounded; a direct
     # stft_power or np.fft call elsewhere would bring back whole-song spectra.
     # Filterbanks are applied over their nonzero bands by features.mel_power
-    # alone, so no other module reads a dense mel_filterbank.
+    # alone, so no other module reads the mel_bands slabs.
     src = Path(network.__file__).parent.parent
     for path in sorted(src.rglob("*.py")):
         if path.name == "features.py" and path.parent == src:
@@ -281,7 +281,7 @@ def test_features_module_is_the_only_spectral_path():
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         names |= {alias.name for node in ast.walk(tree)
                   if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
-        assert not names & {"stft_power", "fft", "numpy.fft", "rfft", "mel_filterbank"}, path.name
+        assert not names & {"stft_power", "fft", "numpy.fft", "rfft", "mel_bands"}, path.name
 
 
 class TestInitParams:

@@ -19,7 +19,7 @@ import pytest
 import scipy.io.wavfile
 
 from conftest import float32_checkpoint, fmt_chunk, wav_bytes
-from pianocover import cli, pipeline, sync
+from pianocover import cli, features, pipeline, sync
 from pianocover.beats import BeatGrid, halfbeats_to_seconds, read_beat_file, write_beat_file
 from pianocover.cli import main
 from pianocover.errors import ParameterError, PianoCoverError
@@ -709,6 +709,29 @@ class TestGenerateCover:
         job, _, _ = self._job(tmp_path, np.random.default_rng(9), n_beats=3)
         with pytest.raises(ParameterError):
             generate_cover(job)
+
+    def test_cold_cover_holds_the_song_the_model_and_little_more(self, tmp_path):
+        # Each cover run is a fresh process that builds the frontend's tables
+        # cold.  A dense filterbank, or a whole-song power or pooled array
+        # beside the onset envelope, would overrun the 2 MB margin.
+        record, _, _, _ = make_pair(tmp_path, np.random.default_rng(12), name="song",
+                                    n_beats=20)
+        config = desk_config(max_decode_len=128)
+        ckpt = tmp_path / "desk.ckpt"
+        save_checkpoint(ckpt, init_params(config, seed=0), config)
+        job = CoverJob(audio=record.pop_audio, arranger_id=1, checkpoint=str(ckpt),
+                       output=str(tmp_path / "cover.mid"))
+        features.mel_bands.cache_clear()
+        features.hann.cache_clear()
+        tracemalloc.start()
+        try:
+            generate_cover(job)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = len(load_wav(job.audio)) * 8 + 2 * ckpt.stat().st_size + 2**21
+        assert job.windows >= 1
+        assert peak <= bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
 
 
 class TestEvalStats:
