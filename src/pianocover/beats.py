@@ -294,7 +294,7 @@ def track_beats(audio: np.ndarray, sample_rate: int = features.SAMPLE_RATE) -> B
     (kept for the benchmark's positional call) but SAMPLE_RATE.
     """
     features.check_sample_rate(sample_rate)
-    audio = np.asarray(audio, dtype=np.float64)
+    audio = np.asarray(audio)
     if len(audio) < MIN_TRACK_SECONDS * features.SAMPLE_RATE:
         raise NoBeatsError(f"need at least {MIN_TRACK_SECONDS:.0f} s of audio to track beats")
     env, times = onset_envelope(audio)

@@ -42,14 +42,15 @@ from .model import (
 from .pipeline import (
     CoverJob,
     PairRecord,
-    aligned_notes,
     build_dataset,
     eval_stats,
     generate_cover,
     load_dataset,
+    quantized_notes,
     render_sine_audio,
     song_grid,
 )
+from .sync import align_to_audio
 from .tokenizer import encode_piece, read_token_file, stitch, write_token_file
 
 
@@ -76,7 +77,7 @@ def cmd_sync(args) -> int:
     audio = load_wav(args.pop)
     cover = _load_midi(args.cover)
     grid = song_grid(audio, args.beats)
-    _, quantized = aligned_notes(cover, audio, grid)
+    quantized = quantized_notes(align_to_audio(cover, audio), grid)
     Path(args.out).write_bytes(write_smf(halfbeats_to_seconds(quantized, grid)))
     if args.save_beats:
         write_beat_file(args.save_beats, grid)

@@ -22,6 +22,11 @@ bytes through ``errors.ByteCursor``, like every other binary input: 16-bit
 PCM in a RIFF or big-endian RIFX file, with a plain or extensible fmt
 chunk, at a rate up to MAX_SAMPLE_RATE.  RF64 files are refused: a 16-bit
 song needs one only past 4 GB.
+``load_wav`` returns float32 samples, which hold 16-bit PCM at
+SAMPLE_RATE exactly for a power-of-two channel count up to 512.  The one
+cast to float64 on the way to a spectrum is ``pooled_stft``'s, of each
+block's slice, so no float64 copy of a whole song is made and every
+spectrum has the bits it would have from float64 samples.
 """
 
 from __future__ import annotations
@@ -130,15 +135,18 @@ def pooled_stft(audio: np.ndarray, window: int, hop: int, pool) -> np.ndarray:
     kernels, whose sums can round differently.  The rows, written into
     one output, are bit-identical to pooling one whole-signal STFT: the
     block-boundary tests check that at 64, 128 and 256-row blocks.
+    Each block's samples are cast to float64 on their own, so float32
+    audio is never copied whole.
     """
-    audio = np.asarray(audio, dtype=np.float64)
+    audio = np.asarray(audio)
     frames = num_frames(len(audio), window, hop)
     block = _BLOCK_SAMPLES // window
     starts = range(0, max(frames // block, 1) * block, block)
     ends = [(s + block - 1) * hop + window for s in starts[:-1]] + [len(audio)]
     out = None
     for s, end in zip(starts, ends):
-        rows = pool(stft_power(audio[s * hop : end], window, hop))
+        samples = audio[s * hop : end].astype(np.float64, copy=False)
+        rows = pool(stft_power(samples, window, hop))
         if out is None:
             out = np.empty((frames,) + rows.shape[1:], rows.dtype)
         out[s : s + len(rows)] = rows
@@ -223,9 +231,10 @@ def check_sample_rate(rate: int) -> None:
 
 
 def resample(audio: np.ndarray, orig_rate: int):
-    """Polyphase windowed-sinc resampling to SAMPLE_RATE (scipy's Kaiser window)."""
+    """Polyphase windowed-sinc resampling to SAMPLE_RATE (scipy's Kaiser
+    window), in float64.  Audio already at SAMPLE_RATE is returned as it is."""
     if orig_rate == SAMPLE_RATE:
-        return np.asarray(audio, dtype=np.float64)
+        return audio
     # Imported here, not at the top: scipy.signal costs about 1 s and 75 MB
     # of RSS to load, and only WAVs at another rate need it.
     import scipy.signal
@@ -313,7 +322,8 @@ def _wav_samples(data: memoryview, path) -> tuple:
 
 
 def _read_pcm16_mono(path):
-    """(rate, float64 mono samples in [-1, 1]) of a 16-bit PCM WAV."""
+    """(rate, mono samples in [-1, 1]) of a 16-bit PCM WAV: float32 at
+    SAMPLE_RATE, float64 at any other rate, for ``resample``."""
     # A numpy buffer, not a bytes object: numpy backs large arrays with huge
     # pages, and with bytes objects a perfbench build pass took about 1500
     # more minor page faults (6400 against 7900 per pass).
@@ -326,22 +336,36 @@ def _read_pcm16_mono(path):
         ) from None
     # Read in place: a copy of the data chunk would double the peak.
     pcm = np.frombuffer(data, order + "i2", frames * channels, offset)
-    # One float64 pass: int16 sums and power-of-two scaling are exact, so
-    # this equals scaling each channel by 1/32768 and then averaging.
+    # One pass in the output's dtype.  Up to 512 channels the int16 sums
+    # stay within 2**24, so they are exact in float32 too, and the division
+    # rounds once: for a power-of-two channel count it is exact.
+    dtype = np.float32 if rate == SAMPLE_RATE else np.float64
     if channels > 1:
-        samples = pcm.reshape(frames, channels).sum(axis=1, dtype=np.float64)
+        samples = pcm.reshape(frames, channels).sum(axis=1, dtype=dtype)
     else:
-        samples = pcm.astype(np.float64)
+        samples = pcm.astype(dtype)
     samples /= 32768.0 * channels
     return rate, samples
 
 
 def load_wav(path) -> np.ndarray:
     """Read a 16-bit PCM WAV, downmix stereo by average, resample to
-    SAMPLE_RATE, and scale to [-1, 1]."""
+    SAMPLE_RATE, and scale to [-1, 1].
+
+    The samples are float32: half the bytes of float64, and lossless at
+    SAMPLE_RATE with a power-of-two channel count up to 512, where each
+    sample is int16 / 32768 or a channel sum over 32768 * channels.  A
+    file at another rate is resampled in float64 and rounded once to
+    float32 (relative error at most 2**-24, far below the 16-bit step).
+    Spectra cast to float64 one STFT block at a time (``pooled_stft``).
+    """
     # The file's bytes are freed before resampling allocates its output.
     rate, samples = _read_pcm16_mono(path)
-    return resample(samples, rate)
+    resampled = resample(samples, rate)
+    # A resampled song's float64 input is freed before its float32 copy is
+    # made, so the copy adds nothing to the resampler's peak.
+    del samples
+    return resampled.astype(np.float32, copy=False)
 
 
 def write_wav(path, audio: np.ndarray, sample_rate: int = SAMPLE_RATE):

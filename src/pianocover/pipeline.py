@@ -1,12 +1,13 @@
 """End-to-end orchestration: dataset builds, cover generation, statistics.
 
-A dataset build runs each (pop audio, cover MIDI) pair through beat
-tracking, chroma alignment, half-beat quantization, the melody/length
-filter, and finally crops the piece into consecutive non-overlapping
-4-beat windows, emitting one (mel spectrogram, token sequence) training
-example per window. Cover generation runs the same windowing in the
-other direction: spectrogram in, greedy tokens out, stitched back onto
-the beat grid and written as MIDI.
+A dataset build runs each (pop audio, cover MIDI) pair through chroma
+alignment and the melody/length filter; a kept pair then goes through
+beat tracking and half-beat quantization, and finally the piece is
+cropped into consecutive non-overlapping 4-beat windows, emitting one
+(mel spectrogram, token sequence) training example per window. Cover
+generation runs the same windowing in the other direction: spectrogram
+in, greedy tokens out, stitched back onto the beat grid and written as
+MIDI.
 """
 
 from __future__ import annotations
@@ -126,12 +127,11 @@ def song_grid(audio, beats_path) -> BeatGrid:
     return track_beats(audio)
 
 
-def aligned_notes(cover: NoteSequence, audio, grid: BeatGrid):
-    """A cover warped onto its recording's clock, in seconds, and the same
-    notes quantized to the grid's half-beats with one sounding note per
-    pitch, as the tokenizer needs them."""
-    aligned = align_to_audio(cover, audio)
-    return aligned, _resolve_pitch_overlaps(quantize(aligned, grid))
+def quantized_notes(aligned: NoteSequence, grid: BeatGrid) -> NoteSequence:
+    """A cover aligned to its recording (``align_to_audio``), quantized to
+    the grid's half-beats with one sounding note per pitch, as the
+    tokenizer needs it."""
+    return _resolve_pitch_overlaps(quantize(aligned, grid))
 
 
 def _window_spans(n_samples, grid, n_windows):
@@ -163,12 +163,17 @@ def _window_spectrogram(audio, lo, hi):
 
 
 def build_pair(record: PairRecord) -> BuiltPair:
-    """Run one manifest record through the full preprocessing chain."""
+    """Run one manifest record through the full preprocessing chain.
+
+    The cover is parsed before the recording is read, and the pair is
+    aligned and filtered before it has a beat grid: the filter reads only
+    the aligned notes, the f0 contour and the two lengths.  Only a kept
+    pair is beat-tracked (or reads its beat file), quantized and windowed.
+    """
     built = BuiltPair(record)
-    audio = load_wav(record.pop_audio)
     cover = parse_smf(Path(record.cover_midi).read_bytes())
-    grid = song_grid(audio, record.beats)
-    aligned, quantized = aligned_notes(cover, audio, grid)
+    audio = load_wav(record.pop_audio)
+    aligned = align_to_audio(cover, audio)
 
     pop_len = len(audio) / SAMPLE_RATE
     if record.f0:
@@ -183,7 +188,8 @@ def build_pair(record: PairRecord) -> BuiltPair:
     if built.report.verdict is not Verdict.KEEP:
         return built
 
-    segments = split_piece(quantized)
+    grid = song_grid(audio, record.beats)
+    segments = split_piece(quantized_notes(aligned, grid))
     spans = _window_spans(len(audio), grid, len(segments))
     _check_window_frames(spans)
     for index, segment in enumerate(segments):

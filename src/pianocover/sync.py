@@ -84,8 +84,8 @@ class WarpPath:
         if tuple(pairs[0]) != (0, 0):
             raise ValidationError("path must start at (0, 0)")
         steps = np.diff(pairs, axis=0)
-        legal = {(1, 0), (0, 1), (1, 1)}
-        if any(tuple(s) not in legal for s in steps):
+        legal = ((steps == 0) | (steps == 1)).all(axis=1) & steps.any(axis=1)
+        if not legal.all():
             raise ValidationError("path steps must be (1,0), (0,1) or (1,1)")
         object.__setattr__(self, "pairs", pairs)
 
@@ -122,7 +122,7 @@ def audio_chroma(audio) -> Chromagram:
     STFT bin powers are folded onto the 12 pitch classes (A440 reference), then
     STFT frames are averaged into buckets of 1 / FRAME_RATE s by center time.
     """
-    audio = np.asarray(audio, dtype=float)
+    audio = np.asarray(audio)
     if audio.size == 0:
         raise ParameterError("audio must be nonempty")
     # At 22050 Hz, about 21.5 STFT frames per second feed the 10 Hz chroma clock.

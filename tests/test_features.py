@@ -255,6 +255,44 @@ class TestPooledStft:
         assert peak <= bound, f"{run.__name__} peaked {peak / 1e6:.1f} MB above its input"
 
 
+def pcm_pulses(seconds, seed):
+    """A 120-BPM pulse over noise as ``load_wav`` returns it: float32
+    int16 / 32768."""
+    rng = np.random.default_rng(seed)
+    x = 0.05 * rng.standard_normal(int(seconds * SAMPLE_RATE))
+    pulse = 0.8 * np.exp(-np.arange(2205) / 300.0) * rng.standard_normal(2205)
+    for start in range(0, len(x) - len(pulse), SAMPLE_RATE // 2):
+        x[start : start + len(pulse)] += pulse
+    pcm = np.clip(np.round(x * 32768.0), -32768, 32767).astype(np.int16)
+    return pcm.astype(np.float32) / np.float32(32768.0)
+
+
+class TestFloat32Samples:
+    @pytest.mark.parametrize("run,frames", [
+        (beats.onset_envelope, lambda out: out[0]),
+        (beats.track_beats, lambda out: out.beats),
+        (sync.audio_chroma, lambda out: out.frames),
+        (melspectrogram, lambda out: out.frames),
+    ], ids=["onset_envelope", "track_beats", "audio_chroma", "melspectrogram"])
+    def test_same_bits_as_the_float64_values(self, run, frames):
+        audio = pcm_pulses(20, 32)
+        got, want = frames(run(audio)), frames(run(audio.astype(np.float64)))
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("run", [beats.track_beats, sync.audio_chroma],
+                             ids=["track_beats", "audio_chroma"])
+    def test_no_float64_copy_of_the_song(self, run):
+        audio = pcm_pulses(60, 60)
+        tracemalloc.start()
+        try:
+            run(audio)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * len(audio), f"{run.__name__} peaked at {peak / 1e6:.1f} MB"
+
+
 class TestMel:
     def test_scale_round_trip(self):
         f = np.array([0.0, 440.0, 1000.0, 11025.0])
@@ -422,10 +460,14 @@ class TestWavIO:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Per-channel scaling, then the average, as separate passes.
+        # Per-channel scaling, then the average, as separate passes.  At
+        # SAMPLE_RATE float32 holds it exactly; a resampled file is the
+        # float64 reference rounded once to float32.
         expected = resample((data.astype(np.float64) / 32768.0).mean(axis=1), rate)
-        assert np.array_equal(y, expected)
-        assert peak <= 4 * y.nbytes
+        assert y.dtype == np.float32
+        assert np.array_equal(y, expected if rate == SAMPLE_RATE else expected.astype(np.float32))
+        # Four float64 arrays of the output's length.
+        assert peak <= 32 * len(y)
 
     def test_byte_mutations_raise_only_package_errors(self, tmp_path):
         path = tmp_path / "tone.wav"
@@ -452,7 +494,7 @@ class TestWavIO:
 
     @pytest.mark.parametrize("layout", ["plain", "extensible", "list", "odd-chunk", "rifx"])
     @pytest.mark.parametrize("rate,channels", [(SAMPLE_RATE, 1), (SAMPLE_RATE, 2),
-                                               (44100, 1), (44100, 2)])
+                                               (SAMPLE_RATE, 4), (44100, 1), (44100, 2)])
     def test_samples_equal_the_scipy_reader(self, tmp_path, layout, rate, channels):
         pcm = np.random.default_rng(rate + channels).integers(
             -32768, 32768, size=(rate // 4, channels), dtype=np.int16)
@@ -468,11 +510,17 @@ class TestWavIO:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # scipy reports chunks it skips
             scipy_rate, data = scipy.io.wavfile.read(path)
-        # load_wav as it was when scipy read the file.
+        # load_wav as it was when scipy read the file, in float64.  At
+        # SAMPLE_RATE float32 holds the channel sum over 32768 * channels
+        # exactly; a resampled file is rounded to float32 once, at the end.
         expected = data.reshape(len(data), -1).sum(axis=1, dtype=np.float64)
         expected /= 32768.0 * channels
+        if rate != SAMPLE_RATE:
+            expected = resample(expected, rate).astype(np.float32)
         assert scipy_rate == rate
-        assert np.array_equal(load_wav(path), resample(expected, rate))
+        y = load_wav(path)
+        assert y.dtype == np.float32
+        assert np.array_equal(y, expected)
 
     @pytest.mark.parametrize("rate", [SAMPLE_RATE, 44100])
     @pytest.mark.parametrize("count", [1, 4001, 3 * _WAV_CHUNK_SAMPLES + 4001, None])

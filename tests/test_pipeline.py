@@ -22,7 +22,7 @@ from conftest import float32_checkpoint, fmt_chunk, wav_bytes
 from pianocover import cli, features, pipeline, sync
 from pianocover.beats import BeatGrid, halfbeats_to_seconds, read_beat_file, write_beat_file
 from pianocover.cli import main
-from pianocover.errors import ParameterError, PianoCoverError
+from pianocover.errors import NoBeatsError, ParameterError, PianoCoverError
 from pianocover.features import MAX_SAMPLE_RATE, N_MELS, SAMPLE_RATE, load_wav, write_wav
 from pianocover.filtering import (
     UNVOICED,
@@ -370,6 +370,41 @@ class TestBuildPair:
         assert "mca" in built.report.reasons
         assert built.report.mca <= 0.15
         assert built.examples == []
+
+    @pytest.mark.parametrize("beats", ["untrackable", "bad beat file"])
+    def test_discarded_pair_needs_no_beat_grid(self, tmp_path, monkeypatch, beats):
+        record, _, _, _ = make_pair(tmp_path, np.random.default_rng(1), transpose=6)
+        if beats == "untrackable":
+            record = dataclasses.replace(record, beats=None)
+        else:
+            bad = tmp_path / "bad.beats"
+            bad.write_text("1.0\nnan\n")
+            record = dataclasses.replace(record, beats=str(bad))
+
+        def untrackable(audio):
+            raise NoBeatsError("no beats in this recording")
+
+        monkeypatch.setattr(pipeline, "track_beats", untrackable)
+        _, report = build_dataset([record])
+        entry = report.entries[0]
+        assert entry["status"] == "discarded"
+        assert "mca" in entry["reasons"] and entry["mca"] <= 0.15
+
+    def test_corrupt_cover_fails_before_its_wav_is_read(self, tmp_path, monkeypatch):
+        record, _, _, _ = make_pair(tmp_path, np.random.default_rng(1))
+        mid, wav = tmp_path / "cut.mid", tmp_path / "not_wav.wav"
+        mid.write_bytes(Path(record.cover_midi).read_bytes()[:20])
+        wav.write_bytes(b"ID3 this is not a RIFF file")
+
+        def unread(path):
+            raise AssertionError("the WAV was read")
+
+        monkeypatch.setattr(pipeline, "load_wav", unread)
+        _, report = build_dataset([dataclasses.replace(record, pop_audio=str(wav),
+                                                       cover_midi=str(mid))])
+        entry = report.entries[0]
+        assert entry["status"] == "failed"
+        assert "unexpected end of data" in entry["reason"]
 
     def test_examples_decode_within_window(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -732,6 +767,52 @@ class TestGenerateCover:
         bound = len(load_wav(job.audio)) * 8 + 2 * ckpt.stat().st_size + 2**21
         assert job.windows >= 1
         assert peak <= bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+
+
+# Trains a desk model, writes one cover, and prints the loss bits, the
+# MIDI bytes and the CPU ticks of each of the process's OS threads.
+_THREADS_CHILD = """
+import json, os, sys
+from pathlib import Path
+from pianocover.model import TrainConfig, desk_config, save_checkpoint, train
+from pianocover.pipeline import CoverJob, generate_cover, load_dataset
+dataset, wav, beats, out = sys.argv[1:]
+config = desk_config(max_decode_len=32)
+params, losses = train(load_dataset(dataset)[0], TrainConfig(epochs=2, batch_size=4), config)
+save_checkpoint(Path(out) / "model.ckpt", params, config)
+midi = Path(out) / "cover.mid"
+generate_cover(CoverJob(wav, 0, str(Path(out) / "model.ckpt"), str(midi), beats=beats))
+# utime and stime, fields 14 and 15 of each thread's stat line.
+ticks = [sum(map(int, Path(f"/proc/self/task/{tid}/stat").read_text().rsplit(")", 1)[1]
+                 .split()[11:13])) for tid in os.listdir("/proc/self/task")]
+print(json.dumps({"losses": [x.hex() for x in losses], "midi": midi.read_bytes().hex(),
+                  "ticks": ticks}))
+"""
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="a second BLAS thread needs a second CPU")
+def test_same_outputs_at_one_and_two_blas_threads(tmp_path):
+    rng = np.random.default_rng(16)
+    records = [make_pair(tmp_path, rng, name=f"song{i}", arranger_id=i)[0] for i in range(2)]
+    build_dataset(records, tmp_path / "dataset")
+    runs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        child = subprocess.run(
+            [sys.executable, "-c", _THREADS_CHILD, str(tmp_path / "dataset"),
+             records[0].pop_audio, records[0].beats, str(out)],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        runs.append(json.loads(child.stdout))
+    one, two = runs
+    assert len(one["ticks"]) == 1
+    # The second thread exists and spent CPU time.
+    assert len(two["ticks"]) == 2 and min(two["ticks"]) > 0
+    assert one["losses"] == two["losses"]
+    assert one["midi"] == two["midi"]
 
 
 class TestEvalStats:

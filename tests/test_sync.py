@@ -335,6 +335,21 @@ def random_path(rng, n, m):
     return WarpPath(np.array(pairs), 0.0)
 
 
+class TestWarpPath:
+    @pytest.mark.parametrize("step,legal", [
+        ((1, 0), True), ((0, 1), True), ((1, 1), True),
+        ((0, 0), False), ((2, 0), False), ((0, 2), False), ((-1, 1), False), ((1, -1), False),
+    ])
+    def test_steps(self, step, legal):
+        pairs = np.array([[0, 0], [1, 1], [1 + step[0], 1 + step[1]], [2 + step[0], 2 + step[1]]])
+        if legal:
+            assert np.array_equal(WarpPath(pairs, 0.0).pairs, pairs)
+        else:
+            with pytest.raises(ValidationError,
+                               match=r"path steps must be \(1,0\), \(0,1\) or \(1,1\)"):
+                WarpPath(pairs, 0.0)
+
+
 class TestApplyWarp:
     def test_identity_path(self):
         seq = NoteSequence.build([Note(0.3, 60, 1.1), Note(2.0, 72, 2.5)])
