@@ -23,7 +23,7 @@ from pianocover.model import (
     init_params,
     train,
 )
-from pianocover.tokenizer import encode_segment
+from pianocover.tokenizer import VOCAB_SIZE, encode_segment
 
 # A small configuration, enough to memorize a handful of segments.
 config = desk_config(
@@ -54,7 +54,7 @@ dataset = [(frames, 0, target)]
 # Before training the model knows nothing: cross entropy sits at the
 # uniform-guess level, ln(vocab).
 loss0 = compute_loss(dataset, params, config)
-print(f"initial loss {loss0:.3f}, ln({config.vocab_size}) = {math.log(config.vocab_size):.3f}")
+print(f"initial loss {loss0:.3f}, ln({VOCAB_SIZE}) = {math.log(VOCAB_SIZE):.3f}")
 
 train_config = TrainConfig(epochs=500, batch_size=1, learning_rate=0.001, seed=0)
 params, history = train(dataset, train_config, config)

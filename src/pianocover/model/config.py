@@ -39,7 +39,6 @@ class ModelConfig:
     d_ff: int = 256
     num_encoder_layers: int = 2
     num_decoder_layers: int = 2
-    vocab_size: int = VOCAB_SIZE
     n_mels: int = 128
     num_arrangers: int = 21
     relative_bias_buckets: int = 32
@@ -63,8 +62,6 @@ class ModelConfig:
             raise ValidationError(
                 f"d_model {self.d_model} not divisible by {self.num_heads} heads"
             )
-        if self.vocab_size != VOCAB_SIZE:
-            raise ValidationError(f"vocab_size must be {VOCAB_SIZE}")
         # The decoder sizes its caches from max_decode_len, and the token
         # grammar refuses segments longer than MAX_TOKENS anyway.
         if self.max_decode_len > MAX_TOKENS:
@@ -97,6 +94,15 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d):
+        """The config a checkpoint's JSON object names. The vocabulary size
+        is the tokenizer's, not a field; checkpoints written while it was
+        one name it as "vocab_size", which is read only at VOCAB_SIZE."""
+        if not isinstance(d, dict):
+            raise ValidationError(f"config must be a JSON object, got {type(d).__name__}")
+        d = dict(d)
+        vocab_size = d.pop("vocab_size", VOCAB_SIZE)
+        if type(vocab_size) is not int or vocab_size != VOCAB_SIZE:
+            raise ValidationError(f"vocab_size must be {VOCAB_SIZE}, got {vocab_size!r}")
         return cls(**d)
 
 
@@ -178,8 +184,8 @@ def tensor_table(config: ModelConfig):
         ("input_proj", (config.n_mels, d), config.n_mels**-0.5),
         ("arranger_emb", (config.num_arrangers, d), 1.0),
         # With the tied d_model**-0.5 scaled head, initial logits have std
-        # about 0.2: the loss starts within hundredths of ln(vocab_size).
-        ("token_emb", (config.vocab_size, d), 0.2),
+        # about 0.2: the loss starts within hundredths of ln(VOCAB_SIZE).
+        ("token_emb", (VOCAB_SIZE, d), 0.2),
         ("enc_rel_bias", (config.relative_bias_buckets, h), ZEROS),
         ("dec_rel_bias", (config.relative_bias_buckets, h), ZEROS),
     ]

@@ -51,7 +51,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ParameterError
-from ..tokenizer import EOS, PAD, TokenSeq, generated_segment
+from ..tokenizer import EOS, PAD, VOCAB_SIZE, TokenSeq, generated_segment
 from .config import MAX_FRAMES, ModelConfig, stack_layers, tensor_table
 
 _NEG_INF = -1e30
@@ -600,7 +600,7 @@ def loss_and_grads(examples, params, config: ModelConfig):
     dlogits /= count
     grads = {"token_emb": (_rows(dlogits).T @ _rows(h)) * scale}
     dx, dstate = _stack_b((dlogits @ params["token_emb"]) * scale, decoder, config, grads)
-    grads["token_emb"] += _scatter_rows(ids, dx, config.vocab_size)
+    grads["token_emb"] += _scatter_rows(ids, dx, VOCAB_SIZE)
     dx, _ = _stack_b(dstate, encoder, config, grads)
     grads["arranger_emb"] = _scatter_rows(arranger_ids, dx[:, 0], config.num_arrangers)
     grads["input_proj"] = _rows(frames).T @ _rows(dx[:, 1:])

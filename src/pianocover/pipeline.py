@@ -7,7 +7,11 @@ cropped into consecutive non-overlapping 4-beat windows, emitting one
 (mel spectrogram, token sequence) training example per window. Cover
 generation runs the same windowing in the other direction: spectrogram
 in, greedy tokens out, stitched back onto the beat grid and written as
-MIDI.
+MIDI. Both directions hold one sounding note per pitch, the token
+grammar's rule, which the tokenizer owns: ``quantized_notes`` applies
+``one_note_per_pitch`` to each quantized cover, and ``stitch`` to each
+decoded piece. A cover MIDI that cannot be parsed fails its record with
+an error naming the file.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .tokenizer import (
     EOS,
     SEGMENT_HALFBEATS,
     encode_segment,
+    one_note_per_pitch,
     read_token_file,
     split_piece,
     stitch,
@@ -93,32 +98,6 @@ class BuildReport:
         return dataclasses.asdict(self)
 
 
-def _resolve_pitch_overlaps(seq: NoteSequence) -> NoteSequence:
-    """Enforce one sounding note per pitch at a time.
-
-    The token grammar has a single on/off slot per pitch, so overlapping
-    same-pitch notes cannot round-trip. A later onset clips the earlier
-    note's offset; simultaneous restrikes keep the longest.
-    """
-    by_pitch = defaultdict(list)
-    for note in seq:
-        by_pitch[note.pitch].append(note)
-    out = []
-    for pitch, notes in by_pitch.items():
-        notes.sort(key=lambda n: (n.onset, -n.offset, -n.velocity))
-        starts = [n for i, n in enumerate(notes)
-                  if i == 0 or n.onset != notes[i - 1].onset]
-        for i, note in enumerate(starts):
-            offset = note.offset
-            if i + 1 < len(starts):
-                offset = min(offset, starts[i + 1].onset)
-            if offset > note.onset:
-                out.append(Note(note.onset, pitch, offset, note.velocity))
-    return NoteSequence.build(
-        out, TimeUnit.HALF_BEATS, duration=seq.duration, validate=False
-    )
-
-
 def song_grid(audio, beats_path) -> BeatGrid:
     """The beat grid of a recording: read from beats_path when given,
     otherwise tracked from the audio."""
@@ -131,7 +110,7 @@ def quantized_notes(aligned: NoteSequence, grid: BeatGrid) -> NoteSequence:
     """A cover aligned to its recording (``align_to_audio``), quantized to
     the grid's half-beats with one sounding note per pitch, as the
     tokenizer needs it."""
-    return _resolve_pitch_overlaps(quantize(aligned, grid))
+    return one_note_per_pitch(quantize(aligned, grid))
 
 
 def _window_spans(n_samples, grid, n_windows):
@@ -171,7 +150,10 @@ def build_pair(record: PairRecord) -> BuiltPair:
     pair is beat-tracked (or reads its beat file), quantized and windowed.
     """
     built = BuiltPair(record)
-    cover = parse_smf(Path(record.cover_midi).read_bytes())
+    try:
+        cover = parse_smf(Path(record.cover_midi).read_bytes())
+    except FormatError as exc:
+        raise exc.in_file(record.cover_midi) from exc
     audio = load_wav(record.pop_audio)
     aligned = align_to_audio(cover, audio)
 
@@ -471,9 +453,7 @@ def generate_cover(job: CoverJob) -> NoteSequence:
         if not tokens.ids or tokens.ids[-1] != EOS:
             job.truncated_segments += 1
     job.windows = n_windows
-    # Decoded windows can open a pitch that is already sounding; SMF
-    # cannot represent that on one channel, so resolve before writing.
-    piece = _resolve_pitch_overlaps(stitch(segments))
+    piece = stitch(segments)
     seconds = halfbeats_to_seconds(piece, grid)
     Path(job.output).write_bytes(write_smf(seconds))
     return seconds

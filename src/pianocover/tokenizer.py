@@ -9,6 +9,12 @@ EOS. Notes that cross a segment boundary carry over: their note-off
 simply arrives in a later segment, and the decoder keeps them open in
 between. There is no tie symbol.
 
+The grammar has one on/off slot per pitch, so a piece holds at most one
+sounding note per pitch (``one_note_per_pitch``): notes of one pitch
+that share an onset keep the longest, and each note ends no later than
+the next onset of its pitch. ``stitch`` applies the rule to every piece
+it decodes, and the pipeline to every piece it quantizes.
+
 Id layout: PAD 0, EOS 1, BeatShift(k) 1+k for k in 1..100, NoteOff 102,
 NoteOn 103, Pitch(p) 104+p for p in 0..127. Size 232.
 """
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .errors import ParameterError, ValidationError, read_text
@@ -255,11 +262,42 @@ def generated_segment(ids) -> TokenSeq:
     return TokenSeq(tuple(kept))
 
 
+def one_note_per_pitch(seq: NoteSequence) -> NoteSequence:
+    """Enforce one sounding note per pitch at a time.
+
+    The token grammar has a single on/off slot per pitch, so overlapping
+    same-pitch notes cannot round-trip. A later onset clips the earlier
+    note's offset; simultaneous restrikes keep the longest.
+    """
+    by_pitch = defaultdict(list)
+    for note in seq:
+        by_pitch[note.pitch].append(note)
+    out = []
+    for pitch, notes in by_pitch.items():
+        notes.sort(key=lambda n: (n.onset, -n.offset, -n.velocity))
+        starts = [n for i, n in enumerate(notes)
+                  if i == 0 or n.onset != notes[i - 1].onset]
+        for i, note in enumerate(starts):
+            offset = note.offset
+            if i + 1 < len(starts):
+                offset = min(offset, starts[i + 1].onset)
+            if offset > note.onset:
+                out.append(Note(note.onset, pitch, offset, note.velocity))
+    return NoteSequence.build(
+        out, TimeUnit.HALF_BEATS, duration=seq.duration, validate=False
+    )
+
+
 def stitch(segments, segment_halfbeats: int = SEGMENT_HALFBEATS) -> NoteSequence:
-    """Concatenate decoded segments into one piece in absolute half-beats.
+    """Concatenate decoded segments into one piece in absolute half-beats,
+    with one sounding note per pitch.
 
     Notes left open by one segment stay open into the next; anything
-    still sounding after the final segment closes at the piece end.
+    still sounding after the final segment closes at the piece end. A
+    segment's beat shifts may run past its end, so a note it closes
+    there can still sound when a later segment strikes its pitch again;
+    that later onset ends it (``one_note_per_pitch``), so every stitched
+    piece obeys the grammar's rule.
     A ``segment_halfbeats`` (kept for the benchmark) but SEGMENT_HALFBEATS
     raises ParameterError.
     """
@@ -286,9 +324,9 @@ def stitch(segments, segment_halfbeats: int = SEGMENT_HALFBEATS) -> NoteSequence
     if tail_dropped:
         log.warning("stitch dropped %d notes opened past the piece end", tail_dropped)
     last = max((n.offset for n in notes), default=0)
-    return NoteSequence.build(
+    return one_note_per_pitch(NoteSequence.build(
         notes, TimeUnit.HALF_BEATS, duration=max(total, last)
-    )
+    ))
 
 
 def split_piece(seq: NoteSequence):

@@ -8,7 +8,7 @@ import numpy as np
 
 from pianocover.model import compute_loss, init_params, loss_and_grads
 from pianocover.model.checkpoint import MAGIC, VERSION
-from pianocover.tokenizer import EOS
+from pianocover.tokenizer import EOS, VOCAB_SIZE
 
 
 def random_model_batch(config, rng, n_examples=2, n_frames=3, target_len=6):
@@ -17,7 +17,7 @@ def random_model_batch(config, rng, n_examples=2, n_frames=3, target_len=6):
     for i in range(n_examples):
         frames = rng.normal(size=(n_frames, config.n_mels))
         ids = tuple(
-            int(t) for t in rng.integers(2, config.vocab_size, size=target_len - 1)
+            int(t) for t in rng.integers(2, VOCAB_SIZE, size=target_len - 1)
         ) + (EOS,)
         batch.append((frames, i % config.num_arrangers, ids))
     return batch
@@ -91,3 +91,13 @@ def float32_checkpoint(params, config):
         blob += struct.pack(f"<H{len(name)}sB{value.ndim}QBI", len(name), name.encode(),
                             value.ndim, *value.shape, 4, zlib.crc32(raw)) + raw
     return blob
+
+
+def checkpoint_with_config(data, **fields):
+    """The checkpoint bytes ``data`` with its config JSON's fields updated
+    by ``fields``, keys sorted as save_checkpoint writes them."""
+    start = len(MAGIC) + 4
+    (length,) = struct.unpack_from("<I", data, start)
+    config = json.loads(data[start + 4 : start + 4 + length])
+    edited = json.dumps(dict(config, **fields), sort_keys=True).encode()
+    return data[:start] + struct.pack("<I", len(edited)) + edited + data[start + 4 + length :]

@@ -345,7 +345,7 @@ def test_gradient_check_against_finite_differences(report):
 
 def test_initial_loss_near_uniform(report):
     config = desk_config()
-    expected = math.log(config.vocab_size)
+    expected = math.log(VOCAB_SIZE)
     worst = 0.0
     for seed in range(5):
         rng = np.random.default_rng(seed)
@@ -355,7 +355,7 @@ def test_initial_loss_near_uniform(report):
     report(
         "initial loss",
         worst <= 0.2,
-        f"worst |loss - ln({config.vocab_size})| = {worst:.3f} over 5 seeds (tol 0.2)",
+        f"worst |loss - ln({VOCAB_SIZE})| = {worst:.3f} over 5 seeds (tol 0.2)",
     )
 
 

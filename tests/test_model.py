@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import float32_checkpoint, gradient_check, random_model_batch
+from conftest import checkpoint_with_config, float32_checkpoint, gradient_check, random_model_batch
 from pianocover.errors import (
     DivergenceError,
     FormatError,
@@ -43,7 +43,7 @@ from pianocover import features
 from pianocover.midi import Note, NoteSequence, parse_smf, write_smf
 from pianocover.model import network, optim
 from pianocover.model.checkpoint import MAGIC, VERSION
-from pianocover.tokenizer import EOS, MAX_TOKENS, PAD, symbol
+from pianocover.tokenizer import EOS, MAX_TOKENS, PAD, VOCAB_SIZE, symbol
 
 
 def tiny_config(**overrides):
@@ -116,15 +116,13 @@ class TestConfig:
         with pytest.raises(ValidationError):
             desk_config(d_model=30, num_heads=4)
         with pytest.raises(ValidationError):
-            desk_config(vocab_size=100)
-        with pytest.raises(ValidationError):
             desk_config(d_ff=0)
         # Checked before d_model % num_heads, which would divide by zero.
         with pytest.raises(ValidationError, match="num_heads must be positive"):
             desk_config(num_heads=0)
 
     @pytest.mark.parametrize("value", [64.0, "64", None, True])
-    @pytest.mark.parametrize("field", ["d_model", "num_heads", "vocab_size", "max_decode_len"])
+    @pytest.mark.parametrize("field", ["d_model", "num_heads", "max_decode_len"])
     def test_fields_must_be_integers(self, field, value):
         message = re.escape(f"{field} must be an integer, got {value!r}")
         with pytest.raises(ValidationError, match=message):
@@ -160,6 +158,14 @@ class TestConfig:
             with pytest.raises(FormatError):
                 load_checkpoint(path)
         assert outcomes == {"built", "refused"}
+
+    def test_the_vocabulary_size_is_the_tokenizer_s(self):
+        # The token embedding's rows follow the tokenizer; no field sets them.
+        cfg = desk_config()
+        assert "vocab_size" not in cfg.to_dict()
+        assert param_shapes(cfg)["token_emb"] == (VOCAB_SIZE, cfg.d_model)
+        with pytest.raises(TypeError):
+            desk_config(vocab_size=VOCAB_SIZE)
 
     def test_decoder_bounds(self):
         # Each bound holds at its edge and fails one step past it.
@@ -434,7 +440,7 @@ class TestDecodeStep:
     def test_logits_shape_and_softmax(self):
         cfg, params, state, _ = self._setup()
         logits = decode_step(state, [5, 104, 103], params, cfg)
-        assert logits.shape == (cfg.vocab_size,)
+        assert logits.shape == (VOCAB_SIZE,)
         probs = np.exp(logits - logits.max())
         probs /= probs.sum()
         assert abs(float(probs.sum()) - 1.0) < 1e-6
@@ -447,14 +453,14 @@ class TestDecodeStep:
 
     def test_matches_full_forward(self):
         cfg, params, state, rng = self._setup(1)
-        prefix = [int(t) for t in rng.integers(2, cfg.vocab_size, size=7)]
+        prefix = [int(t) for t in rng.integers(2, VOCAB_SIZE, size=7)]
         logits, _ = network.decoder_forward([PAD] + prefix, state, params, cfg)
         assert np.array_equal(decode_step(state, prefix, params, cfg), logits[-1])
 
     def test_causality_exact(self):
         # Perturbing position j leaves every logit row before j bit-identical.
         cfg, params, state, rng = self._setup(2)
-        ids = [int(t) for t in rng.integers(2, cfg.vocab_size, size=12)]
+        ids = [int(t) for t in rng.integers(2, VOCAB_SIZE, size=12)]
         base, _ = network.decoder_forward([PAD] + ids, state, params, cfg)
         for j in (0, 4, 11):
             mutated = list(ids)
@@ -717,7 +723,7 @@ class TestLoss:
             batch = []
             for i in range(3):
                 frames = rng.normal(size=(3, cfg.n_mels))
-                ids = tuple(int(t) for t in rng.integers(0, cfg.vocab_size, size=10))
+                ids = tuple(int(t) for t in rng.integers(0, VOCAB_SIZE, size=10))
                 batch.append((frames, i % cfg.num_arrangers, ids))
             loss = compute_loss(batch, params, cfg)
             assert abs(loss - math.log(232)) < 0.2
@@ -771,7 +777,7 @@ class TestGradients:
         batch = []
         counts = [12, 5, 20, 9]
         for i, (n_frames, count, n_pad) in enumerate(zip([3, 9, 6, 1], counts, [0, 0, 0, 2])):
-            ids = tuple(int(t) for t in rng.integers(2, cfg.vocab_size, size=count - 1))
+            ids = tuple(int(t) for t in rng.integers(2, VOCAB_SIZE, size=count - 1))
             ids += (EOS,) + (PAD,) * n_pad
             batch.append((rng.normal(size=(n_frames, cfg.n_mels)), i % 3, ids))
         loss, grads = loss_and_grads(batch, params, cfg)
@@ -838,7 +844,7 @@ class TestGradients:
         enc = n * (6 * d + cfg.d_ff + heads * n)
         dec = m * (9 * d + cfg.d_ff + heads * (m + n)) + n * 2 * d
         per_example = (cfg.num_encoder_layers * enc + cfg.num_decoder_layers * dec
-                       + m * cfg.vocab_size)
+                       + m * VOCAB_SIZE)
         kept = 8 * len(batch) * per_example
         # The forward peaks about 1.2x over it (padded frames, norm caches
         # and one sublayer's or the cross entropy's temporaries). Keeping
@@ -958,6 +964,39 @@ class TestCheckpoint:
         wrong.write_bytes(b"X" + blob[1:])
         with pytest.raises(FormatError):
             load_checkpoint(wrong)
+
+    def test_checkpoint_naming_the_vocabulary_size_loads(self, tmp_path):
+        # Checkpoints written while vocab_size was a config field name it.
+        cfg = tiny_config()
+        params = init_params(cfg, seed=7)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, cfg)
+        assert b"vocab_size" not in path.read_bytes()
+        path.write_bytes(checkpoint_with_config(path.read_bytes(), vocab_size=VOCAB_SIZE))
+        loaded, loaded_cfg = load_checkpoint(path)
+        assert loaded_cfg == cfg
+        assert all(np.array_equal(loaded[name], params[name]) for name in params)
+
+    @pytest.mark.parametrize("value", [100, VOCAB_SIZE + 1, float(VOCAB_SIZE), True,
+                                       str(VOCAB_SIZE), None])
+    def test_other_vocabulary_sizes_are_refused(self, tmp_path, value):
+        cfg = tiny_config()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, init_params(cfg, seed=7), cfg)
+        path.write_bytes(checkpoint_with_config(path.read_bytes(), vocab_size=value))
+        message = re.escape(f"{path}: bad checkpoint config: vocab_size must be "
+                            f"{VOCAB_SIZE}, got {value!r}")
+        with pytest.raises(FormatError, match=message):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("config", [b"[1, 2]", b'"d_model"', b"64", b"null"])
+    def test_config_that_is_no_object_is_a_format_error(self, tmp_path, config):
+        path = tmp_path / "odd.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<II", VERSION, len(config)) + config
+                         + struct.pack("<I", 0))
+        with pytest.raises(FormatError, match="odd.ckpt: bad checkpoint config: config "
+                                              "must be a JSON object"):
+            load_checkpoint(path)
 
     def test_deeply_nested_config_is_a_format_error(self, tmp_path):
         config = b"[" * 100_000

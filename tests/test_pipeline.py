@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 import scipy.io.wavfile
 
-from conftest import float32_checkpoint, fmt_chunk, wav_bytes
+from conftest import checkpoint_with_config, float32_checkpoint, fmt_chunk, wav_bytes
 from pianocover import cli, features, pipeline, sync
 from pianocover.beats import BeatGrid, halfbeats_to_seconds, read_beat_file, write_beat_file
 from pianocover.cli import main
@@ -55,7 +55,6 @@ from pianocover.pipeline import (
     generate_cover,
     load_dataset,
     render_sine_audio,
-    _resolve_pitch_overlaps,
     _window_spans,
     _window_spectrogram,
     save_dataset,
@@ -406,6 +405,15 @@ class TestBuildPair:
         assert entry["status"] == "failed"
         assert "unexpected end of data" in entry["reason"]
 
+    def test_truncated_cover_is_named_in_the_report(self, tmp_path):
+        record, _, _, _ = make_pair(tmp_path, np.random.default_rng(1))
+        mid = tmp_path / "cut.mid"
+        mid.write_bytes(Path(record.cover_midi).read_bytes()[:-7])
+        build_dataset([dataclasses.replace(record, cover_midi=str(mid))], tmp_path / "ds")
+        entry = json.loads((tmp_path / "ds" / "dataset.json").read_text())["report"]["entries"][0]
+        assert entry["status"] == "failed"
+        assert entry["reason"].startswith(f"{mid}: unexpected end of data")
+
     def test_examples_decode_within_window(self, tmp_path):
         rng = np.random.default_rng(2)
         record, _, _, _ = make_pair(tmp_path, rng, name="win")
@@ -706,10 +714,20 @@ class TestGenerateCover:
         segments = [greedy_generate(spec, job.arranger_id, params, config) for spec in specs]
         stopped = [tokens.ids[-1] == EOS for tokens in segments]
         assert any(stopped) and not all(stopped)
-        piece = _resolve_pitch_overlaps(stitch(segments))
+        piece = stitch(segments)
         expected = write_smf(halfbeats_to_seconds(piece, grid))
         assert (tmp_path / "cover.mid").read_bytes() == expected
         assert (job.windows, job.truncated_segments) == (4, stopped.count(False))
+
+    def test_checkpoint_naming_the_vocabulary_size_writes_the_same_cover(self, tmp_path):
+        # Checkpoints written while vocab_size was a config field name it.
+        job, _, _ = self._job(tmp_path, np.random.default_rng(7))
+        generate_cover(job)
+        first = (tmp_path / "cover.mid").read_bytes()
+        ckpt = Path(job.checkpoint)
+        ckpt.write_bytes(checkpoint_with_config(ckpt.read_bytes(), vocab_size=232))
+        generate_cover(dataclasses.replace(job, output=str(tmp_path / "again.mid")))
+        assert (tmp_path / "again.mid").read_bytes() == first
 
     def test_exactly_four_beats_is_one_window(self, tmp_path):
         job, grid, _ = self._job(tmp_path, np.random.default_rng(8), n_beats=4)
@@ -928,13 +946,7 @@ def _eight_bit_wav(inputs):
 def _checkpoint_config(**fields):
     """The valid checkpoint with its config JSON overriding fields."""
     def content(inputs):
-        data = Path(inputs["ckpt"]).read_bytes()
-        start = len(MAGIC) + 4
-        (length,) = struct.unpack_from("<I", data, start)
-        config = json.loads(data[start + 4 : start + 4 + length])
-        edited = json.dumps(dict(config, **fields), sort_keys=True).encode()
-        return (data[:start] + struct.pack("<I", len(edited)) + edited
-                + data[start + 4 + length :])
+        return checkpoint_with_config(Path(inputs["ckpt"]).read_bytes(), **fields)
     return content
 
 
@@ -1084,6 +1096,9 @@ CONTRACT_ROWS = [
     _row("ckpt-float-field", "cover {wav} {out} --arranger 0 --checkpoint {bad}",
          "model.ckpt: bad checkpoint config: d_model must be an integer, got 64.0",
          "model.ckpt", _checkpoint_config(d_model=64.0)),
+    _row("ckpt-vocab-size", "cover {wav} {out} --arranger 0 --checkpoint {bad}",
+         "model.ckpt: bad checkpoint config: vocab_size must be 232, got 100", "model.ckpt",
+         _checkpoint_config(vocab_size=100)),
     _row("ckpt-dead-mel-channels", "cover {wav} {out} --arranger 0 --checkpoint {bad}",
          "model.ckpt: the model reads 800 mel channels; the frontend makes 128",
          "model.ckpt", _checkpoint_with_mels(800)),
@@ -1166,6 +1181,8 @@ CONTRACT_ROWS = [
          "train.cfg:2: cannot read epochs = 'ten' as int", "train.cfg", b"# run\nepochs = ten\n"),
     _row("config-optimizer", "train {ds} {bad} {out}",
          "train.cfg:1: unknown key 'optimizer'", "train.cfg", b"optimizer = adafactor\n"),
+    _row("config-vocab-size", "train {ds} {bad} {out}",
+         "train.cfg:1: unknown key 'vocab_size'", "train.cfg", b"vocab_size = 232\n"),
     _row("config-not-utf8", "train {ds} {bad} {out}",
          "train.cfg: not UTF-8 text (at byte offset 11)", "train.cfg", b"epochs = 2\n\xff\n"),
     _row("config-max-decode-len", "train {ds} {bad} {out}",
@@ -1257,6 +1274,17 @@ class TestCli:
         assert main(["tokenize", str(src), str(tokens)]) == 0
         assert main(["detokenize", str(tokens), str(out)]) == 0
         assert parse_smf(out.read_bytes()).notes == seconds.notes
+
+    def test_detokenize_writes_one_note_per_pitch(self, tmp_path):
+        # The first line closes its C4 at half-beat 9, past its own end; the
+        # second strikes C4 again at half-beat 8, which ends the first note.
+        tokens = tmp_path / "piece.tokens"
+        tokens.write_text("164 103 10 164 102 1\n164 103 5 164 102 1\n")
+        out = tmp_path / "piece.mid"
+        assert main(["detokenize", str(tokens), str(out), "--bpm", "120"]) == 0
+        notes = parse_smf(out.read_bytes()).notes
+        assert [(n.onset, n.pitch, n.offset) for n in notes] == [(0.0, 60, 2.0),
+                                                                 (2.0, 60, 3.0)]
 
     def test_sync_and_filter_commands(self, tmp_path):
         rng = np.random.default_rng(13)

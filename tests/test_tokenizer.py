@@ -21,6 +21,7 @@ from pianocover.tokenizer import (
     encode_piece,
     encode_segment,
     generated_segment,
+    one_note_per_pitch,
     pitch_id,
     read_token_file,
     split_piece,
@@ -306,6 +307,87 @@ class TestStitch:
         seg0 = TokenSeq((pitch_id(60), NOTE_ON, EOS))
         out = stitch([seg0, TokenSeq((EOS,))])
         assert [(n.onset, n.offset) for n in out] == [(0, 16)]
+
+    def test_a_later_segment_ends_a_note_still_sounding(self):
+        # The first segment's shifts close its note past its own end, at 9;
+        # the second strikes the same pitch at 8.
+        segments = [TokenSeq((pitch_id(60), NOTE_ON, beat_shift_id(9), pitch_id(60),
+                              NOTE_OFF, EOS)),
+                    TokenSeq((pitch_id(60), NOTE_ON, beat_shift_id(4), pitch_id(60),
+                              NOTE_OFF, EOS))]
+        out = stitch(segments)
+        assert [(n.onset, n.pitch, n.offset) for n in out] == [(0, 60, 8), (8, 60, 12)]
+        assert out.duration == 16
+
+    def test_generated_streams_stitch_to_one_note_per_pitch(self, caplog):
+        # Random decoder rows over six pitches, made into segments the way
+        # generate_cover makes them.
+        rng = np.random.default_rng(43)
+        vocabulary = ([pitch_id(p) for p in (60, 61, 62, 64, 65, 67)] * 3
+                      + [beat_shift_id(k) for k in range(1, 13)] + [NOTE_ON, NOTE_OFF] * 4
+                      + [EOS])
+        overlapping = 0
+        with caplog.at_level(logging.ERROR, logger="pianocover"):
+            for _ in range(2000):
+                segments = [generated_segment(rng.choice(vocabulary,
+                                                         size=int(rng.integers(1, 30))))
+                            for _ in range(int(rng.integers(1, 5)))]
+                by_pitch = {}
+                for n in stitch(segments):
+                    by_pitch.setdefault(n.pitch, []).append(n)
+                for notes in by_pitch.values():
+                    overlapping += any(a.offset > b.onset for a, b in zip(notes, notes[1:]))
+        assert overlapping == 0
+
+
+def one_note_per_pitch_reference(seq):
+    """The rule by its definition, as (onset, pitch, offset, velocity) rows:
+    of the notes of one pitch on one onset the longest stays (the louder
+    of equally long ones), and each ends no later than the next onset of
+    its pitch; a note that this leaves no length is gone."""
+    longest = {}
+    for n in seq:
+        key = (n.pitch, n.onset)
+        longest[key] = max(longest.get(key, (n.offset, n.velocity)), (n.offset, n.velocity))
+    rows = set()
+    for (pitch, onset), (offset, velocity) in longest.items():
+        later = [t for p, t in longest if p == pitch and t > onset]
+        offset = min([offset, *later])
+        if offset > onset:
+            rows.add((onset, pitch, offset, velocity))
+    return rows
+
+
+def random_restruck_piece(rng):
+    """A half-beat piece over four pitches whose notes overlap, share
+    onsets and restrike one another."""
+    notes = []
+    for _ in range(int(rng.integers(0, 30))):
+        onset = int(rng.integers(0, 40))
+        notes.append(Note(onset, int(rng.choice([60, 61, 64, 67])),
+                          onset + int(rng.integers(0, 12)), int(rng.integers(1, 128))))
+    return hb_seq([n for n in notes if n.offset > n.onset])
+
+
+class TestOneNotePerPitch:
+    def test_matches_the_definition(self):
+        rng = np.random.default_rng(41)
+        changed = 0
+        for _ in range(500):
+            piece = random_restruck_piece(rng)
+            got = one_note_per_pitch(piece)
+            assert {(n.onset, n.pitch, n.offset, n.velocity) for n in got} == \
+                one_note_per_pitch_reference(piece)
+            assert got.duration == piece.duration and got.time_unit is HB
+            changed += got.notes != piece.notes
+        # The pieces exercise the rule: most lose or clip a note.
+        assert changed > 250
+
+    def test_is_idempotent(self):
+        rng = np.random.default_rng(42)
+        for _ in range(300):
+            once = one_note_per_pitch(random_restruck_piece(rng))
+            assert one_note_per_pitch(once) == once
 
 
 class TestFullRoundTrip:
