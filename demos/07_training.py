@@ -23,6 +23,7 @@ from pianocover.model import (
     init_params,
     train,
 )
+from pianocover.model.config import N_MELS
 from pianocover.tokenizer import VOCAB_SIZE, encode_segment
 
 # A small configuration, enough to memorize a handful of segments.
@@ -32,7 +33,6 @@ config = desk_config(
     d_ff=64,
     num_encoder_layers=1,
     num_decoder_layers=1,
-    n_mels=16,
     num_arrangers=2,
     relative_bias_buckets=8,
     relative_bias_max_distance=16,
@@ -41,9 +41,10 @@ config = desk_config(
 params = init_params(config, seed=0)
 print(f"{len(params)} parameter tensors, {count_params(config):,} parameters")
 
-# One training pair: a random spectrogram and a real token target.
+# One training pair: a random spectrogram of N_MELS log-mel channels per
+# frame, the frontend's fixed width, and a real token target.
 rng = np.random.default_rng(0)
-frames = rng.normal(size=(8, config.n_mels))
+frames = rng.normal(size=(8, N_MELS))
 target = encode_segment(
     NoteSequence.build(
         [Note(t, 60 + 2 * t, t + 2) for t in range(6)], TimeUnit.HALF_BEATS

@@ -45,7 +45,7 @@ class BeatGrid:
     half-beat grid (length exactly 2 * len(beats))."""
 
     beats: np.ndarray
-    half_beats: np.ndarray = field(default=None)
+    half_beats: np.ndarray = field(init=False)
 
     def __post_init__(self):
         beats = np.asarray(self.beats, dtype=np.float64)

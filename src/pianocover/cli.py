@@ -88,8 +88,7 @@ def cmd_filter(args) -> int:
     seq = _load_midi(args.aligned)
     contour = read_f0_csv(args.f0)
     mca = melody_chroma_accuracy(contour, midi_topline(seq, contour.times))
-    cover_len = args.cover_seconds if args.cover_seconds is not None else seq.duration
-    report = filter_pair(mca, args.pop_seconds, cover_len)
+    report = filter_pair(mca, args.pop_seconds, args.cover_seconds)
     payload = dataclasses.asdict(report)
     payload["verdict"] = report.verdict.value
     payload["reasons"] = list(report.reasons)
@@ -286,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("filter", help="melody/length filter report for an aligned pair")
     p.add_argument("aligned"), p.add_argument("f0")
     p.add_argument("--pop-seconds", type=float, required=True)
-    p.add_argument("--cover-seconds", type=float)
+    p.add_argument("--cover-seconds", type=float, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_filter)
 

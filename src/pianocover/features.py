@@ -2,7 +2,8 @@
 
 Frontend parameters are fixed by the downstream model contract: 22050 Hz
 sample rate, 4096-sample Hann window, 1024-sample hop, power (squared
-magnitude) pooled by the mel filters, HTK mel scale over [0, 11025] Hz with
+magnitude) pooled by N_MELS = 128 mel filters (the encoder's input width,
+which ``model.config`` defines), HTK mel scale over [0, 11025] Hz with
 area-normalized triangles, log floor 1e-6.  Frames are fully interior (no
 center padding) so frame k covers samples [k*hop, k*hop + window) exactly.
 Spectra are computed in cache-sized blocks of frames (``pooled_stft``),
@@ -44,11 +45,11 @@ from numpy.fft import rfft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ByteCursor, FormatError, ParameterError
+from .model.config import N_MELS
 
 SAMPLE_RATE = 22050
 WINDOW = 4096
 HOP = 1024
-N_MELS = 128
 LOG_FLOOR = 1e-6
 # The highest sample rate a WAV file may declare and ``render --rate`` may
 # ask for (the top rate of common audio interfaces).  Resampling from a

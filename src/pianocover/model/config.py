@@ -1,4 +1,7 @@
-"""Model and training configuration, and the table of the model's tensors."""
+"""Model and training configuration, and the table of the model's tensors.
+
+N_MELS, the encoder's input width, is the contract that ``features``
+imports and computes to; like VOCAB_SIZE, it is no ``ModelConfig`` field."""
 
 from __future__ import annotations
 
@@ -31,6 +34,12 @@ MAX_LAYERS = 4096
 # the bound a 100 000-frame mel asks for a 75 GiB relative-position matrix.
 MAX_FRAMES = 512
 
+# Log-mel channels in each frame the encoder reads.
+N_MELS = 128
+
+# Former fields that old checkpoints name, each at its one legal value.
+_RETIRED_KEYS = {"vocab_size": VOCAB_SIZE, "n_mels": N_MELS}
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -39,7 +48,6 @@ class ModelConfig:
     d_ff: int = 256
     num_encoder_layers: int = 2
     num_decoder_layers: int = 2
-    n_mels: int = 128
     num_arrangers: int = 21
     relative_bias_buckets: int = 32
     relative_bias_max_distance: int = 128
@@ -95,14 +103,16 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d):
         """The config a checkpoint's JSON object names. The vocabulary size
-        is the tokenizer's, not a field; checkpoints written while it was
-        one name it as "vocab_size", which is read only at VOCAB_SIZE."""
+        and the mel count are constants, not fields; checkpoints written
+        while they were fields name them as "vocab_size" and "n_mels",
+        each read only as the integer VOCAB_SIZE or N_MELS."""
         if not isinstance(d, dict):
             raise ValidationError(f"config must be a JSON object, got {type(d).__name__}")
         d = dict(d)
-        vocab_size = d.pop("vocab_size", VOCAB_SIZE)
-        if type(vocab_size) is not int or vocab_size != VOCAB_SIZE:
-            raise ValidationError(f"vocab_size must be {VOCAB_SIZE}, got {vocab_size!r}")
+        for key, constant in _RETIRED_KEYS.items():
+            value = d.pop(key, constant)
+            if type(value) is not int or value != constant:
+                raise ValidationError(f"{key} must be {constant}, got {value!r}")
         return cls(**d)
 
 
@@ -120,7 +130,6 @@ def paper_scale_config() -> ModelConfig:
         d_ff=2048,
         num_encoder_layers=8,
         num_decoder_layers=8,
-        n_mels=128,  # features.N_MELS, which model/ may not import
         num_arrangers=21,
     )
 
@@ -181,7 +190,7 @@ def tensor_table(config: ModelConfig):
     ffn = [((d, ff), d**-0.5), ((ff, d), ff**-0.5)]
     sizes = {"self": attention, "cross": attention, "ffn": ffn}
     table = [
-        ("input_proj", (config.n_mels, d), config.n_mels**-0.5),
+        ("input_proj", (N_MELS, d), N_MELS**-0.5),
         ("arranger_emb", (config.num_arrangers, d), 1.0),
         # With the tied d_model**-0.5 scaled head, initial logits have std
         # about 0.2: the loss starts within hundredths of ln(VOCAB_SIZE).

@@ -52,7 +52,7 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..tokenizer import EOS, PAD, VOCAB_SIZE, TokenSeq, generated_segment
-from .config import MAX_FRAMES, ModelConfig, stack_layers, tensor_table
+from .config import MAX_FRAMES, N_MELS, ModelConfig, stack_layers, tensor_table
 
 _NEG_INF = -1e30
 _NORM_EPS = 1e-6
@@ -319,30 +319,28 @@ def _frames_of(spectrogram):
 
 
 def _pad_frames(frame_list, arranger_ids, config):
-    """Checked encoder inputs: frames padded with zeros to (B, F, n_mels),
+    """Checked encoder inputs: frames padded with zeros to (B, F, N_MELS),
     each example's frame count, and the arranger ids."""
     for frames, arranger_id in zip(frame_list, arranger_ids):
         if not 0 <= arranger_id < config.num_arrangers:
             raise ParameterError(
                 f"arranger id {arranger_id} outside [0, {config.num_arrangers})"
             )
-        if frames.ndim != 2 or frames.shape[1] != config.n_mels:
-            raise ParameterError(
-                f"expected frames shaped (t, {config.n_mels}), got {frames.shape}"
-            )
+        if frames.ndim != 2 or frames.shape[1] != N_MELS:
+            raise ParameterError(f"expected frames shaped (t, {N_MELS}), got {frames.shape}")
         if len(frames) > MAX_FRAMES:
             raise ParameterError(
                 f"{len(frames)} frames are over the encoder budget of {MAX_FRAMES}"
             )
     lengths = np.array([len(frames) for frames in frame_list])
-    padded = np.zeros((len(frame_list), lengths.max(), config.n_mels))
+    padded = np.zeros((len(frame_list), lengths.max(), N_MELS))
     for row, frames in zip(padded, frame_list):
         row[: len(frames)] = frames
     return padded, lengths, np.array(arranger_ids)
 
 
 def _encoder_batch(frames, lengths, arranger_ids, params, config):
-    """Encoder states (B, 1 + F, d) for frames padded to (B, F, n_mels).
+    """Encoder states (B, 1 + F, d) for frames padded to (B, F, N_MELS).
 
     Also returns the key mask that hides each example's padded rows, or
     None, for the decoder's cross-attention."""

@@ -419,18 +419,14 @@ class CoverJob:
     output: str
     beats: str | None = None
     # Filled in by generate_cover:
-    windows: int = 0
-    truncated_segments: int = 0
+    windows: int = field(default=0, init=False)
+    truncated_segments: int = field(default=0, init=False)
 
 
 def generate_cover(job: CoverJob) -> NoteSequence:
     """Window the audio by 4 beats, decode the windows in lockstep, stitch,
-    write MIDI. A model that reads other than N_MELS mels is refused
-    before the audio is read."""
+    write MIDI."""
     params, config = load_checkpoint(job.checkpoint)
-    if config.n_mels != N_MELS:
-        raise ValidationError(f"{job.checkpoint}: the model reads {config.n_mels} mel "
-                              f"channels; the frontend makes {N_MELS}")
     audio = load_wav(job.audio)
     grid = song_grid(audio, job.beats)
     n_windows = len(grid.half_beats) // WINDOW_HALFBEATS
@@ -449,9 +445,7 @@ def generate_cover(job: CoverJob) -> NoteSequence:
     _check_window_frames(spans)
     specs = [_window_spectrogram(audio, lo, hi) for lo, hi in spans]
     segments = greedy_generate_windows(specs, job.arranger_id, params, config)
-    for tokens in segments:
-        if not tokens.ids or tokens.ids[-1] != EOS:
-            job.truncated_segments += 1
+    job.truncated_segments = sum(not tokens.ids or tokens.ids[-1] != EOS for tokens in segments)
     job.windows = n_windows
     piece = stitch(segments)
     seconds = halfbeats_to_seconds(piece, grid)

@@ -8,6 +8,7 @@ import numpy as np
 
 from pianocover.model import compute_loss, init_params, loss_and_grads
 from pianocover.model.checkpoint import MAGIC, VERSION
+from pianocover.model.config import N_MELS
 from pianocover.tokenizer import EOS, VOCAB_SIZE
 
 
@@ -15,7 +16,7 @@ def random_model_batch(config, rng, n_examples=2, n_frames=3, target_len=6):
     """Random (frames, arranger_id, target ids) triples, EOS-terminated."""
     batch = []
     for i in range(n_examples):
-        frames = rng.normal(size=(n_frames, config.n_mels))
+        frames = rng.normal(size=(n_frames, N_MELS))
         ids = tuple(
             int(t) for t in rng.integers(2, VOCAB_SIZE, size=target_len - 1)
         ) + (EOS,)

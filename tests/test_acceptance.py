@@ -36,6 +36,7 @@ from pianocover.model import (
     save_checkpoint,
     train,
 )
+from pianocover.model.config import N_MELS
 from pianocover.pipeline import PairRecord, build_pair, eval_stats, render_sine_audio
 from pianocover.sync import Chromagram, align_to_audio, chroma_cost, dtw
 from pianocover.tokenizer import (
@@ -318,7 +319,6 @@ def test_gradient_check_against_finite_differences(report):
         d_ff=32,
         num_encoder_layers=1,
         num_decoder_layers=1,
-        n_mels=8,
         num_arrangers=3,
         relative_bias_buckets=8,
         relative_bias_max_distance=16,
@@ -381,7 +381,7 @@ def test_memorizes_eight_pairs(report):
     rng = np.random.default_rng(0)
     config = desk_config()
     dataset = [
-        (rng.normal(size=(10, config.n_mels)), i, _random_segment_tokens(rng))
+        (rng.normal(size=(10, N_MELS)), i, _random_segment_tokens(rng))
         for i in range(8)
     ]
     t0 = time.monotonic()
@@ -423,7 +423,6 @@ def test_arranger_token_controls_density(report):
         d_ff=64,
         num_encoder_layers=1,
         num_decoder_layers=1,
-        n_mels=16,
         num_arrangers=2,
         relative_bias_buckets=8,
         relative_bias_max_distance=16,
@@ -433,7 +432,7 @@ def test_arranger_token_controls_density(report):
     results = []
     for seed in range(10):
         rng = np.random.default_rng(1000 + seed)
-        frames = rng.normal(size=(8, config.n_mels))
+        frames = rng.normal(size=(8, N_MELS))
         dataset = [(frames, 0, sparse), (frames, 1, dense)]
         train_config = TrainConfig(
             epochs=1500, batch_size=2, learning_rate=0.001, seed=seed

@@ -45,6 +45,10 @@ class TestBeatGrid:
         g = BeatGrid(np.array([0.0, 0.4, 1.0]))
         np.testing.assert_allclose(g.half_beats, [0.0, 0.2, 0.4, 0.7, 1.0, 1.3])
 
+    def test_half_beats_are_derived_not_given(self):
+        with pytest.raises(TypeError, match="half_beats"):
+            BeatGrid(np.array([0.0, 0.5, 1.0]), half_beats=np.zeros(6))
+
     def test_rejects_bad_grids(self):
         with pytest.raises(ValidationError):
             BeatGrid(np.array([0.0]))

@@ -9,7 +9,6 @@ import shutil
 import struct
 import subprocess
 import sys
-import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -147,7 +146,6 @@ def toy_checkpoint(tmp_path, seed=0, **overrides):
         d_ff=64,
         num_encoder_layers=1,
         num_decoder_layers=1,
-        n_mels=N_MELS,
         num_arrangers=4,
         relative_bias_buckets=8,
         relative_bias_max_distance=20,
@@ -720,14 +718,29 @@ class TestGenerateCover:
         assert (job.windows, job.truncated_segments) == (4, stopped.count(False))
 
     def test_checkpoint_naming_the_vocabulary_size_writes_the_same_cover(self, tmp_path):
-        # Checkpoints written while vocab_size was a config field name it.
+        # Checkpoints written while vocab_size and n_mels were config fields
+        # name both.
         job, _, _ = self._job(tmp_path, np.random.default_rng(7))
         generate_cover(job)
         first = (tmp_path / "cover.mid").read_bytes()
         ckpt = Path(job.checkpoint)
-        ckpt.write_bytes(checkpoint_with_config(ckpt.read_bytes(), vocab_size=232))
+        ckpt.write_bytes(checkpoint_with_config(ckpt.read_bytes(), vocab_size=232, n_mels=128))
         generate_cover(dataclasses.replace(job, output=str(tmp_path / "again.mid")))
         assert (tmp_path / "again.mid").read_bytes() == first
+
+    def test_counters_are_outputs(self, tmp_path):
+        job, _, _ = self._job(tmp_path, np.random.default_rng(9))
+        inputs = dict(audio=job.audio, arranger_id=1, checkpoint=job.checkpoint,
+                      output=job.output)
+        for counter in ("windows", "truncated_segments"):
+            with pytest.raises(TypeError, match=counter):
+                CoverJob(**inputs, **{counter: 5})
+        generate_cover(job)
+        first = (job.windows, job.truncated_segments)
+        assert first[1] > 0
+        # A job run again reports that run's counts.
+        generate_cover(job)
+        assert (job.windows, job.truncated_segments) == first
 
     def test_exactly_four_beats_is_one_window(self, tmp_path):
         job, grid, _ = self._job(tmp_path, np.random.default_rng(8), n_beats=4)
@@ -742,7 +755,8 @@ class TestGenerateCover:
             params, config = load_checkpoint(job.checkpoint)
             Path(job.checkpoint).write_bytes(float32_checkpoint(params, config))
         else:
-            toy_checkpoint(tmp_path, n_mels=800)
+            ckpt = Path(job.checkpoint)
+            ckpt.write_bytes(checkpoint_with_config(ckpt.read_bytes(), n_mels=800))
         job.audio = str(tmp_path / "missing.wav")
         with pytest.raises(PianoCoverError) as exc:
             generate_cover(job)
@@ -976,14 +990,6 @@ _FAR_END_OF_TRACK = (b"MThd" + struct.pack(">IHHH", 6, 0, 1, 1) + b"MTrk"
                                                       0xC0, 0x80, 0, 0xFF, 0x2F, 0]))
 
 
-def _checkpoint_with_mels(n_mels):
-    """A valid checkpoint of a model that reads n_mels mel channels."""
-    def content(inputs):
-        with tempfile.TemporaryDirectory() as tmp:
-            return toy_checkpoint(Path(tmp), n_mels=n_mels)[0].read_bytes()
-    return content
-
-
 def _float32_checkpoint(inputs):
     """The valid checkpoint with its tensors stored as float32."""
     params, config = load_checkpoint(inputs["ckpt"])
@@ -1047,7 +1053,7 @@ CONTRACT_ROWS = [
          "song.mid: unexpected end of data", "song.mid", b""),
     _row("mid-over-dtw-budget", "sync {wav} {bad} {out} --beats {beats}",
          "DTW cells, over the budget of 36000000", "song.mid", _cover_over_the_dtw_budget),
-    _row("mid-truncated", "filter {bad} {f0} --pop-seconds 8",
+    _row("mid-truncated", "filter {bad} {f0} --pop-seconds 8 --cover-seconds 8",
          "song.mid: unexpected end of data", "song.mid", _first_half("mid")),
     _row("mid-not-smf", "tokenize {bad} {out}",
          "song.mid: missing MThd header", "song.mid", b"hello world"),
@@ -1100,8 +1106,8 @@ CONTRACT_ROWS = [
          "model.ckpt: bad checkpoint config: vocab_size must be 232, got 100", "model.ckpt",
          _checkpoint_config(vocab_size=100)),
     _row("ckpt-dead-mel-channels", "cover {wav} {out} --arranger 0 --checkpoint {bad}",
-         "model.ckpt: the model reads 800 mel channels; the frontend makes 128",
-         "model.ckpt", _checkpoint_with_mels(800)),
+         "model.ckpt: bad checkpoint config: n_mels must be 128, got 800", "model.ckpt",
+         _checkpoint_config(n_mels=800)),
     _row("ckpt-float32", "cover {wav} {out} --arranger 0 --checkpoint {bad}",
          "model.ckpt: tensor 'input_proj' has dtype code 4; only 8 (float64) is read",
          "model.ckpt", _float32_checkpoint),
@@ -1134,13 +1140,13 @@ CONTRACT_ROWS = [
          f"window 0 spans 637 mel frames, over the encoder budget of {MAX_FRAMES}",
          "song.beats", b"0.25\n7.75\n15.25\n22.75\n"),
     # f0 CSV
-    _row("f0-infinite", "filter {mid} {bad} --pop-seconds 8",
+    _row("f0-infinite", "filter {mid} {bad} --pop-seconds 8 --cover-seconds 8",
          "melody.csv: times and f0 values must be finite", "melody.csv", _with_f0(b"inf")),
     _row("f0-nan", "stats {mid} --f0 {bad}",
          "melody.csv: times and f0 values must be finite", "melody.csv", _with_f0(b"nan")),
-    _row("f0-empty", "filter {mid} {bad} --pop-seconds 8",
+    _row("f0-empty", "filter {mid} {bad} --pop-seconds 8 --cover-seconds 8",
          "melody.csv: expected header 'time,frequency'", "melody.csv", b""),
-    _row("f0-truncated", "filter {mid} {bad} --pop-seconds 8",
+    _row("f0-truncated", "filter {mid} {bad} --pop-seconds 8 --cover-seconds 8",
          "melody.csv:3: expected two columns", "melody.csv",
          b"time,frequency\n0.0,440.0\n0.02"),
     _row("f0-not-utf8", "stats {mid} --f0 {bad}",
@@ -1183,6 +1189,8 @@ CONTRACT_ROWS = [
          "train.cfg:1: unknown key 'optimizer'", "train.cfg", b"optimizer = adafactor\n"),
     _row("config-vocab-size", "train {ds} {bad} {out}",
          "train.cfg:1: unknown key 'vocab_size'", "train.cfg", b"vocab_size = 232\n"),
+    _row("config-n-mels", "train {ds} {bad} {out}",
+         "train.cfg:1: unknown key 'n_mels'", "train.cfg", b"n_mels = 128\n"),
     _row("config-not-utf8", "train {ds} {bad} {out}",
          "train.cfg: not UTF-8 text (at byte offset 11)", "train.cfg", b"epochs = 2\n\xff\n"),
     _row("config-max-decode-len", "train {ds} {bad} {out}",
@@ -1226,14 +1234,16 @@ CONTRACT_ROWS = [
          "--rate must be a finite number above 0"),
     _row("rate-not-an-integer", "render {mid} {out} --rate 1.5",
          "argument --rate: invalid int value: '1.5'"),
-    _row("pop-seconds-nan", "filter {mid} {f0} --pop-seconds nan",
+    _row("pop-seconds-nan", "filter {mid} {f0} --pop-seconds nan --cover-seconds 8",
          "--pop-seconds must be a finite number above 0"),
     _row("cover-seconds-nan", "filter {mid} {f0} --pop-seconds 8 --cover-seconds nan",
          "--cover-seconds must be a finite number above 0"),
     _row("cover-seconds-zero", "filter {mid} {f0} --pop-seconds 8 --cover-seconds 0",
          "--cover-seconds must be a finite number above 0"),
-    _row("pop-seconds-missing", "filter {mid} {f0}",
+    _row("pop-seconds-missing", "filter {mid} {f0} --cover-seconds 8",
          "the following arguments are required: --pop-seconds"),
+    _row("cover-seconds-missing", "filter {mid} {f0} --pop-seconds 8",
+         "the following arguments are required: --cover-seconds"),
     _row("arranger-out-of-range",
          "cover {wav} {out} --arranger 99 --checkpoint {ckpt} --beats {beats}",
          "arranger id 99 outside [0, 4)"),
@@ -1299,13 +1309,46 @@ class TestCli:
 
         report_path = tmp_path / "report.json"
         code = main(
-            ["filter", str(aligned), record.f0,
-             "--pop-seconds", str(seconds.duration), "--out", str(report_path)]
+            ["filter", str(aligned), record.f0, "--pop-seconds", str(seconds.duration),
+             "--cover-seconds", str(seconds.duration), "--out", str(report_path)]
         )
         assert code == 0
         report = json.loads(report_path.read_text())
         assert report["verdict"] == "keep"
         assert report["mca"] == 1.0
+
+    def test_filter_after_sync_judges_a_short_cover_like_build_dataset(self, tmp_path, capsys):
+        # The cover plays the song 40% faster. Once synced it spans the
+        # pop's length, so only the cover's own length can fail the rule.
+        record, _, _, seconds = make_pair(tmp_path, np.random.default_rng(14), name="short")
+        short = NoteSequence.build(
+            [Note(0.6 * n.onset, n.pitch, 0.6 * n.offset, n.velocity) for n in seconds],
+            duration=0.6 * seconds.duration,
+        )
+        Path(record.cover_midi).write_bytes(write_smf(short))
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("pop_path,cover_path,arranger_id,beats_path,f0_path\n"
+                            f"{record.pop_audio},{record.cover_midi},0,{record.beats},"
+                            f"{record.f0}\n")
+        assert main(["build-dataset", str(manifest), str(tmp_path / "dataset")]) == 0
+        (built,) = load_dataset(tmp_path / "dataset")[1]["entries"]
+        assert built["status"] == "discarded" and built["reasons"] == ["length"]
+
+        aligned = tmp_path / "aligned.mid"
+        assert main(["sync", record.pop_audio, record.cover_midi, str(aligned),
+                     "--beats", record.beats]) == 0
+        pop_seconds = repr(len(load_wav(record.pop_audio)) / SAMPLE_RATE)
+        cover_seconds = repr(parse_smf(Path(record.cover_midi).read_bytes()).duration)
+        filter_argv = ["filter", str(aligned), record.f0, "--pop-seconds", pop_seconds]
+        capsys.readouterr()
+        assert main(filter_argv + ["--cover-seconds", cover_seconds]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "discard"
+        assert report["reasons"] == built["reasons"]
+        assert report["length_ratio_diff"] == built["length_ratio_diff"]
+        # The synced file's own length would read as a keep; it is not used.
+        assert main(filter_argv) == 1
+        assert "required: --cover-seconds" in capsys.readouterr().err
 
     def test_sync_keeps_one_note_per_pitch_like_build_dataset(self, tmp_path, caplog):
         # Each restrike starts 10 ms after a 50 ms note of the same pitch;
@@ -1601,7 +1644,7 @@ class TestCli:
             "# toy run\n"
             "d_model = 32\nnum_heads = 4\nd_ff = 64\n"
             "num_encoder_layers = 1\nnum_decoder_layers = 1\n"
-            "n_mels = 128\nnum_arrangers = 4\nmax_decode_len = 48\n"
+            "num_arrangers = 4\nmax_decode_len = 48\n"
             "epochs = 2\nbatch_size = 2\nlearning_rate = 0.001\n"
             "seed = 0\n"
         )

@@ -81,7 +81,7 @@ def run_every_subcommand(root):
         ["sync", record.pop_audio, record.cover_midi, out["synced.mid"],
          "--save-beats", out["grid.beats"]],
         ["filter", out["synced.mid"], record.f0, "--pop-seconds", str(seconds.duration),
-         "--out", out["report.json"]],
+         "--cover-seconds", str(seconds.duration), "--out", out["report.json"]],
         ["tokenize", record.cover_midi, out["piece.tokens"]],
         ["detokenize", out["piece.tokens"], out["piece.mid"]],
         ["build-dataset", str(manifest), out["dataset"]],

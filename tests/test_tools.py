@@ -48,3 +48,33 @@ def test_dataset_hash_masks_the_work_directory(monkeypatch, tmp_path):
     (tmp_path / "one" / "dataset" / "tokens.txt").write_text("2\n")
     assert same_bits.dataset_hashes(tmp_path / "one" / "dataset", tmp_path / "one") \
         != hashes[1]
+
+
+def canned(loss="4.7916496202602", midi="c3"):
+    return {"mels_sha256": "a" * 64, "tokens_sha256": "b" * 64,
+            "dataset_json_sha256": "c" * 64, "train_loss_final": loss,
+            "cover_midi_sha256": ["f" * 64, midi * 32], "failures": []}
+
+
+def test_differences_name_each_field_that_differs(monkeypatch):
+    same_bits = load_tool(monkeypatch)
+    ours = {"7": canned(), "401": canned()}
+    assert same_bits.differences(ours, {"7": canned(), "401": canned()}) == []
+    theirs = {"7": canned(loss="4.79164962020"), "401": canned(midi="c4")}
+    assert same_bits.differences(ours, theirs) == ["seed 7: train_loss_final",
+                                                    "seed 401: cover_midi_sha256"]
+
+
+def test_against_exits_1_when_a_field_differs(monkeypatch, capsys, tmp_path):
+    same_bits = load_tool(monkeypatch)
+    tmp_path = tmp_path.resolve()
+    results = {(tmp_path, 7): canned(), (tmp_path / "parent", 7): canned(midi="c4")}
+    monkeypatch.setattr(same_bits, "same_bits", lambda root, seed: results[root, seed])
+    assert same_bits.main(["--root", str(tmp_path), "--seed", "7",
+                           "--against", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["differences"] == []
+    assert same_bits.main(["--root", str(tmp_path), "--seed", "7",
+                           "--against", str(tmp_path / "parent")]) == 1
+    output = json.loads(capsys.readouterr().out)
+    assert output["differences"] == ["seed 7: cover_midi_sha256"]
+    assert output["against"]["seeds"]["7"] == canned(midi="c4")

@@ -18,6 +18,12 @@ from ``root``. Run from anywhere, for this checkout or another one:
     python3 tools/same_bits.py --seed 7 --seed 401
     python3 tools/same_bits.py --root ../parent --seed 7
 
+With ``--against ROOT`` it runs that checkout too, at the same seeds, and
+lists every field whose value differs, as ``seed 7: train_loss_final``, in
+the JSON's ``differences``; it exits 1 if any differs or any check failed:
+
+    python3 tools/same_bits.py --against ../parent --seed 7 --seed 401
+
 BLAS is pinned to one thread in the child, as ``perfbench/run.py`` pins it.
 """
 
@@ -99,19 +105,35 @@ def same_bits(root: Path, seed: int) -> dict:
     return json.loads(child.stdout.splitlines()[-1])
 
 
+def differences(ours: dict, theirs: dict) -> list:
+    """``seed <seed>: <field>`` for every field of a seed's result that
+    differs between two runs' ``seeds`` objects."""
+    return [f"seed {seed}: {name}" for seed, result in ours.items()
+            for name in sorted(result.keys() | theirs[seed].keys())
+            if result.get(name) != theirs[seed].get(name)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, default=ROOT,
                         help="checkout whose perfbench/ and src/ to run (default: this one)")
     parser.add_argument("--seed", type=int, action="append",
                         help="input seed; repeat for more (default: 7 and 401)")
+    parser.add_argument("--against", type=Path,
+                        help="second checkout to run at the same seeds and compare")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     seeds = args.seed or [7, 401]
     result = {"root": str(root), "seeds": {str(seed): same_bits(root, seed) for seed in seeds}}
+    runs = [result["seeds"]]
+    if args.against:
+        other = args.against.resolve()
+        runs.append({str(seed): same_bits(other, seed) for seed in seeds})
+        result.update(against={"root": str(other), "seeds": runs[1]},
+                      differences=differences(*runs))
     print(json.dumps(result, indent=2, sort_keys=True))
-    failed = any(entry["failures"] for entry in result["seeds"].values())
-    return 1 if failed else 0
+    failed = any(entry["failures"] for run in runs for entry in run.values())
+    return 1 if failed or result.get("differences") else 0
 
 
 if __name__ == "__main__":
