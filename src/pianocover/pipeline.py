@@ -4,7 +4,11 @@ A dataset build runs each (pop audio, cover MIDI) pair through chroma
 alignment and the melody/length filter; a kept pair then goes through
 beat tracking and half-beat quantization, and finally the piece is
 cropped into consecutive non-overlapping 4-beat windows, emitting one
-(mel spectrogram, token sequence) training example per window. Cover
+(mel spectrogram, token sequence) training example per window. A build
+into a dataset directory writes each kept pair's examples as soon as
+they are made, under temporary names that replace the directory's files
+only once the whole build is written, so it holds one song's arrays at a
+time; loaded and returned frames are read-only maps of ``mels.npy``. Cover
 generation runs the same windowing in the other direction: spectrogram
 in, greedy tokens out, stitched back onto the beat grid and written as
 MIDI. Both directions hold one sounding note per pitch, the token
@@ -21,6 +25,7 @@ import io
 import json
 import logging
 import math
+import mmap
 import os
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -31,7 +36,15 @@ import numpy as np
 
 from .beats import BeatGrid, halfbeats_to_seconds, quantize, read_beat_file, track_beats
 from .errors import FormatError, ParameterError, PianoCoverError, ValidationError, read_text
-from .features import N_MELS, SAMPLE_RATE, WINDOW, load_wav, melspectrogram, num_frames
+from .features import (
+    N_MELS,
+    SAMPLE_RATE,
+    WINDOW,
+    MelSpectrogram,
+    load_wav,
+    melspectrogram,
+    num_frames,
+)
 from .filtering import (
     FilterReport,
     Verdict,
@@ -54,7 +67,7 @@ from .tokenizer import (
     read_token_file,
     split_piece,
     stitch,
-    write_token_file,
+    token_line,
 )
 
 log = logging.getLogger(__name__)
@@ -190,12 +203,22 @@ def build_dataset(records, out_dir=None):
     """Build training examples for every record; failures quarantine.
 
     Returns (examples, report) where examples is a flat list of
-    (spectrogram, arranger_id, TokenSeq). With out_dir set the examples
-    and report are also written to disk, deterministically.
+    (MelSpectrogram, arranger_id, TokenSeq). With out_dir set, each kept
+    pair's examples go to ``save_dataset`` as soon as ``build_pair``
+    returns them and are dropped, so the build holds one song's arrays at
+    a time; the returned frames are then read-only views of the written
+    mels.npy.
     """
-    examples = []
-    entries = []
-    kept = discarded = failed = 0
+    report = BuildReport(0, 0, 0, 0, [])
+    examples = _built_examples(records, report)
+    if out_dir is None:
+        return list(examples), report
+    return save_dataset(out_dir, examples, report), report
+
+
+def _built_examples(records, report: BuildReport):
+    """Yields each kept record's examples in order, filling in report as
+    each record is built."""
     for index, record in enumerate(records):
         entry = {
             "index": index,
@@ -203,16 +226,17 @@ def build_dataset(records, out_dir=None):
             "cover_midi": str(record.cover_midi),
             "arranger_id": record.arranger_id,
         }
+        report.total += 1
+        report.entries.append(entry)
         try:
             built = build_pair(record)
         except (PianoCoverError, OSError) as exc:
-            failed += 1
+            report.failed += 1
             entry.update(status="failed", reason=str(exc))
-            entries.append(entry)
             log.warning("record %d quarantined: %s", index, exc)
             continue
         if built.kept:
-            kept += 1
+            report.kept += 1
             entry.update(
                 status="kept",
                 n_examples=len(built.examples),
@@ -220,20 +244,17 @@ def build_dataset(records, out_dir=None):
                 mca=built.report.mca,
                 length_ratio_diff=built.report.length_ratio_diff,
             )
-            examples.extend(built.examples)
+            yield from built.examples
         else:
-            discarded += 1
+            report.discarded += 1
             entry.update(
                 status="discarded",
                 reasons=list(built.report.reasons),
                 mca=built.report.mca,
                 length_ratio_diff=built.report.length_ratio_diff,
             )
-        entries.append(entry)
-    report = BuildReport(len(entries), kept, discarded, failed, entries)
-    if out_dir is not None:
-        save_dataset(out_dir, examples, report)
-    return examples, report
+        # Let go of this song's examples before the next one is built.
+        del built
 
 
 # ---------------------------------------------------------------------------
@@ -248,42 +269,86 @@ def _mel_header(rows: int) -> bytes:
     return buffer.getvalue()
 
 
-def save_dataset(out_dir, examples, report: BuildReport) -> None:
-    """Writes examples and their report as a three-file dataset directory.
+def _mapped_frames(fh, offset: int, rows: int) -> np.ndarray:
+    """(rows, N_MELS) float64 frames at ``offset`` of the open file ``fh``,
+    mapped read-only: a plain ndarray whose pages are the file's, which the
+    kernel can drop and read again."""
+    # The whole file is mapped, header included, so the region is never
+    # empty (mmap refuses that) and needs no page-aligned offset.
+    buffer = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    return np.frombuffer(buffer, "<f8", rows * N_MELS, offset).reshape(rows, N_MELS)
+
+
+def save_dataset(out_dir, examples, report: BuildReport):
+    """Writes examples and their report as a three-file dataset directory,
+    and returns the examples as (MelSpectrogram, arranger_id, TokenSeq)
+    with read-only frames mapped from the written mels.npy.
 
     ``mels.npy`` holds every example's frames stacked in order, one
-    float64 (total frames, N_MELS) array streamed an example at a time;
-    ``tokens.txt`` one line of token ids per example; ``dataset.json``
-    each example's frame count and arranger id, and the report. Frames
-    not shaped (t >= 1, N_MELS), or an empty token sequence, which would
-    leave tokens.txt no line to read, raise ParameterError before any
-    file is written.
+    float64 (total frames, N_MELS) array; ``tokens.txt`` one line of token
+    ids per example; ``dataset.json`` each example's frame count and
+    arranger id, and the report. examples may be any iterable: each
+    example is written as it arrives and only its tokens are kept, and
+    report is read after the last one, so a generator may fill it in.
+
+    Each file is written under a temporary name and moved into place with
+    ``os.replace`` once ``dataset.json`` is complete. Frames not shaped
+    (t >= 1, N_MELS), or an empty token sequence, which would leave
+    tokens.txt no line to read, raise ParameterError; that or any other
+    error leaves the directory's previous dataset as it was, and removes
+    the directory if this call made it. A previous dataset's files are
+    replaced, never truncated, so frames mapped from them stay readable.
     """
-    mels = [np.asarray(getattr(spec, "frames", spec), dtype="<f8") for spec, _, _ in examples]
-    for frames in mels:
-        if frames.ndim != 2 or frames.shape[1] != N_MELS or len(frames) < 1:
-            raise ParameterError(f"expected frames shaped (t, {N_MELS}), got {frames.shape}")
-    for index, (_, _, tokens) in enumerate(examples):
-        if not tokens.ids:
-            raise ParameterError(f"example {index} has no tokens")
     out = Path(out_dir)
+    made = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "mels.npy", "wb") as fh:
-        fh.write(_mel_header(sum(map(len, mels))))
-        for frames in mels:
-            fh.write(np.ascontiguousarray(frames))
-    write_token_file(out / "tokens.txt", [tokens for _, _, tokens in examples])
-    payload = {"frames": [len(frames) for frames in mels], "report": report.to_dict(),
-               "arranger_ids": [arranger_id for _, arranger_id, _ in examples]}
-    (out / "dataset.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
+    temp = {name: out / f"{name}.tmp" for name in ("mels.npy", "tokens.txt", "dataset.json")}
+    counts, arranger_ids, segments = [], [], []
+    try:
+        with open(temp["mels.npy"], "w+b") as mels, open(temp["tokens.txt"], "w") as lines:
+            # The header is written again once the row count is known; its
+            # length does not depend on the count.
+            mels.write(_mel_header(0))
+            for index, (spec, arranger_id, tokens) in enumerate(examples):
+                frames = np.asarray(getattr(spec, "frames", spec), dtype="<f8")
+                if frames.ndim != 2 or frames.shape[1] != N_MELS or len(frames) < 1:
+                    raise ParameterError(f"expected frames shaped (t, {N_MELS}), "
+                                         f"got {frames.shape}")
+                if not tokens.ids:
+                    raise ParameterError(f"example {index} has no tokens")
+                mels.write(np.ascontiguousarray(frames))
+                lines.write(token_line(tokens))
+                counts.append(len(frames))
+                arranger_ids.append(arranger_id)
+                segments.append(tokens)
+            header = _mel_header(sum(counts))
+            assert len(header) == len(_mel_header(0)), "the .npy header changed length"
+            mels.seek(0)
+            mels.write(header)
+            mels.flush()
+            mapped = _mapped_frames(mels, len(header), sum(counts))
+        payload = {"frames": counts, "report": report.to_dict(), "arranger_ids": arranger_ids}
+        temp["dataset.json"].write_text(json.dumps(payload, indent=2, sort_keys=True))
+        for name, path in temp.items():
+            os.replace(path, out / name)
+    except BaseException:
+        for path in temp.values():
+            path.unlink(missing_ok=True)
+        if made:
+            out.rmdir()
+        raise
+    ends = list(accumulate(counts))
+    return [(MelSpectrogram(mapped[start:end]), arranger_id, tokens) for start, end, arranger_id,
+            tokens in zip([0, *ends], ends, arranger_ids, segments)]
 
 
 def load_dataset(in_dir):
     """Returns (examples, report dict) from a save_dataset directory.
 
-    Frames are views into the one mels.npy array. Anything save_dataset
-    does not write, or a frame count over the encoder's MAX_FRAMES, raises
-    FormatError naming the file."""
+    Frames are read-only views into mels.npy, mapped, not read: their
+    pages are the file's. Anything save_dataset does not write, or a frame
+    count over the encoder's MAX_FRAMES, raises FormatError naming the
+    file."""
     root = Path(in_dir)
     index, mels, tokens = root / "dataset.json", root / "mels.npy", root / "tokens.txt"
     try:
@@ -310,7 +375,7 @@ def load_dataset(in_dir):
                 or os.fstat(fh.fileno()).st_size != len(header) + 8 * math.prod(shape)):
             raise FormatError(f"{mels}: not the C-order float64 array of shape {shape} "
                               f"that {index.name} describes")
-        frames = np.fromfile(fh, "<f8").reshape(shape)
+        frames = _mapped_frames(fh, len(header), shape[0])
     finite = np.isfinite(frames).all(axis=1)
     if not finite.all():
         raise FormatError(f"{mels}: non-finite value in row {np.argmin(finite)}")

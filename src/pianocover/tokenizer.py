@@ -383,7 +383,11 @@ def read_token_file(path):
     return segments
 
 
+def token_line(seg: TokenSeq) -> str:
+    """A segment's line in a token file: its ids, space-separated."""
+    return " ".join(str(i) for i in seg.ids) + "\n"
+
+
 def write_token_file(path, segments):
     with open(path, "w") as fh:
-        for seg in segments:
-            fh.write(" ".join(str(i) for i in seg.ids) + "\n")
+        fh.writelines(map(token_line, segments))

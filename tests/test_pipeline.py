@@ -571,6 +571,111 @@ class TestBuildDataset:
             assert (aid, tokens.ids) == (laid, ltokens.ids)
 
 
+class TestStreamedBuild:
+    """build_dataset with out_dir writes each kept pair as it is built."""
+
+    @pytest.fixture(scope="class")
+    def songs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("songs")
+        rng = np.random.default_rng(31)
+        kept = [make_pair(root, rng, name=f"kept{i}", arranger_id=i)[0] for i in range(2)]
+        discarded, _, _, _ = make_pair(root, rng, name="discarded", transpose=6)
+        failed = PairRecord(str(root / "nope.wav"), kept[0].cover_midi, 0)
+        return {"kept": kept, "discarded": discarded, "failed": failed}
+
+    def test_memory_is_one_songs_not_the_datasets(self, songs, tmp_path):
+        record = songs["kept"][0]
+        warm, _ = build_dataset([record], tmp_path / "warm")  # fills the caches
+        mel_bytes = sum(spec.frames.nbytes for spec, _, _ in warm)
+        peaks = {}
+        for copies in (1, 4):
+            tracemalloc.start()
+            try:
+                build_dataset([record] * copies, tmp_path / f"ds{copies}")
+                peaks[copies] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[4] - peaks[1]) < mel_bytes, (peaks, mel_bytes)
+
+    @pytest.mark.parametrize("manifest", ["mixed", "all failed"])
+    def test_writes_and_returns_what_the_in_memory_build_saves(self, songs, tmp_path, manifest):
+        if manifest == "mixed":
+            records = [songs["kept"][0], songs["failed"], songs["discarded"], songs["kept"][1]]
+        else:
+            records = [songs["failed"]] * 2
+        streamed, report = build_dataset(records, tmp_path / "streamed")
+        held, held_report = build_dataset(records)
+        save_dataset(tmp_path / "saved", held, held_report)
+        for name in ("mels.npy", "tokens.txt", "dataset.json"):
+            assert ((tmp_path / "streamed" / name).read_bytes()
+                    == (tmp_path / "saved" / name).read_bytes()), name
+        if manifest == "all failed":
+            assert (tmp_path / "streamed" / "mels.npy").stat().st_size == 128
+        loaded, loaded_report = load_dataset(tmp_path / "streamed")
+        assert report == held_report and loaded_report == report.to_dict()
+        assert len(streamed) == len(loaded) == len(held)
+        assert len(held) == sum(e.get("n_examples", 0) for e in report.entries)
+        for (spec, aid, tokens), (frames, laid, ltokens), (want, want_aid, want_tokens) in zip(
+                streamed, loaded, held):
+            assert isinstance(spec, features.MelSpectrogram)
+            assert type(spec.frames) is np.ndarray and not spec.frames.flags.writeable
+            assert spec.frames.tobytes() == frames.tobytes() == want.frames.tobytes()
+            assert (aid, tokens) == (laid, ltokens) == (want_aid, want_tokens)
+
+    @pytest.mark.parametrize("error", [RuntimeError, ParameterError])
+    def test_an_error_keeps_the_previous_dataset(self, songs, tmp_path, monkeypatch, error):
+        out = tmp_path / "ds"
+        build_dataset([songs["kept"][1]], out)
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        real = pipeline.build_pair
+
+        def breaks_on_record_3(record):
+            built = real(record)
+            if record.arranger_id == 3:
+                if error is RuntimeError:
+                    raise RuntimeError("record 3 broke")
+                built.examples[-1] = (built.examples[-1][0], 3, TokenSeq(()))
+            return built
+
+        monkeypatch.setattr(pipeline, "build_pair", breaks_on_record_3)
+        records = [dataclasses.replace(songs["kept"][0], arranger_id=i) for i in range(5)]
+        with pytest.raises(error):
+            build_dataset(records, out)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+# Builds a dataset, loads it, rebuilds the directory in place with no
+# examples, and checks that the first build's returned and loaded frames
+# still read as they did.
+_REBUILD_CHILD = """
+import sys
+import numpy as np
+from pianocover.pipeline import PairRecord, build_dataset, load_dataset
+out, *record = sys.argv[1:]
+returned, _ = build_dataset([PairRecord(record[0], record[1], 0, *record[2:])], out)
+loaded, _ = load_dataset(out)
+want = [np.array(spec.frames) for spec, _, _ in returned]
+build_dataset([], out)
+assert [spec.frames.tobytes() for spec, _, _ in returned] == [w.tobytes() for w in want]
+assert [frames.tobytes() for frames, _, _ in loaded] == [w.tobytes() for w in want]
+print(len(want))
+"""
+
+
+def test_frames_survive_a_rebuild_in_place(tmp_path):
+    record, _, _, _ = make_pair(tmp_path, np.random.default_rng(32), name="song")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    # A child process, so that a SIGBUS from a truncated mapping fails the
+    # test instead of ending the test run.
+    child = subprocess.run(
+        [sys.executable, "-c", _REBUILD_CHILD, str(tmp_path / "ds"), record.pop_audio,
+         record.cover_midi, record.beats, record.f0],
+        env=env, capture_output=True, text=True, timeout=120, check=False)
+    assert child.returncode == 0, child.stderr
+    assert int(child.stdout) >= 1
+    assert (tmp_path / "ds" / "mels.npy").stat().st_size == 128
+
+
 def ragged_examples(rng, count):
     """Examples of 1 to 80 frames holding every kind of finite float64."""
     examples = []

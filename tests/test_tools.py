@@ -6,6 +6,11 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
+
+from pianocover.features import MelSpectrogram
+from pianocover.tokenizer import EOS, TokenSeq
+
 ROOT = Path(__file__).resolve().parent.parent
 HEX = re.compile(r"[0-9a-f]{64}")
 
@@ -19,9 +24,10 @@ def test_one_seed_reports_every_output(monkeypatch):
     same_bits = load_tool(monkeypatch)
     result = same_bits.same_bits(ROOT, 7)
     assert set(result) == {"mels_sha256", "tokens_sha256", "dataset_json_sha256",
-                           "train_loss_final", "cover_midi_sha256", "failures"}
+                           "examples_sha256", "train_loss_final", "cover_midi_sha256",
+                           "failures"}
     assert result["failures"] == []
-    for key in ("mels_sha256", "tokens_sha256", "dataset_json_sha256"):
+    for key in ("mels_sha256", "tokens_sha256", "dataset_json_sha256", "examples_sha256"):
         assert HEX.fullmatch(result[key])
     assert len(result["cover_midi_sha256"]) == 2
     assert all(HEX.fullmatch(digest) for digest in result["cover_midi_sha256"])
@@ -52,7 +58,8 @@ def test_dataset_hash_masks_the_work_directory(monkeypatch, tmp_path):
 
 def canned(loss="4.7916496202602", midi="c3"):
     return {"mels_sha256": "a" * 64, "tokens_sha256": "b" * 64,
-            "dataset_json_sha256": "c" * 64, "train_loss_final": loss,
+            "dataset_json_sha256": "c" * 64, "examples_sha256": "d" * 64,
+            "train_loss_final": loss,
             "cover_midi_sha256": ["f" * 64, midi * 32], "failures": []}
 
 
@@ -78,3 +85,21 @@ def test_against_exits_1_when_a_field_differs(monkeypatch, capsys, tmp_path):
     output = json.loads(capsys.readouterr().out)
     assert output["differences"] == ["seed 7: cover_midi_sha256"]
     assert output["against"]["seeds"]["7"] == canned(midi="c4")
+
+
+def test_examples_hash_follows_every_field(monkeypatch):
+    same_bits = load_tool(monkeypatch)
+    frames = np.arange(2 * 128, dtype=float).reshape(2, 128)
+    base = [(MelSpectrogram(frames), 1, TokenSeq((EOS,)))]
+    digest = same_bits.examples_hash(base)
+    assert HEX.fullmatch(digest)
+    # A read-only view of the same bits hashes alike.
+    view = np.frombuffer(frames.tobytes(), "<f8").reshape(2, 128)
+    assert same_bits.examples_hash([(MelSpectrogram(view), 1, TokenSeq((EOS,)))]) == digest
+    bumped = frames.copy()
+    bumped[1, 5] = np.nextafter(bumped[1, 5], np.inf)
+    for other in ([(MelSpectrogram(bumped), 1, TokenSeq((EOS,)))],
+                  [(MelSpectrogram(frames), 2, TokenSeq((EOS,)))],
+                  [(MelSpectrogram(frames), 1, TokenSeq((150, EOS)))],
+                  base + base):
+        assert same_bits.examples_hash(other) != digest

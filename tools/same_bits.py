@@ -8,6 +8,8 @@ JSON object with, per seed:
 - ``mels_sha256``, ``tokens_sha256``: the built dataset's two data files;
 - ``dataset_json_sha256``: ``dataset.json`` with the work directory's path
   replaced by ``<work>``, since the report names every input file;
+- ``examples_sha256``: the examples the ``build`` op returned, in order:
+  each one's float64 frame bytes, arranger id and token ids;
 - ``train_loss_final``: ``repr`` of the train op's last loss;
 - ``cover_midi_sha256``: the two cover MIDI files;
 - ``failures``: every failed workload check, empty when all passed.
@@ -39,6 +41,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOLS = Path(__file__).resolve().parent
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
@@ -57,6 +61,17 @@ def dataset_hashes(dataset: Path, work: Path) -> dict:
     return {"mels_sha256": sha256((dataset / "mels.npy").read_bytes()),
             "tokens_sha256": sha256((dataset / "tokens.txt").read_bytes()),
             "dataset_json_sha256": sha256(index)}
+
+
+def examples_hash(examples) -> str:
+    """One hash of built examples: each one's frame count, arranger id and
+    token ids as JSON, then its frames as little-endian float64 bytes."""
+    digest = hashlib.sha256()
+    for spec, arranger_id, tokens in examples:
+        frames = np.ascontiguousarray(spec.frames, dtype="<f8")
+        digest.update(json.dumps([len(frames), arranger_id, list(tokens.ids)]).encode())
+        digest.update(frames.tobytes())
+    return digest.hexdigest()
 
 
 def run_seed(seed: int) -> dict:
@@ -80,6 +95,7 @@ def run_seed(seed: int) -> dict:
         cover.op()
         return dict(
             dataset_hashes(work / "dataset", work),
+            examples_sha256=examples_hash(build.first[0]),
             train_loss_final=repr(float(train.final_losses[-1])),
             cover_midi_sha256=[sha256(cover.midi[i]) for i in sorted(cover.midi)],
             failures=build.failures + train.failures + cover.failures,
