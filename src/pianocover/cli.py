@@ -28,10 +28,10 @@ from pathlib import Path
 
 
 from .beats import halfbeats_to_seconds, write_beat_file
-from .errors import DivergenceError, FormatError, ValidationError, read_text
+from .errors import DivergenceError, ValidationError, read_text
 from .features import MAX_SAMPLE_RATE, SAMPLE_RATE, load_wav, write_wav
 from .filtering import filter_pair, melody_chroma_accuracy, midi_topline, read_f0_csv
-from .midi import Note, NoteSequence, TimeUnit, parse_smf, write_smf
+from .midi import Note, NoteSequence, TimeUnit, write_smf
 from .model import (
     ModelConfig,
     TrainConfig,
@@ -47,6 +47,7 @@ from .pipeline import (
     generate_cover,
     load_dataset,
     quantized_notes,
+    read_midi,
     render_sine_audio,
     song_grid,
 )
@@ -62,20 +63,13 @@ def _print_json(payload, out_path):
         print(text)
 
 
-def _load_midi(path) -> NoteSequence:
-    try:
-        return parse_smf(Path(path).read_bytes())
-    except FormatError as exc:
-        raise exc.in_file(path) from exc
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
 def cmd_sync(args) -> int:
     audio = load_wav(args.pop)
-    cover = _load_midi(args.cover)
+    cover = read_midi(args.cover)
     grid = song_grid(audio, args.beats)
     quantized = quantized_notes(align_to_audio(cover, audio), grid)
     Path(args.out).write_bytes(write_smf(halfbeats_to_seconds(quantized, grid)))
@@ -85,7 +79,7 @@ def cmd_sync(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    seq = _load_midi(args.aligned)
+    seq = read_midi(args.aligned)
     contour = read_f0_csv(args.f0)
     mca = melody_chroma_accuracy(contour, midi_topline(seq, contour.times))
     report = filter_pair(mca, args.pop_seconds, args.cover_seconds)
@@ -97,7 +91,7 @@ def cmd_filter(args) -> int:
 
 
 def cmd_tokenize(args) -> int:
-    seq = _load_midi(args.midi)
+    seq = read_midi(args.midi)
     step = 30.0 / args.bpm
     notes = []
     for note in seq:
@@ -232,7 +226,7 @@ def cmd_cover(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    covers = [(_load_midi(path), args.arranger) for path in args.midis]
+    covers = [(read_midi(path), args.arranger) for path in args.midis]
     contours = [read_f0_csv(p) for p in args.f0] if args.f0 else None
     _print_json(eval_stats(covers, contours), args.out)
     return 0
@@ -241,7 +235,7 @@ def cmd_stats(args) -> int:
 def cmd_render(args) -> int:
     if args.rate > MAX_SAMPLE_RATE:
         raise ValidationError(f"--rate must be at most {MAX_SAMPLE_RATE}, got {args.rate}")
-    seq = _load_midi(args.midi)
+    seq = read_midi(args.midi)
     write_wav(args.out, render_sine_audio(seq, args.rate), args.rate)
     return 0
 

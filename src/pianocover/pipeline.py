@@ -9,12 +9,14 @@ into a dataset directory writes each kept pair's examples as soon as
 they are made, under temporary names that replace the directory's files
 only once the whole build is written, so it holds one song's arrays at a
 time; loaded and returned frames are read-only maps of ``mels.npy``. Cover
-generation runs the same windowing in the other direction: spectrogram
-in, greedy tokens out, stitched back onto the beat grid and written as
-MIDI. Both directions hold one sounding note per pitch, the token
+generation runs the windowing in the other direction: spectrogram in,
+greedy tokens out, stitched back onto the beat grid and written as MIDI.
+Both directions cut their windows' mels with one function,
+``_window_mels``, and both hold one sounding note per pitch, the token
 grammar's rule, which the tokenizer owns: ``quantized_notes`` applies
 ``one_note_per_pitch`` to each quantized cover, and ``stitch`` to each
-decoded piece. A cover MIDI that cannot be parsed fails its record with
+decoded piece. MIDI files, here and in the CLI, are read by
+``read_midi``: a cover MIDI that cannot be parsed fails its record with
 an error naming the file.
 """
 
@@ -111,6 +113,15 @@ class BuildReport:
         return dataclasses.asdict(self)
 
 
+def read_midi(path) -> NoteSequence:
+    """The notes of a MIDI file; one that cannot be parsed raises
+    FormatError naming the file."""
+    try:
+        return parse_smf(Path(path).read_bytes())
+    except FormatError as exc:
+        raise exc.in_file(path) from exc
+
+
 def song_grid(audio, beats_path) -> BeatGrid:
     """The beat grid of a recording: read from beats_path when given,
     otherwise tracked from the audio."""
@@ -126,32 +137,28 @@ def quantized_notes(aligned: NoteSequence, grid: BeatGrid) -> NoteSequence:
     return one_note_per_pitch(quantize(aligned, grid))
 
 
-def _window_spans(n_samples, grid, n_windows):
-    """The sample ranges [lo, hi) of the first n_windows 4-beat windows, cut
-    to the recording, as a list of [lo, hi] pairs."""
-    edges = grid.halfbeat_to_seconds(np.arange(n_windows + 1) * WINDOW_HALFBEATS)
+def _window_mels(audio, grid, windows):
+    """The mel spectrogram of each listed 4-beat window of the recording.
+
+    Window w spans half-beats [8w, 8w + 8) of the grid, cut to the
+    recording. Every listed window is held to the encoder's MAX_FRAMES
+    budget before any mel is built: one over it raises ParameterError.
+    """
+    windows = list(windows)
+    halfbeats = (np.array(windows, dtype=np.int64).reshape(-1, 1) + [0, 1]) * WINDOW_HALFBEATS
     # rint rounds halves to even, as the built-in round does.
-    ends = np.rint(edges * SAMPLE_RATE).astype(np.int64)
-    return np.stack([np.maximum(ends[:-1], 0), np.minimum(ends[1:], n_samples)], 1).tolist()
-
-
-def _check_window_frames(spans):
-    """Raise ParameterError, before any mel is built, if a window of
-    ``_window_spans`` spans more than MAX_FRAMES mel frames."""
-    for w, (lo, hi) in enumerate(spans):
-        frames = num_frames(max(hi - lo, WINDOW))
+    ends = np.rint(grid.halfbeat_to_seconds(halfbeats) * SAMPLE_RATE).astype(np.int64)
+    clips = [audio[max(lo, 0) : min(hi, len(audio))] for lo, hi in ends.tolist()]
+    # Extrapolated window ends can overrun the recording; pad so each clip
+    # still yields at least one analysis frame.
+    clips = [np.pad(clip, (0, WINDOW - len(clip))) if len(clip) < WINDOW else clip
+             for clip in clips]
+    for w, clip in zip(windows, clips):
+        frames = num_frames(len(clip))
         if frames > MAX_FRAMES:
             raise ParameterError(f"window {w} spans {frames} mel frames, over the encoder "
                                  f"budget of {MAX_FRAMES}; the beats are too far apart")
-
-
-def _window_spectrogram(audio, lo, hi):
-    clip = audio[lo:hi]
-    if len(clip) < WINDOW:
-        # Extrapolated window ends can overrun the recording; pad so the
-        # clip still yields at least one analysis frame.
-        clip = np.pad(clip, (0, WINDOW - len(clip)))
-    return melspectrogram(clip)
+    return [melspectrogram(clip) for clip in clips]
 
 
 def build_pair(record: PairRecord) -> BuiltPair:
@@ -163,10 +170,7 @@ def build_pair(record: PairRecord) -> BuiltPair:
     pair is beat-tracked (or reads its beat file), quantized and windowed.
     """
     built = BuiltPair(record)
-    try:
-        cover = parse_smf(Path(record.cover_midi).read_bytes())
-    except FormatError as exc:
-        raise exc.in_file(record.cover_midi) from exc
+    cover = read_midi(record.cover_midi)
     audio = load_wav(record.pop_audio)
     aligned = align_to_audio(cover, audio)
 
@@ -184,18 +188,16 @@ def build_pair(record: PairRecord) -> BuiltPair:
         return built
 
     grid = song_grid(audio, record.beats)
-    segments = split_piece(quantized_notes(aligned, grid))
-    spans = _window_spans(len(audio), grid, len(segments))
-    _check_window_frames(spans)
-    for index, segment in enumerate(segments):
+    encoded = {}
+    for index, segment in enumerate(split_piece(quantized_notes(aligned, grid))):
         try:
-            tokens = encode_segment(segment)
+            encoded[index] = encode_segment(segment)
         except ValidationError as exc:
             built.dropped_segments += 1
             log.warning("%s: segment %d dropped: %s", record.pop_audio, index, exc)
-            continue
-        spec = _window_spectrogram(audio, *spans[index])
-        built.examples.append((spec, record.arranger_id, tokens))
+    specs = _window_mels(audio, grid, encoded)
+    built.examples = [(spec, record.arranger_id, tokens)
+                      for spec, tokens in zip(specs, encoded.values())]
     return built
 
 
@@ -506,9 +508,7 @@ def generate_cover(job: CoverJob) -> NoteSequence:
             len(grid.half_beats) % WINDOW_HALFBEATS,
             WINDOW_HALFBEATS,
         )
-    spans = _window_spans(len(audio), grid, n_windows)
-    _check_window_frames(spans)
-    specs = [_window_spectrogram(audio, lo, hi) for lo, hi in spans]
+    specs = _window_mels(audio, grid, range(n_windows))
     segments = greedy_generate_windows(specs, job.arranger_id, params, config)
     job.truncated_segments = sum(not tokens.ids or tokens.ids[-1] != EOS for tokens in segments)
     job.windows = n_windows

@@ -54,8 +54,7 @@ from pianocover.pipeline import (
     generate_cover,
     load_dataset,
     render_sine_audio,
-    _window_spans,
-    _window_spectrogram,
+    _window_mels,
     save_dataset,
 )
 from pianocover.tokenizer import EOS, TokenSeq, decode_segment, stitch
@@ -333,7 +332,7 @@ class TestWindowSpans:
         0.25 + np.cumsum(np.random.default_rng(3).uniform(0.3, 0.7, 13)),
         np.arange(1, 12) * 10001 / 44100,  # edges on half samples
     ])
-    def test_spans_equal_the_per_window_values(self, beats):
+    def test_spans_equal_the_per_window_values(self, beats, monkeypatch):
         grid = BeatGrid(beats)
         n_samples = int(beats[-1] * SAMPLE_RATE) - 500
         # Windows past the last half-beat extrapolate and overrun the audio.
@@ -345,8 +344,17 @@ class TestWindowSpans:
             return [max(0, int(round(t0 * SAMPLE_RATE))),
                     min(n_samples, int(round(t1 * SAMPLE_RATE)))]
 
-        spans = _window_spans(n_samples, grid, n_windows)
-        assert spans == [window(w) for w in range(n_windows)]
+        # Each sample is its own index, and each window's clip is handed
+        # back as its mel, so the clips show the spans cut.
+        audio = np.arange(n_samples, dtype=np.float64)
+        monkeypatch.setattr(pipeline, "melspectrogram", lambda clip: clip.tolist())
+        clips = _window_mels(audio, grid, range(n_windows))
+        spans = [window(w) for w in range(n_windows)]
+        assert any(hi - lo < features.WINDOW for lo, hi in spans)
+        # A clip shorter than one analysis window is zero-padded to it.
+        padded = [list(range(lo, hi)) + [0.0] * (features.WINDOW - max(hi - lo, 0))
+                  for lo, hi in spans]
+        assert clips == padded
 
 
 class TestBuildPair:
@@ -411,6 +419,32 @@ class TestBuildPair:
         entry = json.loads((tmp_path / "ds" / "dataset.json").read_text())["report"]["entries"][0]
         assert entry["status"] == "failed"
         assert entry["reason"].startswith(f"{mid}: unexpected end of data")
+
+    def test_a_refused_segment_is_dropped_without_a_mel(self, tmp_path, monkeypatch, caplog):
+        record, grid, _, seconds = make_pair(tmp_path, np.random.default_rng(0))
+        # Pitch 12 is below the piano's 21..108, so encode_segment refuses
+        # the one window it sounds in, window 1.
+        onset, offset = grid.halfbeat_to_seconds([10, 12])
+        low = NoteSequence.build([*seconds, Note(onset, 12, offset)], duration=seconds.duration)
+        Path(record.cover_midi).write_bytes(write_smf(low))
+        calls = {"encode_segment": 0, "melspectrogram": 0}
+        for name in calls:
+            def counted(*args, _name=name, _inner=getattr(pipeline, name)):
+                calls[_name] += 1
+                return _inner(*args)
+            monkeypatch.setattr(pipeline, name, counted)
+
+        with caplog.at_level("WARNING"):
+            built = build_pair(record)
+        assert built.kept and built.dropped_segments == 1
+        assert len(built.examples) == calls["encode_segment"] - 1 == 3
+        assert calls["melspectrogram"] == len(built.examples)
+        (warning,) = caplog.records
+        assert "segment 1 dropped: pitch 12 outside the piano range" in warning.message
+
+        _, report = build_dataset([record])
+        (entry,) = report.entries
+        assert (entry["n_examples"], entry["dropped_segments"]) == (3, 1)
 
     def test_examples_decode_within_window(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -811,8 +845,7 @@ class TestGenerateCover:
 
         audio = load_wav(job.audio)
         grid = read_beat_file(job.beats)
-        spans = _window_spans(len(audio), grid, 4)
-        specs = [_window_spectrogram(audio, lo, hi) for lo, hi in spans]
+        specs = _window_mels(audio, grid, range(4))
         assert len({len(spec.frames) for spec in specs}) == 4
         segments = [greedy_generate(spec, job.arranger_id, params, config) for spec in specs]
         stopped = [tokens.ids[-1] == EOS for tokens in segments]
@@ -1770,3 +1803,54 @@ class TestCli:
             # not have survived its own parse.
             assert note.onset >= last_offset.get(note.pitch, 0.0)
             last_offset[note.pitch] = note.offset
+
+
+class TestChainOracle:
+    """A model that memorizes build-dataset's output must give the training
+    covers back from cover: the same grid, window mels and arranger id on
+    both sides, and stitch of the decoded windows equal to stitch of the
+    tokens build-dataset wrote."""
+
+    def test_cover_gives_back_the_memorized_dataset(self, tmp_path, capsys):
+        # Song "a" reads its beat file; song "b" is beat-tracked.
+        a, grid_a, _, _ = make_pair(tmp_path, np.random.default_rng(1), name="a")
+        b, _, _, _ = make_pair(tmp_path, np.random.default_rng(2), name="b", arranger_id=1)
+        b = dataclasses.replace(b, beats=None)
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(
+            "pop_path,cover_path,arranger_id,beats_path,f0_path\n"
+            f"{a.pop_audio},{a.cover_midi},0,{a.beats},{a.f0}\n"
+            f"{b.pop_audio},{b.cover_midi},1,,{b.f0}\n"
+        )
+        ds = tmp_path / "dataset"
+        assert main(["build-dataset", str(manifest), str(ds)]) == 0
+        examples, report = load_dataset(ds)
+        counts = [entry["n_examples"] for entry in report["entries"]]
+        assert report["kept"] == 2 and sum(counts) == len(examples) == 8
+
+        config = tmp_path / "train.cfg"
+        config.write_text("max_decode_len = 64\nnum_arrangers = 2\n"
+                          "epochs = 600\nbatch_size = 8\n")
+        ckpt = tmp_path / "model.ckpt"
+        assert main(["train", str(ds), str(config), str(ckpt)]) == 0
+
+        grid_b = pipeline.track_beats(load_wav(b.pop_audio))
+        starts = [0, counts[0]]
+        windows = []
+        for record, grid, start, count in zip((a, b), (grid_a, grid_b), starts, counts):
+            out = tmp_path / f"{Path(record.pop_audio).stem}.cover.mid"
+            beats = ["--beats", record.beats] if record.beats else []
+            capsys.readouterr()
+            assert main(["cover", record.pop_audio, str(out), "--arranger",
+                         str(record.arranger_id), "--checkpoint", str(ckpt), *beats]) == 0
+            n_windows = int(capsys.readouterr().out.split()[1])
+            windows.append((count, n_windows))
+            tokens = [tokens for _, _, tokens in examples[start:start + count]]
+            expected = write_smf(halfbeats_to_seconds(stitch(tokens[:n_windows]), grid))
+            assert out.read_bytes() == expected
+            stats = tmp_path / f"{Path(record.pop_audio).stem}.stats.json"
+            assert main(["stats", str(out), "--f0", record.f0, "--out", str(stats)]) == 0
+            assert 0.0 <= json.loads(stats.read_text())["amca"] <= 1.0
+        # The tracked grid ends before the cover does, so build-dataset
+        # trains on a trailing partial window that cover drops.
+        assert windows == [(4, 4), (4, 3)]
