@@ -34,8 +34,6 @@ config = desk_config(
     num_encoder_layers=1,
     num_decoder_layers=1,
     num_arrangers=2,
-    relative_bias_buckets=8,
-    relative_bias_max_distance=16,
     max_decode_len=64,
 )
 params = init_params(config, seed=0)

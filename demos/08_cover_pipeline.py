@@ -71,8 +71,6 @@ config = desk_config(
     num_encoder_layers=1,
     num_decoder_layers=1,
     num_arrangers=4,
-    relative_bias_buckets=8,
-    relative_bias_max_distance=20,
     max_decode_len=96,
 )
 train_config = TrainConfig(epochs=500, batch_size=4, learning_rate=0.001, seed=0)

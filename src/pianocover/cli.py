@@ -174,6 +174,7 @@ def _parse_config_file(path):
     train_fields = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
     model_kwargs = {}
     train_kwargs = {}
+    seen = {}
     for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -181,6 +182,9 @@ def _parse_config_file(path):
         if "=" not in line:
             raise ValidationError(f"{path}:{lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key in seen:
+            raise ValidationError(f"{path}:{lineno}: {key} already set on line {seen[key]}")
+        seen[key] = lineno
         if key in model_fields:
             kwargs, parse = model_kwargs, int
         elif key == "learning_rate":
@@ -311,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="note-density statistics over cover MIDIs")
     p.add_argument("midis", nargs="+")
     p.add_argument("--arranger", type=int, default=0)
-    p.add_argument("--f0", nargs="*", help="melody references, one per MIDI")
+    p.add_argument("--f0", nargs="+", help="melody references, one per MIDI")
     p.add_argument("--out")
     p.set_defaults(func=cmd_stats)
 

@@ -76,7 +76,7 @@ class F0Contour:
 
 @dataclass(frozen=True)
 class FilterReport:
-    mca: float
+    mca: float | None
     length_ratio_diff: float
     verdict: Verdict
     reasons: tuple
@@ -151,17 +151,18 @@ def melody_chroma_accuracy(ref: F0Contour, est_topline) -> float:
     return correct / int(ref_voiced.sum())
 
 
-def filter_pair(mca: float, pop_len: float, cover_len: float) -> FilterReport:
+def filter_pair(mca: float | None, pop_len: float, cover_len: float) -> FilterReport:
     """Apply the discard rules to one candidate pair.
 
     Discard when mca <= 0.15 or the length difference reaches 20% of the
-    pop side; both boundaries are inclusive.
+    pop side; both boundaries are inclusive. An mca of None is
+    unmeasured, and the length rule decides alone.
     """
     if pop_len <= 0:
         raise ParameterError("pop length must be positive")
     diff = abs(pop_len - cover_len) / pop_len
     reasons = []
-    if mca <= MCA_THRESHOLD:
+    if mca is not None and mca <= MCA_THRESHOLD:
         reasons.append("mca")
     if diff >= LENGTH_DIFF_THRESHOLD:
         reasons.append("length")

@@ -1,7 +1,9 @@
 """Model and training configuration, and the table of the model's tensors.
 
 N_MELS, the encoder's input width, is the contract that ``features``
-imports and computes to; like VOCAB_SIZE, it is no ``ModelConfig`` field."""
+imports and computes to; like VOCAB_SIZE, it is no ``ModelConfig`` field.
+Nor is the relative-position bias shape: REL_BUCKETS buckets up to
+REL_MAX_DISTANCE, T5's 32 and 128, are fixed architecture."""
 
 from __future__ import annotations
 
@@ -37,8 +39,18 @@ MAX_FRAMES = 512
 # Log-mel channels in each frame the encoder reads.
 N_MELS = 128
 
+# T5's relative-position buckets per self-attention stack, and the
+# distance from which every longer one shares the last bucket.
+REL_BUCKETS = 32
+REL_MAX_DISTANCE = 128
+
 # Former fields that old checkpoints name, each at its one legal value.
-_RETIRED_KEYS = {"vocab_size": VOCAB_SIZE, "n_mels": N_MELS}
+_RETIRED_KEYS = {
+    "vocab_size": VOCAB_SIZE,
+    "n_mels": N_MELS,
+    "relative_bias_buckets": REL_BUCKETS,
+    "relative_bias_max_distance": REL_MAX_DISTANCE,
+}
 
 
 @dataclass(frozen=True)
@@ -49,8 +61,6 @@ class ModelConfig:
     num_encoder_layers: int = 2
     num_decoder_layers: int = 2
     num_arrangers: int = 21
-    relative_bias_buckets: int = 32
-    relative_bias_max_distance: int = 128
     max_decode_len: int = 512
 
     def __post_init__(self):
@@ -76,17 +86,6 @@ class ModelConfig:
             raise ValidationError(
                 f"max_decode_len must be at most {MAX_TOKENS}, got {self.max_decode_len}"
             )
-        # With these, the T5 bucket formula has an exact range of at least
-        # one bucket and a positive log ratio in both directions.
-        if self.relative_bias_buckets < 4:
-            raise ValidationError(
-                f"relative_bias_buckets must be at least 4, got {self.relative_bias_buckets}"
-            )
-        if self.relative_bias_max_distance <= self.relative_bias_buckets // 2:
-            raise ValidationError(
-                "relative_bias_max_distance must exceed relative_bias_buckets // 2 = "
-                f"{self.relative_bias_buckets // 2}, got {self.relative_bias_max_distance}"
-            )
         params = count_params(self)
         if params > MAX_PARAMS:
             raise ValidationError(
@@ -102,10 +101,10 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d):
-        """The config a checkpoint's JSON object names. The vocabulary size
-        and the mel count are constants, not fields; checkpoints written
-        while they were fields name them as "vocab_size" and "n_mels",
-        each read only as the integer VOCAB_SIZE or N_MELS."""
+        """The config a checkpoint's JSON object names. The vocabulary size,
+        the mel count and the relative-bias shape are constants, not
+        fields; checkpoints written while they were fields name them by
+        their _RETIRED_KEYS, each read only as its constant integer."""
         if not isinstance(d, dict):
             raise ValidationError(f"config must be a JSON object, got {type(d).__name__}")
         d = dict(d)
@@ -195,8 +194,8 @@ def tensor_table(config: ModelConfig):
         # With the tied d_model**-0.5 scaled head, initial logits have std
         # about 0.2: the loss starts within hundredths of ln(VOCAB_SIZE).
         ("token_emb", (VOCAB_SIZE, d), 0.2),
-        ("enc_rel_bias", (config.relative_bias_buckets, h), ZEROS),
-        ("dec_rel_bias", (config.relative_bias_buckets, h), ZEROS),
+        ("enc_rel_bias", (REL_BUCKETS, h), ZEROS),
+        ("dec_rel_bias", (REL_BUCKETS, h), ZEROS),
     ]
     for stack in _LAYOUT:
         for layer in stack_layers(stack, config):

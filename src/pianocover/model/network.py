@@ -3,7 +3,8 @@
 Topology: pre-norm residual blocks with RMSNorm, multi-head attention
 with T5-style relative position bias in the self-attention stacks
 (bidirectional buckets in the encoder, causal buckets in the decoder,
-one table per stack shared across its layers, none in cross-attention),
+one table of config.REL_BUCKETS rows per stack shared across its layers,
+none in cross-attention),
 a ReLU feed-forward, and a token embedding tied to the output head with
 a d_model**-0.5 logit scale. The encoder input is the arranger
 embedding row concatenated before the projected mel frames.
@@ -52,7 +53,15 @@ import numpy as np
 
 from ..errors import ParameterError
 from ..tokenizer import EOS, PAD, VOCAB_SIZE, TokenSeq, generated_segment
-from .config import MAX_FRAMES, N_MELS, ModelConfig, stack_layers, tensor_table
+from .config import (
+    MAX_FRAMES,
+    N_MELS,
+    REL_BUCKETS,
+    REL_MAX_DISTANCE,
+    ModelConfig,
+    stack_layers,
+    tensor_table,
+)
 
 _NEG_INF = -1e30
 _NORM_EPS = 1e-6
@@ -85,10 +94,13 @@ def init_params(config: ModelConfig, seed: int = 0):
 # Relative position buckets
 
 
-def relative_position_bucket(relative_position, bidirectional, num_buckets, max_distance):
-    """T5 bucket index for signed (memory - query) distances."""
+def relative_position_bucket(relative_position, bidirectional):
+    """T5 bucket index, of REL_BUCKETS, for signed (memory - query)
+    distances; distances from REL_MAX_DISTANCE on share the last bucket
+    of their direction."""
     rel = np.asarray(relative_position)
     out = np.zeros_like(rel)
+    num_buckets = REL_BUCKETS
     if bidirectional:
         num_buckets //= 2
         out = out + (rel > 0).astype(rel.dtype) * num_buckets
@@ -97,21 +109,16 @@ def relative_position_bucket(relative_position, bidirectional, num_buckets, max_
         rel = -np.minimum(rel, 0)
     max_exact = num_buckets // 2
     is_small = rel < max_exact
-    scaled = np.log(np.maximum(rel, 1) / max_exact) / np.log(max_distance / max_exact)
+    scaled = np.log(np.maximum(rel, 1) / max_exact) / np.log(REL_MAX_DISTANCE / max_exact)
     large = max_exact + (scaled * (num_buckets - max_exact)).astype(rel.dtype)
     large = np.minimum(large, num_buckets - 1)
     return out + np.where(is_small, rel, large)
 
 
-def _bias_matrix(table, n, bidirectional, config):
+def _bias_matrix(table, n, bidirectional):
     """Relative position bias (heads, n, n) and its bucket indices (n, n)."""
     rel = np.arange(n)[None, :] - np.arange(n)[:, None]
-    buckets = relative_position_bucket(
-        rel,
-        bidirectional,
-        config.relative_bias_buckets,
-        config.relative_bias_max_distance,
-    )
+    buckets = relative_position_bucket(rel, bidirectional)
     return table[buckets].transpose(2, 0, 1), buckets
 
 
@@ -252,7 +259,7 @@ def _stack_f(stack, x, self_mask, params, config, memory=None, memory_mask=None)
     Self-attention adds the stack's relative bias (bidirectional buckets
     in the encoder, causal in the decoder) and self_mask; cross-attention
     reads memory (B, m, d) under memory_mask."""
-    bias, buckets = _bias_matrix(params[stack + "_rel_bias"], x.shape[1], stack == "enc", config)
+    bias, buckets = _bias_matrix(params[stack + "_rel_bias"], x.shape[1], stack == "enc")
     caches = []
     for layer in stack_layers(stack, config):
         for gain, names, kind in layer:
@@ -272,7 +279,7 @@ def _stack_f(stack, x, self_mask, params, config, memory=None, memory_mask=None)
     return out, (stack, buckets, caches, c_final, memory)
 
 
-def _stack_b(dout, cache, config, grads):
+def _stack_b(dout, cache, grads):
     """Backward through _stack_f, consuming its cache: each sublayer's
     entry is popped as it is used, so its activations are freed as the
     pass goes down the stack. A sublayer's normed input is recomputed
@@ -304,9 +311,7 @@ def _stack_b(dout, cache, config, grads):
         dnormed, dg = _norm_b(dy, c_norm)
         grads[gain] = dg
         dx = dx + dnormed
-    grads[stack + "_rel_bias"] = _scatter_rows(
-        buckets, dbias.transpose(1, 2, 0), config.relative_bias_buckets
-    )
+    grads[stack + "_rel_bias"] = _scatter_rows(buckets, dbias.transpose(1, 2, 0), REL_BUCKETS)
     return dx, dmemory
 
 
@@ -428,12 +433,7 @@ class IncrementalDecoder:
         memory = np.zeros((len(lengths), lengths.max(), config.d_model))
         for row, state in zip(memory, encoder_states):
             row[: len(state)] = state
-        distances = relative_position_bucket(
-            -np.arange(config.max_decode_len),
-            False,
-            config.relative_bias_buckets,
-            config.relative_bias_max_distance,
-        )
+        distances = relative_position_bucket(-np.arange(config.max_decode_len), False)
         self.bias = params["dec_rel_bias"][distances].T[:, None, :]
         self.layers = []
         for ((g1, (sq, sk, sv, so), _), (g2, (cq, ck, cv, co), _),
@@ -597,9 +597,9 @@ def loss_and_grads(examples, params, config: ModelConfig):
     ids, h, scale, decoder = d_cache
     dlogits /= count
     grads = {"token_emb": (_rows(dlogits).T @ _rows(h)) * scale}
-    dx, dstate = _stack_b((dlogits @ params["token_emb"]) * scale, decoder, config, grads)
+    dx, dstate = _stack_b((dlogits @ params["token_emb"]) * scale, decoder, grads)
     grads["token_emb"] += _scatter_rows(ids, dx, VOCAB_SIZE)
-    dx, _ = _stack_b(dstate, encoder, config, grads)
+    dx, _ = _stack_b(dstate, encoder, grads)
     grads["arranger_emb"] = _scatter_rows(arranger_ids, dx[:, 0], config.num_arrangers)
     grads["input_proj"] = _rows(frames).T @ _rows(dx[:, 1:])
     return loss, {name: grads[name] for name in params}

@@ -175,15 +175,11 @@ def build_pair(record: PairRecord) -> BuiltPair:
     aligned = align_to_audio(cover, audio)
 
     pop_len = len(audio) / SAMPLE_RATE
+    mca = None  # no melody reference: the length rule decides alone
     if record.f0:
         contour = read_f0_csv(record.f0)
         mca = melody_chroma_accuracy(contour, midi_topline(aligned, contour.times))
-        built.report = filter_pair(mca, pop_len, cover.duration)
-    else:
-        # No melody reference: apply the length rule alone and record
-        # the accuracy as unmeasured.
-        report = filter_pair(float("inf"), pop_len, cover.duration)
-        built.report = dataclasses.replace(report, mca=None)
+    built.report = filter_pair(mca, pop_len, cover.duration)
     if built.report.verdict is not Verdict.KEEP:
         return built
 

@@ -321,8 +321,6 @@ def test_gradient_check_against_finite_differences(report):
         num_encoder_layers=1,
         num_decoder_layers=1,
         num_arrangers=3,
-        relative_bias_buckets=8,
-        relative_bias_max_distance=16,
         max_decode_len=16,
     )
     # Guard against a vacuous pass: the analytic gradients this compares
@@ -425,8 +423,6 @@ def test_arranger_token_controls_density(report):
         num_encoder_layers=1,
         num_decoder_layers=1,
         num_arrangers=2,
-        relative_bias_buckets=8,
-        relative_bias_max_distance=16,
         max_decode_len=96,
     )
     wins = 0
@@ -543,8 +539,6 @@ def test_cover_generation_deterministic(report, tmp_path):
         num_encoder_layers=1,
         num_decoder_layers=1,
         num_arrangers=4,
-        relative_bias_buckets=8,
-        relative_bias_max_distance=20,
         max_decode_len=96,
     )
     train_config = TrainConfig(epochs=300, batch_size=4, learning_rate=0.001, seed=0)

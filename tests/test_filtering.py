@@ -231,6 +231,14 @@ class TestFilterPair:
             if first.verdict is Verdict.DISCARD:
                 assert worse.verdict is Verdict.DISCARD
 
+    def test_unmeasured_mca_leaves_the_length_rule_alone(self):
+        report = filter_pair(None, 100.0, 70.0)
+        assert report.verdict is Verdict.DISCARD
+        assert report.reasons == ("length",)
+        assert report.mca is None
+        kept = filter_pair(None, 100.0, 100.0)
+        assert kept.verdict is Verdict.KEEP and kept.reasons == () and kept.mca is None
+
     def test_bad_pop_len(self):
         with pytest.raises(ParameterError):
             filter_pair(0.5, 0.0, 10.0)

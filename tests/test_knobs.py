@@ -22,8 +22,6 @@ KNOBS = {
     "num_encoder_layers": 1,
     "num_decoder_layers": 1,
     "num_arrangers": 3,
-    "relative_bias_buckets": 16,
-    "relative_bias_max_distance": 40,
     "max_decode_len": 40,
     "epochs": 2,
     "batch_size": 1,

@@ -38,7 +38,7 @@ from pianocover.model import (
     save_checkpoint,
     train,
 )
-from pianocover.model.config import MAX_FRAMES, MAX_LAYERS, MAX_PARAMS, N_MELS
+from pianocover.model.config import MAX_FRAMES, MAX_LAYERS, MAX_PARAMS, N_MELS, REL_BUCKETS
 from pianocover import features
 from pianocover.midi import Note, NoteSequence, parse_smf, write_smf
 from pianocover.model import network, optim
@@ -54,8 +54,6 @@ def tiny_config(**overrides):
         num_encoder_layers=1,
         num_decoder_layers=1,
         num_arrangers=3,
-        relative_bias_buckets=8,
-        relative_bias_max_distance=20,
         max_decode_len=16,
     )
     base.update(overrides)
@@ -85,25 +83,25 @@ def bucket_ref(rel, bidirectional, num_buckets, max_distance):
 
 class TestBuckets:
     @pytest.mark.parametrize("bidirectional", [True, False])
-    @pytest.mark.parametrize("num_buckets,max_distance", [(32, 128), (8, 20)])
+    @pytest.mark.parametrize("num_buckets,max_distance", [(32, 128)])  # T5's bias shape
     def test_matches_scalar_reference(self, bidirectional, num_buckets, max_distance):
         rels = np.arange(-300, 301)
-        got = relative_position_bucket(rels, bidirectional, num_buckets, max_distance)
+        got = relative_position_bucket(rels, bidirectional)
         want = [bucket_ref(int(r), bidirectional, num_buckets, max_distance) for r in rels]
         assert got.tolist() == want
 
     def test_output_range(self):
         rels = np.arange(-1000, 1001)
         for bidirectional in (True, False):
-            got = relative_position_bucket(rels, bidirectional, 32, 128)
-            assert got.min() >= 0 and got.max() < 32
+            got = relative_position_bucket(rels, bidirectional)
+            assert got.min() >= 0 and got.max() < REL_BUCKETS
 
     def test_translation_invariance(self):
         # Prepending positions shifts queries and memory together, so
         # buckets between the original pairs are unchanged.
         def matrix(n):
             rel = np.arange(n)[None, :] - np.arange(n)[:, None]
-            return relative_position_bucket(rel, False, 32, 128)
+            return relative_position_bucket(rel, False)
 
         small = matrix(6)
         big = matrix(10)
@@ -130,7 +128,6 @@ class TestConfig:
     def test_fuzzed_fields_build_or_raise_validation_error(self, tmp_path):
         # Each field's bound where __post_init__ checks one, else its default.
         bounds = dict(ModelConfig().to_dict(), max_decode_len=MAX_TOKENS,
-                      relative_bias_buckets=4, relative_bias_max_distance=16,
                       num_encoder_layers=MAX_LAYERS, num_decoder_layers=MAX_LAYERS)
         # Trials start from the default layer counts: MAX_LAYERS layers of
         # the default width are over MAX_PARAMS.
@@ -175,17 +172,20 @@ class TestConfig:
             desk_config(n_mels=N_MELS)
 
     def test_decoder_bounds(self):
-        # Each bound holds at its edge and fails one step past it.
+        # The bound holds at its edge and fails one step past it.
         desk_config(max_decode_len=512)
-        desk_config(relative_bias_buckets=4, relative_bias_max_distance=3)
-        for overrides, message in (
-            (dict(max_decode_len=513), "max_decode_len must be at most 512"),
-            (dict(relative_bias_buckets=3), "relative_bias_buckets must be at least 4"),
-            (dict(relative_bias_buckets=32, relative_bias_max_distance=16),
-             "relative_bias_max_distance must exceed"),
-        ):
-            with pytest.raises(ValidationError, match=message):
-                desk_config(**overrides)
+        with pytest.raises(ValidationError, match="max_decode_len must be at most 512"):
+            desk_config(max_decode_len=513)
+
+    def test_the_bias_shape_is_architecture(self):
+        # Both bias tables have T5's buckets; no field sets their shape.
+        cfg = desk_config()
+        assert not [key for key in cfg.to_dict() if key.startswith("relative_bias")]
+        shapes = param_shapes(cfg)
+        assert shapes["enc_rel_bias"] == shapes["dec_rel_bias"] == (REL_BUCKETS, cfg.num_heads)
+        for key in ("relative_bias_buckets", "relative_bias_max_distance"):
+            with pytest.raises(TypeError):
+                desk_config(**{key: 32})
 
     def test_layer_bound(self, tmp_path, monkeypatch):
         narrow = dict(d_model=1, num_heads=1, d_ff=1, num_arrangers=1)
@@ -488,9 +488,9 @@ class TestDecodeStep:
 DECODER_SHAPES = [
     pytest.param(dict(num_decoder_layers=1), id="one-layer"),
     pytest.param(dict(num_decoder_layers=2), id="two-layers"),
-    # Distances up to 47 pass relative_bias_max_distance=20, so the far
-    # buckets saturate.
-    pytest.param(dict(num_decoder_layers=2, max_decode_len=48), id="saturated"),
+    # Distances up to 129 pass REL_MAX_DISTANCE = 128, where the causal
+    # buckets saturate: every longer distance shares the last bucket.
+    pytest.param(dict(num_decoder_layers=2, max_decode_len=130), id="saturated"),
 ]
 # Frame counts of windows stepped together, so every window but the
 # longest has padded cross-attention keys.
@@ -989,6 +989,20 @@ class TestCheckpoint:
         assert b"vocab_size" not in path.read_bytes() and b"n_mels" not in path.read_bytes()
         path.write_bytes(checkpoint_with_config(path.read_bytes(), vocab_size=VOCAB_SIZE,
                                                 n_mels=N_MELS))
+        loaded, loaded_cfg = load_checkpoint(path)
+        assert loaded_cfg == cfg
+        assert all(np.array_equal(loaded[name], params[name]) for name in params)
+
+    def test_checkpoint_naming_the_bias_shape_loads(self, tmp_path):
+        # Checkpoints written while the bias shape was two config fields
+        # name both, at the only values any of them used.
+        cfg = tiny_config()
+        params = init_params(cfg, seed=7)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, params, cfg)
+        assert b"relative_bias" not in path.read_bytes()
+        path.write_bytes(checkpoint_with_config(path.read_bytes(), relative_bias_buckets=32,
+                                                relative_bias_max_distance=128))
         loaded, loaded_cfg = load_checkpoint(path)
         assert loaded_cfg == cfg
         assert all(np.array_equal(loaded[name], params[name]) for name in params)

@@ -146,8 +146,6 @@ def toy_checkpoint(tmp_path, seed=0, **overrides):
         num_encoder_layers=1,
         num_decoder_layers=1,
         num_arrangers=4,
-        relative_bias_buckets=8,
-        relative_bias_max_distance=20,
         max_decode_len=48,
     )
     base.update(overrides)
@@ -1220,13 +1218,11 @@ CONTRACT_ROWS = [
          "max_decode_len must be at most 512, got 513", "model.ckpt",
          _checkpoint_config(max_decode_len=513)),
     _row("ckpt-bias-buckets", "cover {wav} {out} --arranger 0 --checkpoint {bad}",
-         "model.ckpt: bad checkpoint config: "
-         "relative_bias_buckets must be at least 4, got 3", "model.ckpt",
-         _checkpoint_config(relative_bias_buckets=3)),
+         "model.ckpt: bad checkpoint config: relative_bias_buckets must be 32, got 8",
+         "model.ckpt", _checkpoint_config(relative_bias_buckets=8)),
     _row("ckpt-bias-distance", "cover {wav} {out} --arranger 0 --checkpoint {bad}",
-         "model.ckpt: bad checkpoint config: "
-         "relative_bias_max_distance must exceed relative_bias_buckets // 2 = 4, got 4",
-         "model.ckpt", _checkpoint_config(relative_bias_max_distance=4)),
+         "model.ckpt: bad checkpoint config: relative_bias_max_distance must be 128, got 20",
+         "model.ckpt", _checkpoint_config(relative_bias_max_distance=20)),
     _row("ckpt-param-budget", "cover {wav} {out} --arranger 0 --checkpoint {bad}",
          "model.ckpt: bad checkpoint config: model has", "model.ckpt",
          _checkpoint_config(d_model=2**30)),
@@ -1287,6 +1283,7 @@ CONTRACT_ROWS = [
     _row("f0-truncated", "filter {mid} {bad} --pop-seconds 8 --cover-seconds 8",
          "melody.csv:3: expected two columns", "melody.csv",
          b"time,frequency\n0.0,440.0\n0.02"),
+    _row("f0-no-files", "stats {mid} --f0", "argument --f0: expected at least one argument"),
     _row("f0-not-utf8", "stats {mid} --f0 {bad}",
          "melody.csv: not UTF-8 text (at byte offset 19)", "melody.csv",
          b"time,frequency\n0.0,\xff\n"),
@@ -1335,11 +1332,14 @@ CONTRACT_ROWS = [
          "max_decode_len must be at most 512, got 513", "train.cfg",
          b"max_decode_len = 513\n"),
     _row("config-bias-buckets", "train {ds} {bad} {out}",
-         "relative_bias_buckets must be at least 4, got 3", "train.cfg",
-         b"relative_bias_buckets = 3\n"),
+         "train.cfg:1: unknown key 'relative_bias_buckets'", "train.cfg",
+         b"relative_bias_buckets = 32\n"),
     _row("config-bias-distance", "train {ds} {bad} {out}",
-         "relative_bias_max_distance must exceed relative_bias_buckets // 2 = 16, got 16",
-         "train.cfg", b"relative_bias_max_distance = 16\n"),
+         "train.cfg:2: unknown key 'relative_bias_max_distance'", "train.cfg",
+         b"epochs = 2\nrelative_bias_max_distance = 128\n"),
+    _row("config-repeated-key", "train {ds} {bad} {out}",
+         "train.cfg:3: epochs already set on line 1", "train.cfg",
+         b"epochs = 2\nbatch_size = 4\nepochs = 2000\n"),
     _row("config-param-budget", "train {ds} {bad} {out}",
          "parameters, over the budget of 134217728", "train.cfg", b"d_model = 1073741824\n"),
     _row("config-zero-heads", "train {ds} {bad} {out}",
